@@ -40,8 +40,7 @@ def _parse_prob(value) -> Fraction | float:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        num, _, den = value.partition("/")
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        return Fraction(value)
     raise ValueError(f"cannot parse probability {value!r}")
 
 
@@ -118,7 +117,7 @@ class Behavior:
                 x = tuple(int(v) for v in entry["x"])
                 a = tuple(int(v) for v in entry["a"])
                 p = _parse_prob(entry["p"])
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
                 raise ValueError(f"table entry {i}: {exc}") from exc
             if (x, a) in table:
                 raise ValueError(f"table entry {i}: duplicate cell ({x}, {a})")

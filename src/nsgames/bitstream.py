@@ -185,9 +185,6 @@ class BitStream:
 
     # -- structure ---------------------------------------------------------
 
-    def strip_overrides(self) -> "BitStream":
-        return replace(self, overrides=())
-
     def max_override_index(self) -> int:
         return self.overrides[-1][0] if self.overrides else 0
 

@@ -24,14 +24,7 @@ from .behavior import (
     functions_from_deterministic,
     is_deterministic_extremal,
 )
-from .experiment import (
-    SCHEMA_VERSION,
-    ExperimentConfig,
-    MEMOIZED,
-    invariance_test,
-    run_experiment,
-)
-from .oracle import CANONICAL
+from .experiment import SCHEMA_VERSION, ExperimentConfig, invariance_test, run_experiment
 from .strategies import parse_strategy_arg
 
 OUT_DIR_ENV = "NSGAMES_OUT_DIR"
@@ -40,6 +33,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SIGNALING = 2
 EXIT_REJECTED = 3
+
+# Keys a simulate --config file may set; each mirrors the flag of that name.
+CONFIG_KEYS = frozenset({
+    "strategy", "players", "trials", "seed", "root-override-depth", "parallelism",
+    "azuma-n", "azuma-eps", "allow-cheat", "no-enforce",
+})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--players", type=int)
     sim.add_argument("--trials", type=int)
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--game", choices=["baker", "hat"])
-    sim.add_argument("--oracle-mode", choices=[CANONICAL, MEMOIZED])
     sim.add_argument("--root-override-depth", type=int)
     sim.add_argument("--parallelism", type=int)
     sim.add_argument("--azuma-n", type=_int_list, metavar="N1,N2,...")
@@ -125,6 +122,14 @@ def _simulate(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config error: --config: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+        if not isinstance(file_cfg, dict):
+            print("config error: --config: top level must be a JSON object", file=sys.stderr)
+            return EXIT_CONFIG
+        unknown = sorted(set(file_cfg) - CONFIG_KEYS)
+        if unknown:
+            names = ", ".join(repr(k) for k in unknown)
+            print(f"config error: --config: unknown key {names}", file=sys.stderr)
+            return EXIT_CONFIG
 
     strategy_arg = _resolve(args, "strategy", file_cfg, None)
     if strategy_arg is None:
@@ -142,8 +147,6 @@ def _simulate(args) -> int:
             players=int(_resolve(args, "players", file_cfg, 64)),
             trials=int(_resolve(args, "trials", file_cfg, 1000)),
             master_seed=int(_resolve(args, "seed", file_cfg, 0)),
-            variant=_resolve(args, "game", file_cfg, "baker"),
-            oracle_mode=_resolve(args, "oracle-mode", file_cfg, CANONICAL),
             override_depth=int(_resolve(args, "root-override-depth", file_cfg, 0)),
             azuma_n=tuple(azuma_n) if azuma_n is not None else None,
             azuma_eps=tuple(_resolve(args, "azuma-eps", file_cfg, (4.0, 8.0, 16.0))),
@@ -165,8 +168,6 @@ def _simulate(args) -> int:
         (out_dir / "win.csv").write_text(result.win.to_csv(), encoding="utf-8")
         (out_dir / "azuma.csv").write_text(result.azuma.to_csv(), encoding="utf-8")
     (out_dir / "trials.jsonl").write_text(result.trial_log(), encoding="utf-8")
-    if cfg.oracle_mode == MEMOIZED:
-        result.oracle.dump_table(out_dir / "oracle_table.json")
 
     win = result.win
     pooled = "n/a" if win.pooled_freq is None else f"{win.pooled_freq:.6f}"

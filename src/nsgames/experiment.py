@@ -20,7 +20,7 @@ from scipy import stats
 
 from .bitstream import BitStream
 from .game import GameSpec, TrialRecord, run_trial
-from .oracle import CANONICAL, MEMOIZED, ChoiceOracle
+from .oracle import ChoiceOracle
 from .seeding import (
     DOMAIN_INVARIANCE,
     DOMAIN_ROOT,
@@ -31,7 +31,7 @@ from .seeding import (
 )
 from .strategies import Strategy
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 UNIFORM = "uniform"
 ADVERSARIAL = "adversarial"
@@ -45,8 +45,6 @@ class ExperimentConfig:
     players: int
     trials: int
     master_seed: int
-    variant: str = "baker"
-    oracle_mode: str = CANONICAL
     override_depth: int = 0
     azuma_n: tuple[int, ...] | None = None
     azuma_eps: tuple[float, ...] = (4.0, 8.0, 16.0)
@@ -61,14 +59,8 @@ class ExperimentConfig:
             raise ValueError(f"players must be >= 1, got {self.players}")
         if self.override_depth < 0:
             raise ValueError("override depth must be >= 0")
-        if self.oracle_mode not in (CANONICAL, MEMOIZED):
-            raise ValueError(f"unknown oracle mode: {self.oracle_mode!r}")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
-        if self.oracle_mode == MEMOIZED and self.parallelism != 1:
-            raise ValueError(
-                "memoized oracle mode requires serial trials (parallelism 1)"
-            )
         if self.azuma_n is None:
             clipped = tuple(n for n in (16, 32, 64) if n <= self.players)
             object.__setattr__(self, "azuma_n", clipped or (self.players,))
@@ -76,19 +68,17 @@ class ExperimentConfig:
             if not 1 <= n <= self.players:
                 raise ValueError(f"azuma n={n} outside 1..players={self.players}")
         for eps in self.azuma_eps:
-            if eps <= 0:
-                raise ValueError(f"azuma epsilon must be > 0, got {eps}")
+            if not (math.isfinite(eps) and eps > 0):
+                raise ValueError(f"azuma epsilon must be finite and > 0, got {eps}")
 
     def to_json(self) -> dict:
         # parallelism is deliberately absent: it is an execution knob with
         # no effect on results, and reports must not depend on it.
         return {
-            "variant": self.variant,
             "players": self.players,
             "trials": self.trials,
             "master_seed": self.master_seed,
             "strategy": self.strategy.spec(),
-            "oracle_mode": self.oracle_mode,
             "override_depth": self.override_depth,
             "azuma_n": list(self.azuma_n),
             "azuma_eps": list(self.azuma_eps),
@@ -109,13 +99,12 @@ def trial_root(master_seed: int, index: int, override_depth: int = 0) -> BitStre
     return BitStream.generator(seed, overrides=flips)
 
 
-def _run_one(cfg: ExperimentConfig, oracle: ChoiceOracle, index: int) -> TrialRecord:
+def _run_one(cfg: ExperimentConfig, index: int) -> TrialRecord:
     spec = GameSpec(
-        variant=cfg.variant,
         players=cfg.players,
         root=trial_root(cfg.master_seed, index, cfg.override_depth),
         strategy=cfg.strategy,
-        oracle=oracle,
+        oracle=ChoiceOracle(),
         trial_seed=derive(cfg.master_seed, DOMAIN_TRIAL, index),
         enforce_contracts=cfg.enforce_contracts,
         enable_backdoor=cfg.enable_backdoor,
@@ -231,7 +220,6 @@ class ExperimentResult:
     records: tuple[TrialRecord, ...]
     win: WinRateReport
     azuma: AzumaReport
-    oracle: ChoiceOracle
 
     def to_json(self) -> dict:
         return {
@@ -270,8 +258,8 @@ def azuma_bound(n: int, epsilon: float) -> float:
     """Concentration bound 2 exp(-eps^2 / (2 n)) for |increments| <= 1."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     return 2.0 * math.exp(-(epsilon * epsilon) / (2.0 * n))
 
 
@@ -372,8 +360,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     and every derived quantity is a pure function of the ordered records,
     which is what makes reports byte-identical across worker counts.
     """
-    oracle = ChoiceOracle(mode=cfg.oracle_mode)
-    worker = partial(_run_one, cfg, oracle)
+    worker = partial(_run_one, cfg)
     if cfg.parallelism == 1:
         records = tuple(worker(t) for t in range(cfg.trials))
     else:
@@ -385,7 +372,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         records=records,
         win=win_rate_report(records, cfg.players),
         azuma=azuma_report(records, cfg.azuma_n, cfg.azuma_eps),
-        oracle=oracle,
     )
 
 

@@ -1,10 +1,9 @@
-"""Referee logic for the hat and baker variants.
+"""Referee logic for the guessing game.
 
-Both games share one information structure: the referee draws a root
-x_0 in [0, 1], player k sees only the k-fold shifted tail (equivalently,
-the hats in front of position k), and must output bit k of the root.
-The variants are information-isomorphic, so the referee code is common
-and the variant is carried as a label.
+The referee draws a root x_0 in [0, 1]; player k sees only the k-fold
+baker-shifted tail (in the hat picture, the hats in front of position k)
+and must output bit k of the root.  The hat and baker games share this
+information structure, so one referee plays both.
 """
 
 from __future__ import annotations
@@ -15,10 +14,7 @@ from typing import Sequence
 
 from .bitstream import BitStream
 from .oracle import ChoiceOracle
-from .seeding import DOMAIN_PLAYER, derive
 from .strategies import GuessContext, Strategy
-
-VARIANTS = ("baker", "hat")
 
 
 @dataclass(frozen=True)
@@ -30,7 +26,6 @@ class GameSpec:
     (off by default, so production runs cannot read targets).
     """
 
-    variant: str
     players: int
     root: BitStream
     strategy: Strategy
@@ -40,8 +35,6 @@ class GameSpec:
     enable_backdoor: bool = False
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.players < 1:
             raise ValueError(f"players must be >= 1, got {self.players}")
 
@@ -92,37 +85,6 @@ class TrialRecord:
         return cls.from_json(json.loads(line))
 
 
-def generate_inputs(root: BitStream, players: int) -> list[BitStream]:
-    """Inputs [x_1, ..., x_K]: x_k is the k-fold baker image of the root."""
-    inputs = []
-    stream = root
-    for _ in range(players):
-        stream = stream.baker_shift()
-        inputs.append(stream)
-    return inputs
-
-
-def target_bit(root: BitStream, k: int) -> int:
-    """The bit player k must produce: bit k of the root's expansion."""
-    if k < 1:
-        raise ValueError(f"player index must be >= 1, got {k}")
-    return root.bit_at(k)
-
-
-def player_view(spec: GameSpec, k: int) -> BitStream:
-    """What player k sees: the root's tail from bit k+1 on, nothing earlier.
-
-    The returned stream resolves query i as root bit k+i, so bits <= k of
-    the root are unreachable by construction.
-    """
-    if not 1 <= k <= spec.players:
-        raise ValueError(f"player index must lie in 1..{spec.players}, got {k}")
-    view = spec.root
-    for _ in range(k):
-        view = view.baker_shift()
-    return view
-
-
 def winner_threshold(s: Sequence[int]) -> int:
     """Least t with every player k > t successful: the last losing index."""
     t = 0
@@ -135,11 +97,11 @@ def winner_threshold(s: Sequence[int]) -> int:
 def run_trial(spec: GameSpec) -> TrialRecord:
     """Play one full round and score it.
 
-    Each player gets a fresh context over its own view with a private
-    (trial, player)-derived generator. If contract enforcement is on and
-    any player touched the backdoor, the trial is marked invalid; raw
-    outputs and successes are still recorded so harness tests can verify
-    the quarantine, but the threshold is withheld.
+    Each player gets a fresh context over its own view; its private
+    generator is derived from (trial, player) on first use.  If contract
+    enforcement is on and any player touched the backdoor, the trial is
+    marked invalid; raw outputs and successes are still recorded so harness
+    tests can verify the quarantine, but the threshold is withheld.
     """
     root = spec.root
     backdoor_root = root if spec.enable_backdoor else None
@@ -154,7 +116,6 @@ def run_trial(spec: GameSpec) -> TrialRecord:
         ctx = GuessContext(
             player=k,
             view=view,
-            rng_seed=derive(spec.trial_seed, DOMAIN_PLAYER, k),
             shared_seed=spec.trial_seed,
             oracle=spec.oracle,
             root=backdoor_root,

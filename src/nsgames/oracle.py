@@ -2,28 +2,15 @@
 
 Every representable stream belongs to a class of streams that agree beyond
 some finite index.  The oracle hands back one fixed member per class, the
-shared "pre-agreed" selection all players consult.  Canonical mode derives
-the member from the class structure itself; memoized mode demonstrates that
-any first-come selection works just as well, at the price of query-order
-sensitivity.
+shared "pre-agreed" selection all players consult.  The member is derived
+from the class structure itself, so the selection needs no stored state.
 """
 
 from __future__ import annotations
 
-import json
-import threading
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from .bitstream import GENERATOR, PERIODIC, BitStream, eventually_equal
-
-CANONICAL = "canonical"
-MEMOIZED = "memoized"
-
-
-class OracleConcurrencyError(RuntimeError):
-    """A memoized oracle was queried from more than one thread; first-write
-    ordering is undefined in that case."""
 
 
 @dataclass(frozen=True)
@@ -40,21 +27,6 @@ class ClassHandle:
     shift: int = 0
     word: tuple[int, ...] = ()
     phase: int = 0
-
-    def to_json(self) -> dict:
-        if self.kind == GENERATOR:
-            return {"kind": GENERATOR, "seed": self.seed, "shift": self.shift}
-        return {"kind": PERIODIC, "word": list(self.word), "phase": self.phase}
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "ClassHandle":
-        if doc["kind"] == GENERATOR:
-            return cls(kind=GENERATOR, seed=int(doc["seed"]), shift=int(doc["shift"]))
-        return cls(
-            kind=PERIODIC,
-            word=tuple(int(b) for b in doc["word"]),
-            phase=int(doc["phase"]),
-        )
 
 
 def class_of(stream: BitStream) -> ClassHandle:
@@ -79,65 +51,16 @@ def canonical_representative(handle: ClassHandle) -> BitStream:
     return BitStream.periodic((), aligned)
 
 
-@dataclass
 class ChoiceOracle:
     """Shared selection of one representative per class.
 
-    ``mode`` is "canonical" or "memoized".  Memoized lookups are first-write:
-    the first queried member of a class (stripped of its finite edits) is
-    stored and every later query of that class returns the stored stream.
-    Memoized mode is single-threaded by contract; canonical mode is pure and
-    freely concurrent.
+    Stateless: every lookup returns the canonical representative, so the
+    oracle is pure and freely shared across players, trials and processes.
     """
-
-    mode: str = CANONICAL
-    table: dict[ClassHandle, BitStream] = field(default_factory=dict)
-    _owner_thread: int | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.mode not in (CANONICAL, MEMOIZED):
-            raise ValueError(f"unknown oracle mode: {self.mode!r}")
 
     def representative(self, member: BitStream) -> BitStream:
         """The fixed representative of `member`'s class."""
-        handle = class_of(member)
-        if self.mode == CANONICAL:
-            return canonical_representative(handle)
-        self._check_thread()
-        rep = self.table.get(handle)
-        if rep is None:
-            rep = member.strip_overrides()
-            self.table[handle] = rep
-        return rep
-
-    def _check_thread(self) -> None:
-        tid = threading.get_ident()
-        if self._owner_thread is None:
-            self._owner_thread = tid
-        elif self._owner_thread != tid:
-            raise OracleConcurrencyError(
-                "memoized oracle queried from a second thread; "
-                "run memoized experiments serially"
-            )
-
-    def table_to_json(self) -> list[dict]:
-        return [
-            {"class": handle.to_json(), "representative": rep.to_json()}
-            for handle, rep in self.table.items()
-        ]
-
-    def dump_table(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.table_to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_table_json(cls, entries: list[dict]) -> "ChoiceOracle":
-        oracle = cls(mode=MEMOIZED)
-        for entry in entries:
-            handle = ClassHandle.from_json(entry["class"])
-            oracle.table[handle] = BitStream.from_json(entry["representative"])
-        return oracle
+        return canonical_representative(class_of(member))
 
 
 def disagreement_bound(member: BitStream, rep: BitStream) -> int:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .bitstream import BitStream
 from .oracle import ChoiceOracle
-from .seeding import DOMAIN_SHARED, SplitRandom, derive
+from .seeding import DOMAIN_PLAYER, DOMAIN_SHARED, SplitRandom, derive
 
 LOCAL_VIEW = "local-view"
 LOCAL_VIEW_ORACLE = "local-view+oracle"
@@ -28,20 +28,19 @@ class BackdoorDisabledError(RuntimeError):
 class GuessContext:
     """Everything player k may legitimately see while guessing.
 
-    The private generator is unique to (trial, player) and created lazily,
-    so deterministic strategies never consume randomness.  ``root_bit`` is a
-    test-only backdoor: using it trips the contract flag that marks the
-    trial SIGNALING-INVALID.
+    The private generator is seeded from (shared seed, player) and created
+    lazily, so deterministic strategies never consume randomness.
+    ``root_bit`` is a test-only backdoor: using it trips the contract flag
+    that marks the trial SIGNALING-INVALID.
     """
 
-    __slots__ = ("player", "view", "oracle", "shared_seed", "_rng_seed", "_rng",
-                 "_root", "forbidden_used")
+    __slots__ = ("player", "view", "oracle", "shared_seed", "_rng", "_root",
+                 "forbidden_used")
 
     def __init__(
         self,
         player: int,
         view: BitStream,
-        rng_seed: int,
         shared_seed: int,
         oracle: ChoiceOracle | None = None,
         root: BitStream | None = None,
@@ -50,7 +49,6 @@ class GuessContext:
         self.view = view
         self.oracle = oracle
         self.shared_seed = shared_seed
-        self._rng_seed = rng_seed
         self._rng = None
         self._root = root
         self.forbidden_used = False
@@ -58,7 +56,7 @@ class GuessContext:
     @property
     def rng(self) -> SplitRandom:
         if self._rng is None:
-            self._rng = SplitRandom(self._rng_seed)
+            self._rng = SplitRandom(derive(self.shared_seed, DOMAIN_PLAYER, self.player))
         return self._rng
 
     def root_bit(self, i: int) -> int:
@@ -215,10 +213,27 @@ class CheatStrategy(Strategy):
         return ctx.root_bit(ctx.player)
 
 
+# The parameters each strategy name accepts in its JSON blob.
+STRATEGY_PARAMS = {
+    "fns": (),
+    "cheat": (),
+    "constant": ("value",),
+    "local-table": ("table", "m"),
+    "local-random": ("p",),
+    "shared-mixture": ("tables", "weights"),
+}
+
+
 def build_strategy(spec: dict) -> Strategy:
     """Construct a strategy from its JSON parameter blob."""
     spec = dict(spec)
     name = spec.pop("name", None)
+    if name not in STRATEGY_PARAMS:
+        raise ValueError(f"unknown strategy name: {name!r}")
+    unknown = sorted(set(spec) - set(STRATEGY_PARAMS[name]))
+    if unknown:
+        names = ", ".join(repr(k) for k in unknown)
+        raise ValueError(f"strategy {name!r} has unknown parameter {names}")
     try:
         if name == "fns":
             return FnsStrategy()
@@ -234,11 +249,9 @@ def build_strategy(spec: dict) -> Strategy:
             return LocalTableStrategy(table)
         if name == "local-random":
             return LocalRandomStrategy(float(spec["p"]))
-        if name == "shared-mixture":
-            return SharedMixtureStrategy(spec["tables"], spec.get("weights"))
+        return SharedMixtureStrategy(spec["tables"], spec.get("weights"))
     except KeyError as exc:
         raise ValueError(f"strategy {name!r} is missing parameter {exc}") from exc
-    raise ValueError(f"unknown strategy name: {name!r}")
 
 
 def parse_strategy_arg(text: str) -> Strategy:

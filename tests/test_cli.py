@@ -29,9 +29,12 @@ class TestSimulate:
         assert code == 0
         assert "pooled win rate: 1.000000" in out
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["config"]["players"] == 8
-        assert "parallelism" not in report["config"]
+        assert set(report["config"]) == {
+            "players", "trials", "master_seed", "strategy", "override_depth",
+            "azuma_n", "azuma_eps", "enforce_contracts", "enable_backdoor",
+        }
         lines = (tmp_path / "trials.jsonl").read_text().splitlines()
         assert len(lines) == 5
         first = json.loads(lines[0])
@@ -73,17 +76,6 @@ class TestSimulate:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["config"]["trials"] == 7
         assert report["config"]["master_seed"] == 9
-
-    def test_memoized_dumps_oracle_table(self, tmp_path, capsys):
-        code, _, _ = run(
-            capsys, "simulate", "--strategy", "fns", "--players", "4",
-            "--trials", "3", "--oracle-mode", "memoized",
-            "--out-dir", str(tmp_path),
-        )
-        assert code == 0
-        table = json.loads((tmp_path / "oracle_table.json").read_text())
-        assert len(table) == 3
-        assert all({"class", "representative"} <= set(e) for e in table)
 
     def test_cheat_quarantined_exit_two(self, tmp_path, capsys):
         code, out, _ = run(
@@ -131,6 +123,39 @@ class TestSimulate:
         )
         assert code == 1
         assert "config error" in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "JSON object"),
+        ({"strategy": "fns", "player": 8}, "'player'"),
+        ({"strategy": "fns", "game": "hat"}, "'game'"),
+        ({"strategy": "fns", "oracle-mode": "canonical"}, "'oracle-mode'"),
+        ({"strategy": {"name": "constant", "extra": 1}}, "'extra'"),
+    ])
+    def test_bad_config_document_exit_one(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "simulate", "--config", str(cfg), "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert "config error" in err and message in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("flag", [["--game", "hat"], ["--oracle-mode", "memoized"]])
+    def test_removed_flags_exit_one(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--strategy", "fns", *flag])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_azuma_eps_exit_one(self, tmp_path, capsys, eps):
+        code, _, err = run(
+            capsys, "simulate", "--strategy", "constant:0", "--players", "4",
+            "--trials", "2", "--azuma-eps", eps, "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert "epsilon" in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_parallel_matches_serial(self, tmp_path, capsys):
         outs = []
@@ -202,6 +227,26 @@ class TestVerifyBehavior:
         assert "tol" in err
         code, out, _ = run(capsys, "verify-behavior", str(path), "--tol", "1e-9")
         assert code == 0
+
+    def test_string_probabilities(self, tmp_path, capsys):
+        def write(p):
+            doc = {
+                "parties": 1, "inputs": [1], "outputs": [2],
+                "table": [
+                    {"x": [0], "a": [0], "p": p},
+                    {"x": [0], "a": [1], "p": "1/2"},
+                ],
+            }
+            path = tmp_path / "strings.json"
+            path.write_text(json.dumps(doc))
+            return str(path)
+
+        code, out, _ = run(capsys, "verify-behavior", write("0.5"))
+        assert code == 0
+        assert "NS: pass" in out
+        code, _, err = run(capsys, "verify-behavior", write("1/0"))
+        assert code == 1
+        assert "input error" in err
 
     def test_strict_flag(self, tmp_path, capsys):
         path = write_box(tmp_path, pr_box())

@@ -65,6 +65,10 @@ class TestBounds:
             azuma_bound(0, 1.0)
         with pytest.raises(ValueError):
             azuma_bound(10, 0.0)
+        with pytest.raises(ValueError):
+            azuma_bound(10, math.nan)
+        with pytest.raises(ValueError):
+            azuma_bound(10, math.inf)
 
     def test_wilson_matches_quadratic_roots(self):
         for s, t, z in [(5, 10, 3.0), (0, 10, 3.0), (10, 10, 3.0),
@@ -332,28 +336,16 @@ class TestRunExperiment:
             assert p.freq == (0.0 if p.player <= depth else 1.0)
         assert result.win.threshold_hist == ((depth, 30),)
 
-    def test_memoized_requires_serial(self):
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_config_rejects_bad_epsilon(self, eps):
         with pytest.raises(ValueError):
             ExperimentConfig(
-                strategy=build_strategy({"name": "fns"}),
+                strategy=build_strategy({"name": "constant"}),
                 players=4,
-                trials=10,
+                trials=1,
                 master_seed=0,
-                oracle_mode="memoized",
-                parallelism=2,
+                azuma_eps=(4.0, eps),
             )
-
-    def test_memoized_oracle_collected(self):
-        cfg = ExperimentConfig(
-            strategy=build_strategy({"name": "fns"}),
-            players=4,
-            trials=5,
-            master_seed=1,
-            oracle_mode="memoized",
-        )
-        result = run_experiment(cfg)
-        assert result.win.pooled_freq == 1.0
-        assert len(result.oracle.table) == 5
 
     def test_parallelism_does_not_change_bytes(self):
         def run(par):

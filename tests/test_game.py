@@ -1,4 +1,4 @@
-"""Referee: input generation, views, scoring, quarantine."""
+"""Referee: views, targets, scoring, quarantine."""
 
 from fractions import Fraction
 
@@ -7,63 +7,88 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsgames.bitstream import BitStream
-from nsgames.game import (
-    GameSpec,
-    TrialRecord,
-    generate_inputs,
-    player_view,
-    run_trial,
-    target_bit,
-    winner_threshold,
-)
+from nsgames.game import GameSpec, TrialRecord, run_trial, winner_threshold
 from nsgames.oracle import ChoiceOracle
-from nsgames.strategies import CheatStrategy, FnsStrategy, LocalTableStrategy
+from nsgames.strategies import (
+    CheatStrategy,
+    FnsStrategy,
+    LocalTableStrategy,
+    Strategy,
+)
+
+
+def shifted(root: BitStream, k: int) -> BitStream:
+    """The k-fold baker image of the root, by repeated single shifts."""
+    for _ in range(k):
+        root = root.baker_shift()
+    return root
 
 
 def eq5_target(root: BitStream, k: int, t: int = 48) -> int:
     """Predicate oracle: evaluate 2*x_{k-1} - x_k on t-bit truncations with
     exact rationals and round to the nearest integer."""
-    inputs = generate_inputs(root, k)
-    x_prev = root.truncated_value(t) if k == 1 else inputs[k - 2].truncated_value(t)
-    x_k = inputs[k - 1].truncated_value(t)
-    diff = 2 * x_prev - x_k
+    x_prev = shifted(root, k - 1)
+    diff = 2 * x_prev.truncated_value(t) - x_prev.baker_shift().truncated_value(t)
     nearest = int(diff + Fraction(1, 2))
     assert abs(diff - nearest) <= Fraction(1, 1 << t)
     return nearest
 
 
+class RecordingStrategy(Strategy):
+    """Answers 0 and keeps what each player was shown."""
+
+    name = "recording"
+
+    def __init__(self) -> None:
+        self.players: list[int] = []
+        self.views: list[BitStream] = []
+
+    def guess(self, ctx) -> int:
+        self.players.append(ctx.player)
+        self.views.append(ctx.view)
+        return 0
+
+
+def recorded(root: BitStream, players: int) -> RecordingStrategy:
+    strategy = RecordingStrategy()
+    run_trial(GameSpec(players, root, strategy))
+    return strategy
+
+
+def scored_targets(root: BitStream, players: int) -> list[int]:
+    """The bits the referee scored players 1..K against, read back from s:
+    a constant-0 player wins exactly when its target is 0."""
+    rec = run_trial(GameSpec(players, root, LocalTableStrategy([0])))
+    return [0 if sk == 1 else 1 for sk in rec.s]
+
+
 class TestInputsAndTargets:
     def test_period_two_inputs(self):
         root = BitStream.periodic((), (1, 0))
-        x1, x2 = generate_inputs(root, 2)
+        x1, x2 = recorded(root, 2).views
         assert x1.bits(6) == [0, 1, 0, 1, 0, 1]
         assert x2.bits(6) == root.bits(6)
 
     def test_quarter_root_single_input(self):
         root = BitStream.from_rational(1, 4)
-        (x1,) = generate_inputs(root, 1)
+        (x1,) = recorded(root, 1).views
         assert x1.truncated_value(16) == Fraction(1, 2)
 
     @given(st.integers(0, 2**64 - 1), st.integers(1, 64))
     def test_input_shift_law(self, seed, k):
         root = BitStream.generator(seed)
-        inputs = generate_inputs(root, k)
-        assert inputs[k - 1].bit_at(1) == root.bit_at(k + 1)
+        assert recorded(root, k).views[k - 1].bit_at(1) == root.bit_at(k + 1)
 
     def test_target_reads_expansion(self):
         root = BitStream.periodic((1, 0, 1), (0,))
-        assert [target_bit(root, k) for k in (1, 2, 3)] == [1, 0, 1]
-        assert target_bit(BitStream.periodic((), (0,)), 17) == 0
-
-    def test_target_index_validated(self):
-        with pytest.raises(ValueError):
-            target_bit(BitStream.generator(1), 0)
+        assert scored_targets(root, 3) == [1, 0, 1]
+        assert scored_targets(BitStream.periodic((), (0,)), 17)[16] == 0
 
     @settings(max_examples=30)
     @given(st.integers(0, 2**64 - 1), st.integers(1, 32))
     def test_target_matches_exact_predicate_on_generator_roots(self, seed, k):
         root = BitStream.generator(seed)
-        assert target_bit(root, k) == eq5_target(root, k)
+        assert scored_targets(root, k)[k - 1] == eq5_target(root, k)
 
     @settings(max_examples=30)
     @given(
@@ -73,34 +98,31 @@ class TestInputsAndTargets:
     )
     def test_target_matches_exact_predicate_on_periodic_roots(self, pre, per, k):
         root = BitStream.periodic(pre, per)
-        assert target_bit(root, k) == eq5_target(root, k)
+        assert scored_targets(root, k)[k - 1] == eq5_target(root, k)
 
 
 class TestPlayerView:
-    def spec(self, root, players=8):
-        return GameSpec("baker", players, root, LocalTableStrategy([0, 1]))
-
     def test_view_is_shifted_root(self):
         root = BitStream.generator(5)
-        view = player_view(self.spec(root), 3)
+        view = recorded(root, 8).views[2]
         assert view.bits(20) == root.bits(20, start=4)
 
     def test_first_player_sees_full_tail(self):
         root = BitStream.generator(5)
-        assert player_view(self.spec(root), 1).bits(10) == root.bits(10, start=2)
+        assert recorded(root, 8).views[0].bits(10) == root.bits(10, start=2)
 
     def test_view_matches_generated_input(self):
         root = BitStream.generator(6)
-        inputs = generate_inputs(root, 8)
+        views = recorded(root, 8).views
         for k in (1, 4, 8):
-            assert player_view(self.spec(root), k) == inputs[k - 1]
+            assert views[k - 1] == shifted(root, k)
 
     def test_forbidden_prefix_structurally_unreachable(self):
         # Every reachable index i >= 1 of the view resolves to root bit
         # k + i; the view object has no query that reaches bits <= k.
         root = BitStream.generator(7)
         k = 5
-        view = player_view(self.spec(root), k)
+        view = recorded(root, 8).views[k - 1]
         assert view.shift == root.shift + k
         for i in range(1, 30):
             assert view.bit_at(i) == root.bit_at(k + i)
@@ -108,10 +130,8 @@ class TestPlayerView:
             view.bit_at(0)
 
     def test_bounds_checked(self):
-        with pytest.raises(ValueError):
-            player_view(self.spec(BitStream.generator(1)), 0)
-        with pytest.raises(ValueError):
-            player_view(self.spec(BitStream.generator(1)), 9)
+        # Exactly players 1..K are asked, once each and in order.
+        assert recorded(BitStream.generator(1), 8).players == list(range(1, 9))
 
 
 class TestWinnerThreshold:
@@ -128,7 +148,7 @@ class TestWinnerThreshold:
 class TestRunTrial:
     def test_fns_on_pristine_root_all_win(self):
         spec = GameSpec(
-            "baker", 64, BitStream.generator(42), FnsStrategy(),
+            64, BitStream.generator(42), FnsStrategy(),
             oracle=ChoiceOracle(), trial_seed=7,
         )
         rec = run_trial(spec)
@@ -144,7 +164,7 @@ class TestRunTrial:
         root = BitStream.generator(
             42, overrides={1: 1 - base.bit_at(1), 2: 1 - base.bit_at(2)}
         )
-        spec = GameSpec("baker", 64, root, FnsStrategy(), oracle=ChoiceOracle())
+        spec = GameSpec(64, root, FnsStrategy(), oracle=ChoiceOracle())
         rec = run_trial(spec)
         assert [k for k in range(1, 65) if rec.s[k - 1] == -1] == [1, 2]
         assert rec.threshold == 2
@@ -155,30 +175,21 @@ class TestRunTrial:
         base = BitStream.generator(seed)
         overrides = {i: 1 - base.bit_at(i) for i in range(1, depth + 1)}
         root = BitStream.generator(seed, overrides=overrides)
-        spec = GameSpec("baker", 32, root, FnsStrategy(), oracle=ChoiceOracle())
+        spec = GameSpec(32, root, FnsStrategy(), oracle=ChoiceOracle())
         rec = run_trial(spec)
         assert rec.threshold <= depth
         assert all(s == 1 for s in rec.s[depth:])
 
     def test_constant_zero_on_zero_root(self):
         spec = GameSpec(
-            "baker", 16, BitStream.periodic((), (0,)), LocalTableStrategy([0])
+            16, BitStream.periodic((), (0,)), LocalTableStrategy([0])
         )
         rec = run_trial(spec)
         assert rec.threshold == 0
         assert all(s == 1 for s in rec.s)
 
-    @given(st.integers(0, 2**64 - 1))
-    def test_hat_and_baker_agree(self, seed):
-        root = BitStream.generator(seed)
-        strategy = LocalTableStrategy([0, 1, 1, 0])
-        rec_b = run_trial(GameSpec("baker", 32, root, strategy, trial_seed=3))
-        rec_h = run_trial(GameSpec("hat", 32, root, strategy, trial_seed=3))
-        assert rec_b.s == rec_h.s
-        assert rec_b.outputs == rec_h.outputs
-
     def test_trajectory_is_cumulative_sum(self):
-        spec = GameSpec("baker", 20, BitStream.generator(8), LocalTableStrategy([0, 1]))
+        spec = GameSpec(20, BitStream.generator(8), LocalTableStrategy([0, 1]))
         rec = run_trial(spec)
         acc = 0
         for s, total in zip(rec.s, rec.trajectory):
@@ -188,7 +199,7 @@ class TestRunTrial:
 
     def test_cheat_is_quarantined(self):
         spec = GameSpec(
-            "baker", 16, BitStream.generator(3), CheatStrategy(),
+            16, BitStream.generator(3), CheatStrategy(),
             enable_backdoor=True,
         )
         rec = run_trial(spec)
@@ -198,7 +209,7 @@ class TestRunTrial:
 
     def test_cheat_scored_with_enforcement_off(self):
         spec = GameSpec(
-            "baker", 16, BitStream.generator(3), CheatStrategy(),
+            16, BitStream.generator(3), CheatStrategy(),
             enable_backdoor=True, enforce_contracts=False,
         )
         rec = run_trial(spec)
@@ -207,34 +218,32 @@ class TestRunTrial:
 
     def test_fns_never_flagged(self):
         spec = GameSpec(
-            "baker", 16, BitStream.generator(3), FnsStrategy(),
+            16, BitStream.generator(3), FnsStrategy(),
             oracle=ChoiceOracle(), enable_backdoor=True,
         )
         assert run_trial(spec).valid
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            GameSpec("poker", 4, BitStream.generator(1), LocalTableStrategy([0]))
-        with pytest.raises(ValueError):
-            GameSpec("baker", 0, BitStream.generator(1), LocalTableStrategy([0]))
+            GameSpec(0, BitStream.generator(1), LocalTableStrategy([0]))
 
 
 class TestTrialRecordSerialization:
     def test_jsonl_roundtrip(self):
-        spec = GameSpec("baker", 8, BitStream.generator(1), LocalTableStrategy([0, 1]))
+        spec = GameSpec(8, BitStream.generator(1), LocalTableStrategy([0, 1]))
         rec = run_trial(spec)
         line = rec.to_json_line()
         assert TrialRecord.from_json_line(line) == rec
 
     def test_schema_keys(self):
-        spec = GameSpec("baker", 4, BitStream.generator(1), LocalTableStrategy([0]))
+        spec = GameSpec(4, BitStream.generator(1), LocalTableStrategy([0]))
         doc = run_trial(spec).to_json()
         assert set(doc) == {"root", "outputs", "s", "S", "threshold", "valid"}
         assert doc["root"]["kind"] == "generator"
 
     def test_invalid_trial_serializes_null_threshold(self):
         spec = GameSpec(
-            "baker", 4, BitStream.generator(1), CheatStrategy(), enable_backdoor=True
+            4, BitStream.generator(1), CheatStrategy(), enable_backdoor=True
         )
         line = run_trial(spec).to_json_line()
         assert '"threshold":null' in line

@@ -1,6 +1,4 @@
-"""Class handles, representatives, and oracle modes."""
-
-import threading
+"""Class handles, representatives, and the choice oracle."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +7,6 @@ from hypothesis import strategies as st
 from nsgames.bitstream import BitStream, eventually_equal
 from nsgames.oracle import (
     ChoiceOracle,
-    ClassHandle,
-    OracleConcurrencyError,
     canonical_representative,
     class_of,
     disagreement_bound,
@@ -55,11 +51,6 @@ class TestClassOf:
             shifted = shifted.baker_shift()
         assert class_of(shifted.pad_prefix_zeros(k)) == class_of(s)
 
-    def test_handle_json_roundtrip(self):
-        for s in (BitStream.generator(7, shift=2), BitStream.periodic((1,), (0, 1))):
-            h = class_of(s)
-            assert ClassHandle.from_json(h.to_json()) == h
-
 
 class TestCanonicalRepresentative:
     def test_generator_representative_is_pristine(self):
@@ -97,55 +88,17 @@ class TestChoiceOracle:
         member = BitStream.generator(9, overrides={2: 1})
         assert oracle.representative(member) == oracle.representative(member)
         assert oracle.representative(member) == BitStream.generator(9)
-        assert oracle.table == {}
-
-    def test_memoized_first_write_wins(self):
-        oracle = ChoiceOracle(mode="memoized")
-        first = BitStream.periodic((1, 1), (0, 1))
-        second = BitStream.periodic((0,), (1, 0))  # same class, different edits
-        rep1 = oracle.representative(first)
-        rep2 = oracle.representative(second)
-        assert rep1 == rep2 == first.strip_overrides()
 
     def test_memoized_representative_is_member_of_class(self):
-        oracle = ChoiceOracle(mode="memoized")
+        oracle = ChoiceOracle()
         member = BitStream.generator(1, overrides={1: 1})
         rep = oracle.representative(member)
         assert eventually_equal(member, rep).is_equivalent
 
-    def test_memoized_table_roundtrip(self):
-        oracle = ChoiceOracle(mode="memoized")
-        oracle.representative(BitStream.periodic((1,), (0, 1)))
-        oracle.representative(BitStream.generator(5))
-        restored = ChoiceOracle.from_table_json(oracle.table_to_json())
-        assert restored.table == oracle.table
-
-    def test_memoized_rejects_second_thread(self):
-        oracle = ChoiceOracle(mode="memoized")
-        oracle.representative(BitStream.generator(1))
-        failures = []
-
-        def probe():
-            try:
-                oracle.representative(BitStream.generator(2))
-            except OracleConcurrencyError:
-                failures.append(True)
-
-        t = threading.Thread(target=probe)
-        t.start()
-        t.join()
-        assert failures == [True]
-
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
+        # The oracle has a single, canonical selection and takes no mode.
+        with pytest.raises(TypeError):
             ChoiceOracle(mode="psychic")
-
-    def test_dump_table(self, tmp_path):
-        oracle = ChoiceOracle(mode="memoized")
-        oracle.representative(BitStream.generator(5, overrides={1: 0}))
-        path = tmp_path / "table.json"
-        oracle.dump_table(path)
-        assert '"representative"' in path.read_text()
 
 
 class TestDisagreementBound:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nsgames.bitstream import BitStream
 from nsgames.oracle import ChoiceOracle
-from nsgames.seeding import derive
+from nsgames.seeding import DOMAIN_PLAYER, SplitRandom, derive
 from nsgames.strategies import (
     BackdoorDisabledError,
     CheatStrategy,
@@ -41,11 +41,10 @@ def ref_table_win_probability(table) -> Fraction:
     return Fraction(wins, total)
 
 
-def make_ctx(view, player=1, rng_seed=0, shared_seed=0, oracle=None, root=None):
+def make_ctx(view, player=1, shared_seed=0, oracle=None, root=None):
     return GuessContext(
         player=player,
         view=view,
-        rng_seed=rng_seed,
         shared_seed=shared_seed,
         oracle=oracle,
         root=root,
@@ -110,16 +109,19 @@ class TestLocalRandom:
     def test_private_randomness_reproducible_per_seed(self):
         view = BitStream.generator(1)
         s = LocalRandomStrategy(0.5)
-        a = [s.guess(make_ctx(view, rng_seed=derive(9, 4, k))) for k in range(64)]
-        b = [s.guess(make_ctx(view, rng_seed=derive(9, 4, k))) for k in range(64)]
+        a = [s.guess(make_ctx(view, player=k, shared_seed=9)) for k in range(1, 65)]
+        b = [s.guess(make_ctx(view, player=k, shared_seed=9)) for k in range(1, 65)]
         assert a == b
         assert 0 < sum(a) < 64
+        # The private seed is a function of (shared seed, player) alone.
+        expected = SplitRandom(derive(9, DOMAIN_PLAYER, 3)).random()
+        assert make_ctx(view, player=3, shared_seed=9).rng.random() == expected
 
     def test_bernoulli_mean_tracks_p(self):
         view = BitStream.generator(1)
         s = LocalRandomStrategy(0.9)
         hits = sum(
-            s.guess(make_ctx(view, rng_seed=derive(1, 1, k))) for k in range(2000)
+            s.guess(make_ctx(view, player=k, shared_seed=1)) for k in range(1, 2001)
         )
         assert 1700 <= hits <= 1900
 
@@ -247,6 +249,15 @@ class TestRegistry:
             build_strategy({"name": "local-random"})
         with pytest.raises(ValueError):
             build_strategy({"name": "local-table", "m": 3, "table": [0, 1]})
+        for spec in (
+            {"name": "fns", "extra": 1},
+            {"name": "constant", "value": 1, "extra": 1},
+            {"name": "local-table", "table": [0, 1], "extra": 1},
+            {"name": "local-random", "p": 0.5, "extra": 1},
+            {"name": "shared-mixture", "tables": [[0]], "extra": 1},
+        ):
+            with pytest.raises(ValueError, match="'extra'"):
+                build_strategy(spec)
 
     def test_parse_shorthands(self):
         assert parse_strategy_arg("fns").name == "fns"
