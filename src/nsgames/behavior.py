@@ -12,20 +12,22 @@ since every check here is an equality of marginals.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 Vector = tuple[int, ...]
 
+# The most steps one enumeration or behavior check may take.
+DEFAULT_BUDGET = 10**6
+
 
 class BudgetExceededError(ValueError):
     """Enumeration would exceed the allowed budget."""
 
-    def __init__(self, required: int, budget: int) -> None:
-        super().__init__(
-            f"enumeration needs {required} function tuples, budget is {budget}"
-        )
+    def __init__(self, required: int, budget: int, what: str = "function tuples") -> None:
+        super().__init__(f"enumeration needs {required} {what}, budget is {budget}")
         self.required = required
         self.budget = budget
 
@@ -180,8 +182,15 @@ def check_no_signaling(
 
     Default: each single party's marginal must not depend on the other
     parties' inputs.  strict=True additionally checks every proper
-    nonempty party subset.  Raises on a non-normalized table.
+    nonempty party subset.  Raises on a non-normalized table, and raises
+    BudgetExceededError before any loop when the input-by-output grid,
+    times the party subsets under strict, exceeds DEFAULT_BUDGET.
     """
+    n = behavior.parties
+    cells = math.prod(behavior.inputs) * math.prod(behavior.outputs)
+    required = cells * max(1, 2**n - 2) if strict else cells
+    if required > DEFAULT_BUDGET:
+        raise BudgetExceededError(required, DEFAULT_BUDGET, "table cell visits")
     eps = _resolve_tol(behavior, tol)
     norm_tol = float(eps) if not behavior.exact else 0.0
     bad = behavior.normalization_errors(norm_tol)
@@ -189,7 +198,6 @@ def check_no_signaling(
         x, total = bad[0]
         raise ValueError(f"behavior is not normalized: sum at x={x} is {total}")
 
-    n = behavior.parties
     if strict:
         subsets = [
             s
@@ -392,7 +400,7 @@ class EquivalenceReport:
 
 
 def check_functional_locality_equivalence(
-    inputs: Sequence[int], outputs: Sequence[int], budget: int = 10**6
+    inputs: Sequence[int], outputs: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> EquivalenceReport:
     """Brute-force the FNS ⇔ factored-form equivalence over small alphabets.
 

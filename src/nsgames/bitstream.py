@@ -40,7 +40,8 @@ class BitStream:
     """One representable infinite bit sequence (1-based indexing).
 
     ``shift`` re-indexes the base: bit i of the stream is bit i + shift of
-    the base sequence.  ``overrides`` then patches finitely many positions.
+    the base sequence.  ``overrides`` then patches finitely many positions,
+    and bits 1..``zero_prefix`` read 0 whatever lies beneath them.
     For generator streams the shift may be negative (see
     :meth:`pad_prefix_zeros`); base indices <= 0 resolve through a separate
     derived hash table so every bit stays total and deterministic.
@@ -52,6 +53,7 @@ class BitStream:
     seed: int = 0
     shift: int = 0
     overrides: tuple[tuple[int, int], ...] = ()
+    zero_prefix: int = 0
 
     # -- constructors -----------------------------------------------------
 
@@ -118,6 +120,8 @@ class BitStream:
         """Bit i (i >= 1) of the stream.  Total and deterministic."""
         if i < 1:
             raise ValueError(f"bit index must be >= 1, got {i}")
+        if i <= self.zero_prefix:
+            return 0
         for idx, bit in self.overrides:
             if idx == i:
                 return bit
@@ -154,7 +158,12 @@ class BitStream:
     def baker_shift(self) -> "BitStream":
         """Drop the most significant bit: bit i of the result is bit i + 1."""
         remapped = tuple((i - 1, b) for i, b in self.overrides if i >= 2)
-        return replace(self, shift=self.shift + 1, overrides=remapped)
+        return replace(
+            self,
+            shift=self.shift + 1,
+            overrides=remapped,
+            zero_prefix=max(self.zero_prefix - 1, 0),
+        )
 
     def pad_prefix_zeros(self, k: int) -> "BitStream":
         """Prepend k zero bits, keeping the base structure identifiable.
@@ -163,16 +172,20 @@ class BitStream:
         bits 1..k equal to 0 and bit k+i equal to bit i of this stream.  For
         generator streams whose shift is smaller than k this runs the shift
         negative, re-basing onto the derived backward extension; the zeros
-        stay recorded as overrides either way.
+        are recorded as the length of the zero prefix, which grows by k.
         """
         if k < 0:
             raise ValueError("pad length must be >= 0")
         if k == 0:
             return self
-        zeros = tuple((i, 0) for i in range(1, k + 1))
         remapped = tuple((i + k, b) for i, b in self.overrides)
         if self.kind == GENERATOR or k <= self.shift:
-            return replace(self, shift=self.shift - k, overrides=zeros + remapped)
+            return replace(
+                self,
+                shift=self.shift - k,
+                overrides=remapped,
+                zero_prefix=self.zero_prefix + k,
+            )
         # Periodic stream with shift < k: fold the excess into the preperiod.
         pre, per = _tail_from(self.preperiod, self.period, self.shift)
         return BitStream(
@@ -181,12 +194,15 @@ class BitStream:
             period=per,
             shift=0,
             overrides=remapped,
+            zero_prefix=self.zero_prefix + k,
         )
 
     # -- structure ---------------------------------------------------------
 
     def max_override_index(self) -> int:
-        return self.overrides[-1][0] if self.overrides else 0
+        """Last index patched by an override or by the zero prefix."""
+        last = self.overrides[-1][0] if self.overrides else 0
+        return max(last, self.zero_prefix)
 
     def tail_signature(self) -> tuple[tuple[int, ...], int]:
         """(canonical period word, phase) of the eventual periodic tail.
@@ -223,6 +239,8 @@ class BitStream:
         else:
             doc["seed"] = self.seed
         doc["overrides"] = {str(i): b for i, b in self.overrides}
+        if self.zero_prefix:
+            doc["zero_prefix"] = self.zero_prefix
         return doc
 
     @classmethod
@@ -230,13 +248,18 @@ class BitStream:
         kind = doc.get("kind")
         overrides = {int(k): int(v) for k, v in doc.get("overrides", {}).items()}
         shift = int(doc.get("shift", 0))
+        zero_prefix = int(doc.get("zero_prefix", 0))
+        if zero_prefix < 0:
+            raise ValueError(f"zero prefix must be >= 0, got {zero_prefix}")
         if kind == PERIODIC:
-            return cls.periodic(
+            stream = cls.periodic(
                 doc.get("preperiod", []), doc["period"], shift, overrides
             )
-        if kind == GENERATOR:
-            return cls.generator(doc["seed"], shift, overrides)
-        raise ValueError(f"unknown stream kind: {kind!r}")
+        elif kind == GENERATOR:
+            stream = cls.generator(doc["seed"], shift, overrides)
+        else:
+            raise ValueError(f"unknown stream kind: {kind!r}")
+        return replace(stream, zero_prefix=zero_prefix)
 
     # -- numeric helpers ---------------------------------------------------
 

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .behavior import (
+    DEFAULT_BUDGET,
     Behavior,
     BudgetExceededError,
     check_fns,
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     enu = sub.add_parser("enumerate-fns", help="brute-force FNS vs factored counts")
     enu.add_argument("--inputs", type=_int_list, default=(2, 2), metavar="N1,N2,...")
     enu.add_argument("--outputs", type=_int_list, default=(2, 2), metavar="N1,N2,...")
-    enu.add_argument("--budget", type=int, default=10**6)
+    enu.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     return parser
 
@@ -198,6 +199,9 @@ def _verify_behavior(args) -> int:
     try:
         behavior = Behavior.from_json(doc)
         ns = check_no_signaling(behavior, tol=args.tol, strict=args.strict)
+    except BudgetExceededError as exc:
+        print(f"budget error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ValueError, KeyError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,12 +4,18 @@ Runs batches of independent trials under hierarchical counter-based
 seeding, so any (config, master seed) pair reproduces byte-identical
 reports at every parallelism degree.  Aggregation works on integer
 counts first and converts to floats once, in a fixed order.
+
+Trials run in contiguous chunks.  A chunk of a strategy with a batch
+kernel is one array computation over the chunk's root bits; any other
+chunk plays each trial through ``run_trial``, the scalar reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -19,14 +25,14 @@ import numpy as np
 from scipy import stats
 
 from .bitstream import BitStream
-from .game import GameSpec, TrialRecord, run_trial
+from .game import GameSpec, TrialRecord, run_trial, score_batch
 from .oracle import ChoiceOracle
 from .seeding import (
     DOMAIN_INVARIANCE,
     DOMAIN_ROOT,
     DOMAIN_TRIAL,
-    GOLDEN,
     child_seed,
+    child_seed_np,
     derive,
 )
 from .strategies import Strategy
@@ -110,6 +116,66 @@ def _run_one(cfg: ExperimentConfig, index: int) -> TrialRecord:
         enable_backdoor=cfg.enable_backdoor,
     )
     return run_trial(spec)
+
+
+# Most cells (trials x players) one chunk holds: bounds the arrays of the
+# batch path whatever the size of the run.
+CHUNK_CELLS = 1 << 16
+
+
+def _root_bits(cfg: ExperimentConfig, start: int, stop: int, width: int) -> np.ndarray:
+    """Root bits 1..width of trials start..stop-1, override flips applied.
+
+    A uint8 array of shape [stop - start, width] whose column i - 1 holds
+    bit i of ``trial_root``: bit i of a generator root is bit (i-1) % 64 of
+    hash word 2 * ((i-1) // 64), so whole rows come from a few array hashes.
+    """
+    seeds = child_seed_np(child_seed(cfg.master_seed, DOMAIN_ROOT), np.arange(start, stop))
+    words = child_seed_np(seeds[:, None], 2 * np.arange(-(-width // 64)))
+    bits = (words[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    bits = bits.astype(np.uint8).reshape(stop - start, -1)[:, :width]
+    bits[:, : cfg.override_depth] ^= 1
+    return bits
+
+
+def _run_chunk(cfg: ExperimentConfig, start: int, stop: int) -> list[TrialRecord]:
+    """Records of trials start..stop-1, in order.
+
+    Uses the strategy's batch kernel when it has one, and ``run_trial``
+    for each trial otherwise.
+    """
+    width = max(cfg.players + (cfg.strategy.view_bits or 0), cfg.override_depth)
+    bits = _root_bits(cfg, start, stop, width)
+    trial_seeds = child_seed_np(child_seed(cfg.master_seed, DOMAIN_TRIAL), np.arange(start, stop))
+    outputs = cfg.strategy.guess_batch(bits, trial_seeds, cfg.players)
+    if outputs is None:
+        return [_run_one(cfg, t) for t in range(start, stop)]
+    roots = [
+        trial_root(cfg.master_seed, t, cfg.override_depth).to_json()
+        for t in range(start, stop)
+    ]
+    return score_batch(roots, outputs, bits[:, : cfg.players])
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _plan(cfg: ExperimentConfig) -> tuple[list[tuple[int, int]], int]:
+    """The contiguous (start, stop) trial chunks of a run, in trial order,
+    and the number of worker processes to run them on (1: no pool).
+
+    Workers never outnumber the requested parallelism, the usable CPUs or
+    the chunks; the chunks are split evenly over the workers.
+    """
+    workers = min(cfg.parallelism, _cpu_count())
+    size = min(max(1, CHUNK_CELLS // cfg.players), -(-cfg.trials // workers))
+    chunks = [
+        (start, min(start + size, cfg.trials)) for start in range(0, cfg.trials, size)
+    ]
+    return chunks, min(workers, len(chunks))
 
 
 @dataclass(frozen=True)
@@ -360,13 +426,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     and every derived quantity is a pure function of the ordered records,
     which is what makes reports byte-identical across worker counts.
     """
-    worker = partial(_run_one, cfg)
-    if cfg.parallelism == 1:
-        records = tuple(worker(t) for t in range(cfg.trials))
+    chunks, workers = _plan(cfg)
+    worker = partial(_run_chunk, cfg)
+    starts, stops = zip(*chunks)
+    if workers == 1:
+        parts = list(map(worker, starts, stops))
     else:
-        chunk = max(1, cfg.trials // (cfg.parallelism * 4))
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            records = tuple(pool.map(worker, range(cfg.trials), chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(worker, starts, stops))
+    records = tuple(itertools.chain.from_iterable(parts))
     return ExperimentResult(
         config=cfg,
         records=records,
@@ -498,12 +566,6 @@ class InvarianceReport:
         }
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
 def _bit_reversal_table(width: int) -> np.ndarray:
     size = 1 << width
     rev = np.zeros(size, dtype=np.int64)
@@ -529,10 +591,8 @@ def _invariance_counts(
     """
     if iterations + width > 64:
         return _invariance_counts_reference(samples, width, seed, iterations, sampler)
-    base = np.uint64(child_seed(seed, DOMAIN_INVARIANCE))
-    idx = np.arange(1, samples + 1, dtype=np.uint64)
-    roots = _mix64_np(base + idx * np.uint64(GOLDEN))
-    words = _mix64_np(roots + np.uint64(GOLDEN))
+    roots = child_seed_np(child_seed(seed, DOMAIN_INVARIANCE), np.arange(samples))
+    words = child_seed_np(roots, 0)
     window = (words >> np.uint64(iterations)) & np.uint64((1 << width) - 1)
     if sampler == ADVERSARIAL:
         low = window & np.uint64(1)

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .bitstream import BitStream
 from .oracle import ChoiceOracle
 from .strategies import GuessContext, Strategy
@@ -138,3 +140,37 @@ def run_trial(spec: GameSpec) -> TrialRecord:
         threshold=winner_threshold(s) if valid else None,
         valid=valid,
     )
+
+
+def score_batch(
+    roots: Sequence[dict], outputs: np.ndarray, targets: np.ndarray
+) -> list[TrialRecord]:
+    """Score a block of trials from arrays: the batch twin of run_trial's
+    scoring loop.
+
+    ``outputs`` and ``targets`` are [trials, players] bit arrays; row t
+    belongs to the root whose JSON is ``roots[t]``.  Batch kernels never
+    touch the backdoor, so every trial is valid.
+    """
+    s = np.where(outputs == targets, 1, -1)
+    trajectory = np.cumsum(s, axis=1)
+    losing = s < 0
+    last = s.shape[1] - np.argmax(losing[:, ::-1], axis=1)
+    thresholds = np.where(losing.any(axis=1), last, 0)
+    return [
+        TrialRecord(
+            root=root,
+            outputs=tuple(o),
+            s=tuple(sk),
+            trajectory=tuple(traj),
+            threshold=threshold,
+            valid=True,
+        )
+        for root, o, sk, traj, threshold in zip(
+            roots,
+            outputs.tolist(),
+            s.tolist(),
+            trajectory.tolist(),
+            thresholds.tolist(),
+        )
+    ]

@@ -9,6 +9,8 @@ bit of any derived stream.
 
 from __future__ import annotations
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -34,6 +36,26 @@ def mix64(z: int) -> int:
 def child_seed(seed: int, index: int) -> int:
     """Seed of child `index` of `seed` (index >= 0)."""
     return mix64((seed + (index + 1) * GOLDEN) & MASK64)
+
+
+def mix64_np(z: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`mix64` on a uint64 array.
+
+    Array arithmetic wraps modulo 2**64 silently, as the mask does in the
+    scalar version; 0-d numpy scalars would warn on the wrap, so inputs are
+    kept as arrays of at least one dimension.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=np.uint64))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def child_seed_np(seed, index) -> np.ndarray:
+    """Elementwise :func:`child_seed` over broadcast seed and index arrays."""
+    seed = np.atleast_1d(np.asarray(seed, dtype=np.uint64))
+    step = np.atleast_1d(np.asarray(index, dtype=np.uint64)) + np.uint64(1)
+    return mix64_np(seed + step * np.uint64(GOLDEN))
 
 
 def derive(seed: int, *indices: int) -> int:

@@ -12,9 +12,17 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .bitstream import BitStream
 from .oracle import ChoiceOracle
-from .seeding import DOMAIN_PLAYER, DOMAIN_SHARED, SplitRandom, derive
+from .seeding import (
+    DOMAIN_PLAYER,
+    DOMAIN_SHARED,
+    SplitRandom,
+    child_seed_np,
+    derive,
+)
 
 LOCAL_VIEW = "local-view"
 LOCAL_VIEW_ORACLE = "local-view+oracle"
@@ -70,14 +78,40 @@ class GuessContext:
 
 
 class Strategy:
-    """Base strategy: subclasses set `name`, `access` and implement guess."""
+    """Base strategy: subclasses set `name`, `access` and implement guess.
+
+    A strategy whose guess reads nothing but its first view bits and its
+    private or shared randomness may also implement ``guess_batch``, the
+    same function over a whole block of trials at once.  ``run_trial``
+    stays the reference; the batch kernel must reproduce it bit for bit.
+    """
 
     name = "?"
     access = LOCAL_VIEW
     view_bits: int | None = 0
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # A subclass that redefines guess would otherwise inherit a batch
+        # kernel computing its parent's function; keep it on the scalar path.
+        if "guess" in cls.__dict__ and "guess_batch" not in cls.__dict__:
+            cls.guess_batch = Strategy.guess_batch
+
     def guess(self, ctx: GuessContext) -> int:
         raise NotImplementedError
+
+    def guess_batch(
+        self, bits: np.ndarray, trial_seeds: np.ndarray, players: int
+    ) -> np.ndarray | None:
+        """Outputs of players 1..players over a block of trials, or None.
+
+        ``bits[t, i - 1]`` is root bit i of trial t (player k's view bit j
+        is root bit k + j), for i up to players + view_bits;
+        ``trial_seeds[t]`` is the trial's shared seed.  Returns a uint8
+        array of shape [trials, players].  None means the strategy has no
+        batch kernel and every trial goes through ``run_trial``.
+        """
+        return None
 
     def params(self) -> dict:
         return {}
@@ -129,6 +163,12 @@ class LocalTableStrategy(Strategy):
             idx = (idx << 1) | ctx.view.bit_at(j)
         return self.table[idx]
 
+    def guess_batch(self, bits, trial_seeds, players):
+        idx = np.zeros((bits.shape[0], players), dtype=np.intp)
+        for j in range(1, self.view_bits + 1):
+            idx = (idx << 1) | bits[:, j : j + players]
+        return np.array(self.table, dtype=np.uint8)[idx]
+
     def params(self) -> dict:
         return {"m": self.view_bits, "table": list(self.table)}
 
@@ -147,6 +187,16 @@ class LocalRandomStrategy(Strategy):
 
     def guess(self, ctx: GuessContext) -> int:
         return ctx.rng.bernoulli(self.p)
+
+    def guess_batch(self, bits, trial_seeds, players):
+        # The first draw of player k's SplitRandom; the 53-bit integer and
+        # its scaling by 2**-53 are exact in float64, as in random().
+        player_seeds = child_seed_np(
+            child_seed_np(trial_seeds, DOMAIN_PLAYER)[:, None],
+            np.arange(1, players + 1),
+        )
+        draws = child_seed_np(player_seeds, 0) >> np.uint64(11)
+        return (draws.astype(np.float64) * 2.0**-53 < self.p).astype(np.uint8)
 
     def params(self) -> dict:
         return {"p": self.p}
@@ -190,6 +240,14 @@ class SharedMixtureStrategy(Strategy):
 
     def guess(self, ctx: GuessContext) -> int:
         return self.components[self._pick(ctx.shared_seed)].guess(ctx)
+
+    def guess_batch(self, bits, trial_seeds, players):
+        picks = np.array([self._pick(seed) for seed in trial_seeds.tolist()])
+        out = np.empty((bits.shape[0], players), dtype=np.uint8)
+        for i, component in enumerate(self.components):
+            rows = picks == i
+            out[rows] = component.guess_batch(bits[rows], trial_seeds[rows], players)
+        return out
 
     def params(self) -> dict:
         return {

@@ -210,22 +210,26 @@ def test_criterion_7_behavior_verifier(capsys):
     assert ok
 
 
-def test_criterion_8_reproducibility(capsys):
-    def run(parallelism):
-        cfg = ExperimentConfig(
+def test_criterion_8_reproducibility(scalar_reference, capsys):
+    def config(parallelism):
+        return ExperimentConfig(
             strategy=build_strategy({"name": "local-table", "table": [0, 1, 1, 0]}),
             players=16,
             trials=256,
             master_seed=MASTER_SEED,
             parallelism=parallelism,
         )
-        result = run_experiment(cfg)
+
+    def outputs(result):
         return result.render_json(), result.trial_log()
 
-    serial, parallel = run(1), run(8)
-    ok = serial == parallel
+    serial = outputs(run_experiment(config(1)))
+    parallel = outputs(run_experiment(config(8)))
+    scalar = outputs(scalar_reference(config(1)))
+    ok = serial == parallel == scalar
     announce(
         capsys, ok,
-        "byte-identical JSON report and trial log at parallelism 1 and 8",
+        "byte-identical JSON report and trial log at parallelism 1 and 8, "
+        "and from the batch path and the scalar run_trial reference",
     )
     assert ok

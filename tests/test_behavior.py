@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from nsgames.behavior import (
+    DEFAULT_BUDGET,
     Behavior,
     BudgetExceededError,
     FunctionTuple,
@@ -284,6 +285,25 @@ class TestEquivalenceEnumeration:
         with pytest.raises(BudgetExceededError) as err:
             check_functional_locality_equivalence([4, 4], [4, 4], budget=10**6)
         assert err.value.required == 4**16 * 4**16
+
+
+class TestNoSignalingBudget:
+    def test_oversized_header_rejected_before_any_loop(self):
+        box = Behavior(parties=40, inputs=(2,) * 40, outputs=(2,) * 40, table={})
+        with pytest.raises(BudgetExceededError) as err:
+            check_no_signaling(box)
+        assert err.value.required == 2**80
+        assert err.value.budget == DEFAULT_BUDGET
+
+    def test_strict_counts_party_subsets(self):
+        # 3**5 inputs x 3**5 outputs fit the budget; times the 2**5 - 2
+        # strict subsets of five parties they do not.
+        box = Behavior(parties=5, inputs=(3,) * 5, outputs=(3,) * 5, table={})
+        with pytest.raises(ValueError, match="not normalized"):
+            check_no_signaling(box)
+        with pytest.raises(BudgetExceededError) as err:
+            check_no_signaling(box, strict=True)
+        assert err.value.required == 3**10 * 30
 
 
 class TestFnsNsCorrespondence:

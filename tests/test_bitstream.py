@@ -178,6 +178,33 @@ class TestBakerShift:
         s = BitStream.generator(9, shift=3)
         assert s.pad_prefix_zeros(0) is s
 
+    def test_pad_records_prefix_length_not_pairs(self):
+        s = BitStream.generator(9, shift=5, overrides={2: 1})
+        padded = s.pad_prefix_zeros(4)
+        assert padded.zero_prefix == 4
+        assert padded.overrides == ((6, 1),)
+        assert padded.max_override_index() == 6
+        assert BitStream.generator(9).pad_prefix_zeros(7).max_override_index() == 7
+
+    def test_pad_of_padded_and_shift_of_padded(self):
+        s = BitStream.generator(9)
+        twice = s.pad_prefix_zeros(2).pad_prefix_zeros(3)
+        assert twice.zero_prefix == 5
+        assert twice.bits(9) == [0] * 5 + s.bits(4)
+        shifted = twice.baker_shift().baker_shift()
+        assert shifted.zero_prefix == 3
+        assert shifted.bits(7) == twice.bits(9)[2:]
+        far = twice
+        for _ in range(7):
+            far = far.baker_shift()
+        assert far.zero_prefix == 0
+        assert far.bits(4) == s.bits(6)[2:]
+
+    def test_periodic_pad_keeps_inner_zero_prefix(self):
+        s = BitStream.periodic((), (1,), shift=1).pad_prefix_zeros(1)
+        padded = s.pad_prefix_zeros(3)
+        assert padded.bits(6) == [0, 0, 0, 0, 1, 1]
+
 
 class TestTailSignature:
     def test_rotated_periods_share_signature(self):
@@ -238,6 +265,17 @@ class TestSerialization:
     def test_json_keys(self):
         doc = BitStream.generator(3, overrides={4: 1}).to_json()
         assert doc == {"kind": "generator", "seed": 3, "shift": 0, "overrides": {"4": 1}}
+
+    def test_zero_prefix_serialized_only_when_nonzero(self):
+        padded = BitStream.generator(3, shift=5).pad_prefix_zeros(2)
+        doc = padded.to_json()
+        assert doc == {
+            "kind": "generator", "seed": 3, "shift": 3, "overrides": {}, "zero_prefix": 2,
+        }
+        assert BitStream.from_json(doc) == padded
+        assert "zero_prefix" not in padded.baker_shift().baker_shift().to_json()
+        with pytest.raises(ValueError):
+            BitStream.from_json(dict(doc, zero_prefix=-1))
 
 
 class TestEventualEquality:

@@ -254,6 +254,17 @@ class TestVerifyBehavior:
         assert code == 0
 
 
+    def test_oversized_header_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "parties": 40, "inputs": [2] * 40, "outputs": [2] * 40, "table": [],
+        }))
+        for extra in ((), ("--strict",)):
+            code, _, err = run(capsys, "verify-behavior", str(path), *extra)
+            assert code == 1
+            assert "budget error" in err
+
+
 class TestInvarianceCommand:
     def test_uniform_passes(self, tmp_path, capsys):
         out_file = tmp_path / "inv.json"

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+import nsgames.experiment as experiment
 from nsgames.experiment import (
     ADVERSARIAL,
     UNIFORM,
@@ -360,6 +361,30 @@ class TestRunExperiment:
             return result.render_json(), result.trial_log()
 
         assert run(1) == run(2)
+
+    def test_plan_clamps_workers(self, monkeypatch):
+        monkeypatch.setattr(experiment, "_cpu_count", lambda: 4)
+
+        def plan(parallelism, trials, players=64):
+            cfg = ExperimentConfig(
+                strategy=build_strategy({"name": "constant"}),
+                players=players,
+                trials=trials,
+                master_seed=0,
+                parallelism=parallelism,
+            )
+            return experiment._plan(cfg)
+
+        # No pool is started here: the plan is computed, never run.
+        chunks, workers = plan(10**6, 10**4)
+        assert workers == 4
+        assert chunks[0][0] == 0 and chunks[-1][1] == 10**4
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert all(64 * (stop - start) <= experiment.CHUNK_CELLS for start, stop in chunks)
+        assert plan(10**6, 3) == ([(0, 1), (1, 2), (2, 3)], 3)
+        assert plan(2, 6000, players=16) == ([(0, 3000), (3000, 6000)], 2)
+        assert plan(1, 5) == ([(0, 5)], 1)
+        assert plan(3, 1, players=10**6) == ([(0, 1)], 1)
 
     def test_quarantine_counted(self):
         cfg = ExperimentConfig(
