@@ -26,7 +26,7 @@ from .behavior import (
     is_deterministic_extremal,
 )
 from .experiment import SCHEMA_VERSION, ExperimentConfig, invariance_test, run_experiment
-from .strategies import parse_strategy_arg
+from .strategies import BackdoorDisabledError, parse_strategy_arg
 
 OUT_DIR_ENV = "NSGAMES_OUT_DIR"
 
@@ -40,6 +40,8 @@ CONFIG_KEYS = frozenset({
     "strategy", "players", "trials", "seed", "root-override-depth", "parallelism",
     "azuma-n", "azuma-eps", "allow-cheat", "no-enforce",
 })
+# Config keys whose values must be JSON integers (booleans are not).
+INT_CONFIG_KEYS = ("players", "trials", "seed", "root-override-depth", "parallelism")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,6 +107,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _config_problem(file_cfg) -> str | None:
+    """Why a parsed --config document is unusable, or None if it is fine."""
+    if not isinstance(file_cfg, dict):
+        return "top level must be a JSON object"
+    unknown = sorted(set(file_cfg) - CONFIG_KEYS)
+    if unknown:
+        return "unknown key " + ", ".join(repr(k) for k in unknown)
+    for key in INT_CONFIG_KEYS:
+        if key in file_cfg and not _is_int(file_cfg[key]):
+            return f"{key!r} must be an integer, got {file_cfg[key]!r}"
+    azuma_n = file_cfg.get("azuma-n")
+    if azuma_n is not None and not (
+        isinstance(azuma_n, list) and all(_is_int(n) for n in azuma_n)
+    ):
+        return f"'azuma-n' must be a list of integers, got {azuma_n!r}"
+    return None
+
+
 def _resolve(args, key: str, file_cfg: dict, default):
     flag = getattr(args, key.replace("-", "_"))
     if flag is not None:
@@ -123,13 +147,9 @@ def _simulate(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config error: --config: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        if not isinstance(file_cfg, dict):
-            print("config error: --config: top level must be a JSON object", file=sys.stderr)
-            return EXIT_CONFIG
-        unknown = sorted(set(file_cfg) - CONFIG_KEYS)
-        if unknown:
-            names = ", ".join(repr(k) for k in unknown)
-            print(f"config error: --config: unknown key {names}", file=sys.stderr)
+        problem = _config_problem(file_cfg)
+        if problem:
+            print(f"config error: --config: {problem}", file=sys.stderr)
             return EXIT_CONFIG
 
     strategy_arg = _resolve(args, "strategy", file_cfg, None)
@@ -145,13 +165,13 @@ def _simulate(args) -> int:
         azuma_n = _resolve(args, "azuma-n", file_cfg, None)
         cfg = ExperimentConfig(
             strategy=strategy,
-            players=int(_resolve(args, "players", file_cfg, 64)),
-            trials=int(_resolve(args, "trials", file_cfg, 1000)),
-            master_seed=int(_resolve(args, "seed", file_cfg, 0)),
-            override_depth=int(_resolve(args, "root-override-depth", file_cfg, 0)),
+            players=_resolve(args, "players", file_cfg, 64),
+            trials=_resolve(args, "trials", file_cfg, 1000),
+            master_seed=_resolve(args, "seed", file_cfg, 0),
+            override_depth=_resolve(args, "root-override-depth", file_cfg, 0),
             azuma_n=tuple(azuma_n) if azuma_n is not None else None,
             azuma_eps=tuple(_resolve(args, "azuma-eps", file_cfg, (4.0, 8.0, 16.0))),
-            parallelism=int(_resolve(args, "parallelism", file_cfg, 1)),
+            parallelism=_resolve(args, "parallelism", file_cfg, 1),
             enforce_contracts=not no_enforce,
             enable_backdoor=allow_cheat,
         )
@@ -159,7 +179,11 @@ def _simulate(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    result = run_experiment(cfg)
+    try:
+        result = run_experiment(cfg)
+    except BackdoorDisabledError as exc:
+        print(f"config error: {exc} (--allow-cheat)", file=sys.stderr)
+        return EXIT_CONFIG
 
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV, "."))
     out_dir.mkdir(parents=True, exist_ok=True)

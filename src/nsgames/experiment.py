@@ -588,12 +588,16 @@ def _invariance_counts(
 
     Vectorized path; reproduces _invariance_counts_reference exactly (the
     reference walks the public stream API and is cross-checked in tests).
+    The image bits are root bits iterations+1 .. iterations+width, read from
+    the one or two hash words that hold them.
     """
-    if iterations + width > 64:
-        return _invariance_counts_reference(samples, width, seed, iterations, sampler)
     roots = child_seed_np(child_seed(seed, DOMAIN_INVARIANCE), np.arange(samples))
-    words = child_seed_np(roots, 0)
-    window = (words >> np.uint64(iterations)) & np.uint64((1 << width) - 1)
+    q, r = divmod(iterations, 64)
+    window = child_seed_np(roots, 2 * q) >> np.uint64(r)
+    if r + width > 64:
+        # r >= 1 here (width < 64), so the shift below stays under 64.
+        window |= child_seed_np(roots, 2 * q + 2) << np.uint64(64 - r)
+    window &= np.uint64((1 << width) - 1)
     if sampler == ADVERSARIAL:
         low = window & np.uint64(1)
         window = (window & ~np.uint64(2)) | (low << np.uint64(1))

@@ -1,6 +1,6 @@
 """Choice oracle over eventual-equality classes.
 
-Every representable stream belongs to a class of streams that agree beyond
+Every stream belongs to a class of streams that agree beyond
 some finite index.  The oracle hands back one fixed member per class, the
 shared "pre-agreed" selection all players consult.  The member is derived
 from the class structure itself, so the selection needs no stored state.
@@ -10,45 +10,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitstream import GENERATOR, PERIODIC, BitStream, eventually_equal
+from .bitstream import BitStream, eventually_equal
 
 
 @dataclass(frozen=True)
 class ClassHandle:
-    """Structural identity of an eventual-equality class.
+    """Structural identity of an eventual-equality class: (seed, shift).
 
-    Generator classes are (seed, shift); periodic classes are the canonical
-    rotation of the minimal tail word plus its phase.  Finite overrides never
-    enter: they cannot move a stream out of its class.
+    Finite overrides and the zero prefix never enter: they cannot move a
+    stream out of its class.
     """
 
-    kind: str
-    seed: int = 0
-    shift: int = 0
-    word: tuple[int, ...] = ()
-    phase: int = 0
+    seed: int
+    shift: int
 
 
 def class_of(stream: BitStream) -> ClassHandle:
     """The class a stream belongs to, read off its structure."""
-    if stream.kind == GENERATOR:
-        return ClassHandle(kind=GENERATOR, seed=stream.seed, shift=stream.shift)
-    word, phase = stream.tail_signature()
-    return ClassHandle(kind=PERIODIC, word=word, phase=phase)
+    return ClassHandle(seed=stream.seed, shift=stream.shift)
 
 
 def canonical_representative(handle: ClassHandle) -> BitStream:
-    """The member singled out by the class structure alone.
-
-    Periodic classes: the backward-periodic extension of the tail, the one
-    member with no preperiod at all.  Generator classes: the pristine base
-    stream with no overrides.
-    """
-    if handle.kind == GENERATOR:
-        return BitStream.generator(handle.seed, handle.shift)
-    p = len(handle.word)
-    aligned = tuple(handle.word[(j + 1 - handle.phase) % p] for j in range(p))
-    return BitStream.periodic((), aligned)
+    """The member singled out by the class structure alone: the pristine
+    base stream with no overrides."""
+    return BitStream.generator(handle.seed, handle.shift)
 
 
 class ChoiceOracle:

@@ -14,15 +14,13 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
-# Domain tags keep unrelated derivation chains apart.
+# Domain tags keep unrelated derivation chains apart.  Their values enter
+# every derived seed, so they never change, gaps included.
 DOMAIN_TRIAL = 0x01
 DOMAIN_ROOT = 0x02
-DOMAIN_OVERRIDE = 0x03
 DOMAIN_PLAYER = 0x04
 DOMAIN_SHARED = 0x05
 DOMAIN_INVARIANCE = 0x06
-DOMAIN_NEGATIVE = 0x07
-DOMAIN_ADVERSARY = 0x08
 
 
 def mix64(z: int) -> int:
@@ -89,8 +87,3 @@ class SplitRandom:
 
     def bernoulli(self, p: float) -> int:
         return 1 if self.random() < p else 0
-
-    def integer(self, n: int) -> int:
-        """Uniform integer in [0, n) for small n (rejection-free modulo is
-        fine here: n is tiny relative to 2**64)."""
-        return self.next_uint64() % n

@@ -1,14 +1,15 @@
 """Player strategies.
 
 A strategy turns one player's context (its view stream, private randomness,
-and optionally the shared choice oracle) into a single output bit.  Each
-strategy declares an access contract; the referee quarantines trials in
-which a strategy touched anything beyond its contract.
+and optionally the shared choice oracle) into a single output bit.  The
+referee quarantines trials in which a strategy read the root through the
+test-only backdoor.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,10 +24,6 @@ from .seeding import (
     child_seed_np,
     derive,
 )
-
-LOCAL_VIEW = "local-view"
-LOCAL_VIEW_ORACLE = "local-view+oracle"
-FORBIDDEN_ACCESS = "forbidden-access"
 
 
 class BackdoorDisabledError(RuntimeError):
@@ -78,7 +75,7 @@ class GuessContext:
 
 
 class Strategy:
-    """Base strategy: subclasses set `name`, `access` and implement guess.
+    """Base strategy: subclasses set `name` and implement guess.
 
     A strategy whose guess reads nothing but its first view bits and its
     private or shared randomness may also implement ``guess_batch``, the
@@ -87,7 +84,6 @@ class Strategy:
     """
 
     name = "?"
-    access = LOCAL_VIEW
     view_bits: int | None = 0
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -130,7 +126,6 @@ class FnsStrategy(Strategy):
     """
 
     name = "fns"
-    access = LOCAL_VIEW_ORACLE
     view_bits = None
 
     def guess(self, ctx: GuessContext) -> int:
@@ -146,7 +141,6 @@ class LocalTableStrategy(Strategy):
     """Deterministic function of the first m view bits."""
 
     name = "local-table"
-    access = LOCAL_VIEW
 
     def __init__(self, table: Sequence[int]) -> None:
         size = len(table)
@@ -177,7 +171,6 @@ class LocalRandomStrategy(Strategy):
     """Output 1 with probability p from private randomness; ignores the view."""
 
     name = "local-random"
-    access = LOCAL_VIEW
     view_bits = 0
 
     def __init__(self, p: float) -> None:
@@ -211,7 +204,6 @@ class SharedMixtureStrategy(Strategy):
     """
 
     name = "shared-mixture"
-    access = LOCAL_VIEW
 
     def __init__(self, tables: Sequence[Sequence[int]], weights: Sequence[float] | None = None) -> None:
         if not tables:
@@ -219,11 +211,13 @@ class SharedMixtureStrategy(Strategy):
         self.components = tuple(LocalTableStrategy(t) for t in tables)
         if weights is None:
             weights = [1.0] * len(self.components)
-        if len(weights) != len(self.components) or any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative, one per component")
+        if len(weights) != len(self.components) or not all(
+            math.isfinite(w) and w >= 0 for w in weights
+        ):
+            raise ValueError("weights must be finite and nonnegative, one per component")
         total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("weights must not all be zero")
+        if not 0 < total < math.inf:
+            raise ValueError(f"weights must have a positive, finite sum, got {total}")
         self.weights = tuple(float(w) / total for w in weights)
         self.view_bits = max(c.view_bits for c in self.components)
 
@@ -264,7 +258,6 @@ class CheatStrategy(Strategy):
     """
 
     name = "cheat"
-    access = FORBIDDEN_ACCESS
     view_bits = 0
 
     def guess(self, ctx: GuessContext) -> int:

@@ -7,85 +7,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsgames.bitstream import BitStream, EquivalenceWitness, eventually_equal
+from nsgames.seeding import child_seed
 
 
-# Reference implementations, deliberately independent of the module under
-# test: expansion digits by Fraction doubling, periods by brute scan.
-
-def ref_expansion(num: int, den: int, n: int) -> list[int]:
-    x = Fraction(num, den)
-    out = []
-    for _ in range(n):
-        x *= 2
-        bit = 1 if x >= 1 else 0
-        out.append(bit)
-        x -= bit
-    return out
+def with_prefix(bits, seed=0) -> BitStream:
+    """A generator stream whose first len(bits) bits are `bits`."""
+    return BitStream.generator(seed, overrides=dict(enumerate(bits, start=1)))
 
 
-def ref_minimal_period(word: list[int]) -> list[int]:
-    for d in range(1, len(word) + 1):
-        if all(word[i] == word[i % d] for i in range(len(word))):
-            return word[:d]
-    return word
-
-
-def ref_least_rotation(word: list[int]) -> list[int]:
-    return min(word[r:] + word[:r] for r in range(len(word)))
-
-
-rationals = st.integers(1, 400).flatmap(
-    lambda den: st.tuples(st.integers(0, den), st.just(den))
+# Small seed, shift, edit and padding ranges, so that pairs drawn from them
+# often share a class.
+edited_streams = st.builds(
+    lambda seed, shift, edits, pad: (
+        BitStream.generator(seed, shift, edits).pad_prefix_zeros(pad)
+    ),
+    st.integers(0, 2),
+    st.integers(-3, 3),
+    st.dictionaries(st.integers(1, 8), st.integers(0, 1), max_size=3),
+    st.integers(0, 4),
 )
 
 
 class TestConstruction:
-    def test_from_rational_matches_reference(self):
-        for num, den in [(0, 1), (1, 1), (1, 2), (1, 3), (1, 4), (1, 6),
-                         (5, 7), (3, 8), (13, 48), (99, 100)]:
-            s = BitStream.from_rational(num, den)
-            assert s.bits(40) == ref_expansion(num, den, 40), f"{num}/{den}"
-
-    @given(rationals)
-    def test_from_rational_reference_property(self, frac):
-        num, den = frac
-        assert BitStream.from_rational(num, den).bits(64) == ref_expansion(num, den, 64)
-
-    def test_dyadic_terminating_form(self):
-        s = BitStream.from_rational(1, 2)
-        assert s.bits(5) == [1, 0, 0, 0, 0]
-        assert BitStream.from_rational(3, 4).bits(5) == [1, 1, 0, 0, 0]
-
-    def test_quarter_expansion(self):
-        assert BitStream.from_rational(1, 4).bits(4) == [0, 1, 0, 0]
-
-    def test_one_third_period(self):
-        s = BitStream.from_rational(1, 3)
-        assert s.preperiod == ()
-        assert s.period == (0, 1)
-
-    def test_minimal_period_enforced(self):
-        s = BitStream.periodic((), (1, 0, 1, 0))
-        assert s.period == (1, 0)
-        assert s.period == tuple(ref_minimal_period([1, 0, 1, 0]))
-
-    def test_empty_period_rejected(self):
-        with pytest.raises(ValueError):
-            BitStream.periodic((1,), ())
-
     def test_non_bits_rejected(self):
+        doc = {"kind": "generator", "seed": 1, "shift": 0, "overrides": {"3": 2}}
         with pytest.raises(ValueError):
-            BitStream.periodic((), (0, 2))
-
-    def test_negative_shift_rejected_for_periodic(self):
-        with pytest.raises(ValueError):
-            BitStream.periodic((), (1,), shift=-1)
-
-    def test_bad_rational_rejected(self):
-        with pytest.raises(ValueError):
-            BitStream.from_rational(3, 2)
-        with pytest.raises(ValueError):
-            BitStream.from_rational(1, 0)
+            BitStream.from_json(doc)
 
     def test_override_validation(self):
         with pytest.raises(ValueError):
@@ -98,14 +45,22 @@ class TestConstruction:
 
 class TestBitAccess:
     def test_bit_indexing_one_based(self):
-        s = BitStream.periodic((1, 0, 1), (0,))
-        assert [s.bit_at(i) for i in (1, 2, 3, 4, 9)] == [1, 0, 1, 0, 0]
+        s = with_prefix([1, 0, 1, 0])
+        assert [s.bit_at(i) for i in (1, 2, 3, 4)] == [1, 0, 1, 0]
+        # Bit i is bit (i-1) % 64 of forward hash word 2 * ((i-1) // 64).
+        word0, word1 = child_seed(0, 0), child_seed(0, 2)
+        assert s.bit_at(9) == (word0 >> 8) & 1
+        assert s.bit_at(64) == word0 >> 63
+        assert s.bit_at(65) == word1 & 1
         with pytest.raises(ValueError):
             s.bit_at(0)
 
     def test_overrides_take_precedence(self):
-        s = BitStream.periodic((), (0,), overrides={3: 1})
-        assert s.bits(5) == [0, 0, 1, 0, 0]
+        base = BitStream.generator(7)
+        s = BitStream.generator(7, overrides={3: 1 - base.bit_at(3)})
+        expected = base.bits(5)
+        expected[2] ^= 1
+        assert s.bits(5) == expected
 
     def test_generator_bits_deterministic_and_fair_looking(self):
         s = BitStream.generator(2024)
@@ -118,24 +73,30 @@ class TestBitAccess:
         b = BitStream.generator(2).bits(64)
         assert a != b
 
-    def test_first_fraction_bit(self):
-        assert BitStream.from_rational(3, 4).first_fraction_bit() == 1
-        assert BitStream.from_rational(1, 4).first_fraction_bit() == 0
+    @given(st.integers(0, 2**64 - 1))
+    def test_first_fraction_bit(self, seed):
+        # Bit 1 is the most significant expansion bit: floor(2x).
+        s = BitStream.generator(seed)
+        assert s.bit_at(1) == int(2 * s.truncated_value(64))
 
 
 class TestBakerShift:
     def test_quarter_becomes_half(self):
-        assert BitStream.from_rational(1, 4).baker_shift().truncated_value(16) == Fraction(1, 2)
+        quarter = with_prefix([0, 1] + [0] * 15)
+        assert quarter.truncated_value(17) == Fraction(1, 4)
+        assert quarter.baker_shift().truncated_value(16) == Fraction(1, 2)
 
     def test_three_quarters_becomes_half(self):
-        assert BitStream.from_rational(3, 4).baker_shift().truncated_value(16) == Fraction(1, 2)
+        three_quarters = with_prefix([1, 1] + [0] * 15)
+        assert three_quarters.truncated_value(17) == Fraction(3, 4)
+        assert three_quarters.baker_shift().truncated_value(16) == Fraction(1, 2)
 
     def test_period_two_shift(self):
-        s = BitStream.periodic((), (1, 0))
+        s = with_prefix([1, 0] * 4)
         assert s.baker_shift().bits(6) == [0, 1, 0, 1, 0, 1]
 
     def test_double_shift_recovers_period(self):
-        s = BitStream.periodic((), (1, 0))
+        s = with_prefix([1, 0] * 5)
         assert s.baker_shift().baker_shift().bits(8) == s.bits(8)
 
     @given(st.integers(0, 2**64 - 1), st.integers(1, 200))
@@ -158,12 +119,6 @@ class TestBakerShift:
         padded = shifted.pad_prefix_zeros(k)
         assert padded.bit_at(k + i) == s.bit_at(k + i)
         assert all(padded.bit_at(j) == 0 for j in range(1, k + 1))
-
-    def test_pad_beyond_shift_periodic(self):
-        s = BitStream.periodic((1,), (0, 1), shift=0)
-        padded = s.pad_prefix_zeros(3)
-        assert padded.shift == 0
-        assert padded.bits(3 + 8) == [0, 0, 0] + s.bits(8)
 
     def test_pad_beyond_shift_generator_goes_negative(self):
         s = BitStream.generator(9)
@@ -200,67 +155,17 @@ class TestBakerShift:
         assert far.zero_prefix == 0
         assert far.bits(4) == s.bits(6)[2:]
 
-    def test_periodic_pad_keeps_inner_zero_prefix(self):
-        s = BitStream.periodic((), (1,), shift=1).pad_prefix_zeros(1)
-        padded = s.pad_prefix_zeros(3)
-        assert padded.bits(6) == [0, 0, 0, 0, 1, 1]
-
-
-class TestTailSignature:
-    def test_rotated_periods_share_signature(self):
-        a = BitStream.periodic((), (1, 0)).baker_shift()
-        b = BitStream.periodic((), (0, 1))
-        assert a.tail_signature() == b.tail_signature()
-
-    def test_antiphase_periods_differ(self):
-        a = BitStream.periodic((), (1, 0))
-        b = BitStream.periodic((), (0, 1))
-        assert a.tail_signature() != b.tail_signature()
-
-    def test_preperiod_folds_into_signature(self):
-        merged = BitStream.periodic((1,), (0, 1))
-        plain = BitStream.periodic((), (1, 0))
-        assert merged.tail_signature() == plain.tail_signature()
-
-    def test_signature_word_is_least_rotation(self):
-        s = BitStream.periodic((), (1, 1, 0))
-        word, _ = s.tail_signature()
-        assert list(word) == ref_least_rotation([1, 1, 0])
-
-    def test_requires_periodic(self):
-        with pytest.raises(ValueError):
-            BitStream.generator(1).tail_signature()
-
-    @given(
-        st.lists(st.integers(0, 1), max_size=6),
-        st.lists(st.integers(0, 1), min_size=1, max_size=5),
-        st.integers(0, 12),
-    )
-    def test_signature_invariant_under_shift(self, pre, per, shifts):
-        s = BitStream.periodic(pre, per)
-        shifted = s
-        for _ in range(shifts):
-            shifted = shifted.baker_shift()
-        sig = s.tail_signature()
-        # Shifting advances the phase by one per step within the same word.
-        word, phase = shifted.tail_signature()
-        assert word == sig[0]
-        assert phase == (sig[1] - shifts) % len(word)
-
-
 class TestSerialization:
     @given(st.integers(0, 2**64 - 1), st.integers(0, 20))
     def test_generator_roundtrip(self, seed, shift):
         s = BitStream.generator(seed, shift, overrides={2: 1, 7: 0})
         assert BitStream.from_json(s.to_json()) == s
 
-    def test_periodic_roundtrip(self):
-        s = BitStream.periodic((1, 0), (0, 1, 1), shift=2, overrides={5: 0})
-        assert BitStream.from_json(s.to_json()) == s
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             BitStream.from_json({"kind": "nope"})
+        with pytest.raises(ValueError):
+            BitStream.from_json({"kind": "periodic", "shift": 0, "period": [1]})
 
     def test_json_keys(self):
         doc = BitStream.generator(3, overrides={4: 1}).to_json()
@@ -293,27 +198,25 @@ class TestEventualEquality:
         assert a.bit_at(w.witness) != b.bit_at(w.witness)
 
     def test_spec_bound_two(self):
-        a = BitStream.periodic((1, 1), (0, 1))
-        b = BitStream.periodic((), (0, 1))
+        # A zero prefix of length 2 over the same base: bound 2.
+        a = BitStream.generator(5).pad_prefix_zeros(2)
+        b = BitStream.generator(5, shift=-2)
         w = eventually_equal(a, b)
         assert w.is_equivalent
         assert w.bound == 2
         assert a.bits(20, start=3) == b.bits(20, start=3)
 
     def test_antiphase_not_equivalent(self):
-        w = eventually_equal(
-            BitStream.periodic((), (1, 0)), BitStream.periodic((), (0, 1))
-        )
+        # One base read one step out of phase is a different class.
+        a, b = BitStream.generator(5), BitStream.generator(5, shift=1)
+        w = eventually_equal(a, b)
         assert w.is_not_equivalent
-        assert w.witness == 1
-
-    def test_mixed_kinds_unknown(self):
-        w = eventually_equal(BitStream.generator(1), BitStream.periodic((), (1,)))
-        assert w.is_unknown
-        assert not w.decisive
+        assert a.bit_at(w.witness) != b.bit_at(w.witness)
+        assert a.bits(w.witness - 1) == b.bits(w.witness - 1)
 
     def test_reflexive(self):
-        for s in (BitStream.generator(11), BitStream.periodic((1,), (0, 1))):
+        padded = BitStream.generator(11, shift=3, overrides={2: 1}).pad_prefix_zeros(4)
+        for s in (BitStream.generator(11), padded):
             assert eventually_equal(s, s).is_equivalent
 
     @given(st.integers(0, 2**32), st.integers(0, 2**32))
@@ -322,17 +225,10 @@ class TestEventualEquality:
         assert eventually_equal(a, b).verdict == eventually_equal(b, a).verdict
 
     @settings(max_examples=40)
-    @given(
-        st.lists(st.integers(0, 1), max_size=4),
-        st.lists(st.integers(0, 1), min_size=1, max_size=4),
-        st.lists(st.integers(0, 1), max_size=4),
-        st.lists(st.integers(0, 1), min_size=1, max_size=4),
-    )
-    def test_verdicts_sound_on_periodic_pairs(self, pre1, per1, pre2, per2):
-        a = BitStream.periodic(pre1, per1)
-        b = BitStream.periodic(pre2, per2)
+    @given(edited_streams, edited_streams)
+    def test_verdicts_sound_on_generator_pairs(self, a, b):
         w = eventually_equal(a, b)
-        assert w.decisive
+        assert w.is_equivalent != w.is_not_equivalent
         if w.is_equivalent:
             assert a.bits(64, start=w.bound + 1) == b.bits(64, start=w.bound + 1)
         else:
@@ -347,21 +243,18 @@ class TestEventualEquality:
     def test_witness_constructors(self):
         assert EquivalenceWitness.equivalent(3).bound == 3
         assert EquivalenceWitness.not_equivalent(5).witness == 5
-        assert EquivalenceWitness.unknown().is_unknown
 
 
 class TestTruncatedValue:
     def test_matches_bits(self):
-        s = BitStream.from_rational(5, 7)
+        s = BitStream.generator(57)
         assert s.truncated_value(10) == Fraction(
             sum(b << (10 - i) for i, b in enumerate(s.bits(10), start=1)), 1 << 10
         )
 
-    @given(rationals, st.integers(1, 40))
-    def test_truncation_error_bound(self, frac, nbits):
-        num, den = frac
-        s = BitStream.from_rational(num, den)
-        x = Fraction(num, den)
-        # 1 expands as repeating ones, which truncates to exactly 2^-n low.
-        if num != den:
-            assert abs(s.truncated_value(nbits) - x) < Fraction(1, 1 << nbits)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 40), st.integers(1, 40))
+    def test_truncation_error_bound(self, seed, nbits, more):
+        # Every longer truncation lies in [t, t + 2^-n), so the value does too.
+        s = BitStream.generator(seed)
+        gap = s.truncated_value(nbits + more) - s.truncated_value(nbits)
+        assert 0 <= gap < Fraction(1, 1 << nbits)

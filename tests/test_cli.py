@@ -88,6 +88,17 @@ class TestSimulate:
         log = (tmp_path / "trials.jsonl").read_text()
         assert '"threshold":null' in log
 
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_cheat_without_allow_exit_one(self, tmp_path, capsys, parallelism):
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            capsys, "simulate", "--strategy", "cheat", "--players", "4",
+            "--trials", "8", "--parallelism", parallelism, "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert "config error" in err and "--allow-cheat" in err
+        assert not out_dir.exists()
+
     def test_no_enforce_scores_cheat(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "simulate", "--strategy", "cheat", "--allow-cheat",
@@ -130,6 +141,14 @@ class TestSimulate:
         ({"strategy": "fns", "game": "hat"}, "'game'"),
         ({"strategy": "fns", "oracle-mode": "canonical"}, "'oracle-mode'"),
         ({"strategy": {"name": "constant", "extra": 1}}, "'extra'"),
+        ({"strategy": "fns", "players": 2.9}, "'players'"),
+        ({"strategy": "fns", "trials": True}, "'trials'"),
+        ({"strategy": "fns", "seed": "1"}, "'seed'"),
+        ({"strategy": "fns", "root-override-depth": 1.0}, "'root-override-depth'"),
+        ({"strategy": "fns", "parallelism": False}, "'parallelism'"),
+        ({"strategy": "fns", "azuma-n": [16.0]}, "'azuma-n'"),
+        ({"strategy": "fns", "azuma-n": [True]}, "'azuma-n'"),
+        ({"strategy": "fns", "azuma-n": 16}, "'azuma-n'"),
     ])
     def test_bad_config_document_exit_one(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "cfg.json"

@@ -244,12 +244,25 @@ class TestMartingaleAudit:
 
 
 class TestInvariance:
-    @pytest.mark.parametrize("iterations", [1, 3])
+    @pytest.mark.parametrize("iterations", [1, 3, 60, 61, 64, 127, 200])
     @pytest.mark.parametrize("sampler", [UNIFORM, ADVERSARIAL])
     def test_fast_path_matches_reference(self, iterations, sampler):
         fast = _invariance_counts(512, 4, 77, iterations, sampler)
         slow = _invariance_counts_reference(512, 4, 77, iterations, sampler)
         assert np.array_equal(fast, slow)
+
+    @pytest.mark.parametrize("iterations", [61, 64, 200])
+    def test_deep_windows_stay_vectorized(self, monkeypatch, iterations):
+        # Windows reaching past the first hash word are read from two words,
+        # never from the per-sample stream loop.
+        expected = _invariance_counts_reference(256, 4, 3, iterations, UNIFORM)
+
+        def refuse(*args):
+            raise AssertionError("per-sample reference path taken")
+
+        monkeypatch.setattr(experiment, "_invariance_counts_reference", refuse)
+        fast = experiment._invariance_counts(256, 4, 3, iterations, UNIFORM)
+        assert np.array_equal(fast, expected)
 
     def test_uniform_sampler_accepted(self):
         rep = invariance_test(samples=100_000, bins=64, seed=5)

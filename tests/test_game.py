@@ -49,6 +49,11 @@ class RecordingStrategy(Strategy):
         return 0
 
 
+def with_prefix(bits, seed=0) -> BitStream:
+    """A generator root whose first len(bits) bits are `bits`."""
+    return BitStream.generator(seed, overrides=dict(enumerate(bits, start=1)))
+
+
 def recorded(root: BitStream, players: int) -> RecordingStrategy:
     strategy = RecordingStrategy()
     run_trial(GameSpec(players, root, strategy))
@@ -64,13 +69,13 @@ def scored_targets(root: BitStream, players: int) -> list[int]:
 
 class TestInputsAndTargets:
     def test_period_two_inputs(self):
-        root = BitStream.periodic((), (1, 0))
+        root = with_prefix([1, 0] * 4)
         x1, x2 = recorded(root, 2).views
         assert x1.bits(6) == [0, 1, 0, 1, 0, 1]
         assert x2.bits(6) == root.bits(6)
 
     def test_quarter_root_single_input(self):
-        root = BitStream.from_rational(1, 4)
+        root = with_prefix([0, 1] + [0] * 15)
         (x1,) = recorded(root, 1).views
         assert x1.truncated_value(16) == Fraction(1, 2)
 
@@ -80,9 +85,10 @@ class TestInputsAndTargets:
         assert recorded(root, k).views[k - 1].bit_at(1) == root.bit_at(k + 1)
 
     def test_target_reads_expansion(self):
-        root = BitStream.periodic((1, 0, 1), (0,))
+        root = with_prefix([1, 0, 1])
         assert scored_targets(root, 3) == [1, 0, 1]
-        assert scored_targets(BitStream.periodic((), (0,)), 17)[16] == 0
+        zeros = BitStream.generator(4).pad_prefix_zeros(17)
+        assert scored_targets(zeros, 17)[16] == 0
 
     @settings(max_examples=30)
     @given(st.integers(0, 2**64 - 1), st.integers(1, 32))
@@ -92,12 +98,13 @@ class TestInputsAndTargets:
 
     @settings(max_examples=30)
     @given(
-        st.lists(st.integers(0, 1), max_size=4),
-        st.lists(st.integers(0, 1), min_size=1, max_size=4),
+        st.integers(0, 2**64 - 1),
+        st.dictionaries(st.integers(1, 20), st.integers(0, 1), max_size=6),
+        st.integers(0, 8),
         st.integers(1, 16),
     )
-    def test_target_matches_exact_predicate_on_periodic_roots(self, pre, per, k):
-        root = BitStream.periodic(pre, per)
+    def test_target_matches_exact_predicate_on_edited_roots(self, seed, edits, pad, k):
+        root = BitStream.generator(seed, overrides=edits).pad_prefix_zeros(pad)
         assert scored_targets(root, k)[k - 1] == eq5_target(root, k)
 
 
@@ -182,7 +189,7 @@ class TestRunTrial:
 
     def test_constant_zero_on_zero_root(self):
         spec = GameSpec(
-            16, BitStream.periodic((), (0,)), LocalTableStrategy([0])
+            16, BitStream.generator(8).pad_prefix_zeros(16), LocalTableStrategy([0])
         )
         rec = run_trial(spec)
         assert rec.threshold == 0

@@ -12,39 +12,40 @@ from nsgames.oracle import (
     disagreement_bound,
 )
 
-periodic_streams = st.builds(
-    BitStream.periodic,
-    st.lists(st.integers(0, 1), max_size=5),
-    st.lists(st.integers(0, 1), min_size=1, max_size=5),
+# Small seed and shift ranges, so that pairs drawn from them often share a
+# class; edits and zero padding vary the member within its class.
+streams = st.builds(
+    lambda seed, shift, edits, pad: (
+        BitStream.generator(seed, shift, edits).pad_prefix_zeros(pad)
+    ),
+    st.integers(0, 2),
+    st.integers(-3, 3),
+    st.dictionaries(st.integers(1, 8), st.integers(0, 1), max_size=3),
+    st.integers(0, 4),
 )
 
 
 class TestClassOf:
     def test_generator_handle(self):
         h = class_of(BitStream.generator(42, shift=3))
-        assert (h.kind, h.seed, h.shift) == ("generator", 42, 3)
+        assert (h.seed, h.shift) == (42, 3)
 
     def test_overrides_do_not_change_class(self):
         plain = BitStream.generator(42)
         edited = BitStream.generator(42, overrides={1: 0, 17: 1})
         assert class_of(plain) == class_of(edited)
 
-    def test_periodic_merges_equivalent_forms(self):
-        assert class_of(BitStream.periodic((1,), (0, 1))) == class_of(
-            BitStream.periodic((), (1, 0))
-        )
-
     def test_antiphase_classes_differ(self):
-        assert class_of(BitStream.periodic((), (1, 0))) != class_of(
-            BitStream.periodic((), (0, 1))
+        assert class_of(BitStream.generator(42)) != class_of(
+            BitStream.generator(42, shift=1)
         )
 
-    @given(periodic_streams, periodic_streams)
+    @given(streams, streams)
     def test_handle_equality_tracks_eventual_equality(self, a, b):
         same = class_of(a) == class_of(b)
         assert same == eventually_equal(a, b).is_equivalent
 
-    @given(periodic_streams, st.integers(0, 10))
+    @given(streams, st.integers(0, 10))
     def test_class_constant_along_padded_orbit(self, s, k):
         shifted = s
         for _ in range(k):
@@ -58,17 +59,12 @@ class TestCanonicalRepresentative:
         rep = canonical_representative(class_of(member))
         assert rep == BitStream.generator(42)
 
-    def test_periodic_representative_has_no_preperiod(self):
-        rep = canonical_representative(class_of(BitStream.periodic((1,), (0, 1))))
-        assert rep.preperiod == ()
-        assert rep.bits(6) == [1, 0, 1, 0, 1, 0]
-
-    @given(periodic_streams)
+    @given(streams)
     def test_membership(self, s):
         rep = canonical_representative(class_of(s))
         assert eventually_equal(s, rep).is_equivalent
 
-    @given(periodic_streams)
+    @given(streams)
     def test_idempotent_on_representative(self, s):
         h = class_of(s)
         rep = canonical_representative(h)
@@ -103,23 +99,33 @@ class TestChoiceOracle:
 
 class TestDisagreementBound:
     def test_zero_for_exact_agreement(self):
-        member = BitStream.periodic((1,), (0, 1))
+        member = BitStream.generator(3, shift=4)
         rep = canonical_representative(class_of(member))
         assert disagreement_bound(member, rep) == 0
 
     def test_tightens_below_structural_bound(self):
         # Structural bound is 2, but bit 2 happens to agree with the
         # representative, so the last real disagreement is bit 1.
-        member = BitStream.periodic((1, 1), (0, 1))
+        base = BitStream.generator(3)
+        member = BitStream.generator(
+            3, overrides={1: 1 - base.bit_at(1), 2: base.bit_at(2)}
+        )
         rep = canonical_representative(class_of(member))
         assert eventually_equal(member, rep).bound == 2
         assert disagreement_bound(member, rep) == 1
 
     def test_structural_example(self):
-        member = BitStream.periodic((1, 0), (0, 1))
+        # The FNS padding: zeros over bits 1..4 of the base disagree with the
+        # representative exactly where the base holds a 1.
+        base = BitStream.generator(3)
+        member = base
+        for _ in range(4):
+            member = member.baker_shift()
+        member = member.pad_prefix_zeros(4)
         rep = canonical_representative(class_of(member))
-        assert rep.bits(4) == [0, 1, 0, 1]
-        assert disagreement_bound(member, rep) == 2
+        assert rep == base
+        ones = [i for i in range(1, 5) if base.bit_at(i)]
+        assert disagreement_bound(member, rep) == max(ones, default=0)
 
     def test_tightens_structural_bound(self):
         # Override that happens to agree with the base bit adds nothing.
@@ -139,7 +145,7 @@ class TestDisagreementBound:
             disagreement_bound(BitStream.generator(1), BitStream.generator(2))
 
     @settings(max_examples=50)
-    @given(periodic_streams)
+    @given(streams)
     def test_bound_is_sharp(self, s):
         rep = canonical_representative(class_of(s))
         t = disagreement_bound(s, rep)

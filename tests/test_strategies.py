@@ -1,6 +1,7 @@
 """Strategy behavior, access contracts, and the exact 1/2 win rate."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -63,7 +64,7 @@ class TestLocalTable:
         assert LocalTableStrategy([0, 1]).guess(make_ctx(view)) == root.bit_at(2)
 
     def test_table_index_is_big_endian_in_view_bits(self):
-        view = BitStream.periodic((1, 0), (0,))
+        view = BitStream.generator(1, overrides={1: 1, 2: 0})
         # View bits (1, 0) -> index 2.
         assert LocalTableStrategy([0, 0, 1, 0]).guess(make_ctx(view)) == 1
 
@@ -156,6 +157,11 @@ class TestSharedMixture:
             SharedMixtureStrategy([[0], [1]], weights=[0.0, 0.0])
         with pytest.raises(ValueError):
             SharedMixtureStrategy([[0], [1]], weights=[-1.0, 2.0])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                SharedMixtureStrategy([[0], [1]], weights=[1.0, bad])
+        with pytest.raises(ValueError):
+            SharedMixtureStrategy([[0], [1]], weights=[1e308, 1e308])
 
     def test_bit_budget_is_componentwise_max(self):
         mix = SharedMixtureStrategy([[0, 1], [0, 1, 1, 0]])
@@ -176,11 +182,11 @@ class TestFns:
 
     def test_first_player_guess_is_first_representative_bit(self):
         oracle = ChoiceOracle()
-        root = BitStream.periodic((), (1, 0))
+        root = BitStream.generator(77, overrides={1: 1, 2: 0})
         view = root.baker_shift()
         rep = oracle.representative(view.pad_prefix_zeros(1))
         assert FnsStrategy().guess(make_ctx(view, player=1, oracle=oracle)) == (
-            rep.first_fraction_bit()
+            rep.bit_at(1)
         )
 
     @settings(max_examples=30)
