@@ -16,7 +16,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .seeding import MASK64, child_seed
+import numpy as np
+
+from .seeding import MASK64, child_seed, child_seed_np
 
 GENERATOR = "generator"
 
@@ -164,6 +166,19 @@ class BitStream:
         for i in range(1, nbits + 1):
             acc = (acc << 1) | self.bit_at(i)
         return Fraction(acc, 1 << nbits)
+
+
+def generator_bits(seeds: np.ndarray, width: int) -> np.ndarray:
+    """Bits 1..width of the pristine generator stream of each seed.
+
+    The array twin of ``BitStream.generator(seed).bits(width)``: a uint8
+    array of shape [len(seeds), width] whose column i - 1 holds bit i, that
+    is bit (i-1) % 64 of hash word 2 * ((i-1) // 64), as in ``_base_bit``.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    words = child_seed_np(seeds[:, None], 2 * np.arange(-(-width // 64)))
+    bits = (words[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    return bits.astype(np.uint8).reshape(len(seeds), -1)[:, :width]
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,8 @@ CONFIG_KEYS = frozenset({
 })
 # Config keys whose values must be JSON integers (booleans are not).
 INT_CONFIG_KEYS = ("players", "trials", "seed", "root-override-depth", "parallelism")
+# Config keys whose values must be JSON booleans (strings are not).
+BOOL_CONFIG_KEYS = ("allow-cheat", "no-enforce")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,6 +113,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _config_problem(file_cfg) -> str | None:
     """Why a parsed --config document is unusable, or None if it is fine."""
     if not isinstance(file_cfg, dict):
@@ -121,11 +127,14 @@ def _config_problem(file_cfg) -> str | None:
     for key in INT_CONFIG_KEYS:
         if key in file_cfg and not _is_int(file_cfg[key]):
             return f"{key!r} must be an integer, got {file_cfg[key]!r}"
-    azuma_n = file_cfg.get("azuma-n")
-    if azuma_n is not None and not (
-        isinstance(azuma_n, list) and all(_is_int(n) for n in azuma_n)
-    ):
-        return f"'azuma-n' must be a list of integers, got {azuma_n!r}"
+    for key in BOOL_CONFIG_KEYS:
+        if key in file_cfg and not isinstance(file_cfg[key], bool):
+            return f"{key!r} must be true or false, got {file_cfg[key]!r}"
+    lists = (("azuma-n", _is_int, "integers"), ("azuma-eps", _is_number, "numbers"))
+    for key, ok, kind in lists:
+        values = file_cfg.get(key)
+        if values is not None and not (isinstance(values, list) and all(map(ok, values))):
+            return f"{key!r} must be a list of {kind}, got {values!r}"
     return None
 
 
@@ -160,8 +169,8 @@ def _simulate(args) -> int:
         if isinstance(strategy_arg, dict):
             strategy_arg = json.dumps(strategy_arg)
         strategy = parse_strategy_arg(strategy_arg)
-        allow_cheat = bool(_resolve(args, "allow-cheat", file_cfg, False))
-        no_enforce = bool(_resolve(args, "no-enforce", file_cfg, False))
+        allow_cheat = _resolve(args, "allow-cheat", file_cfg, False)
+        no_enforce = _resolve(args, "no-enforce", file_cfg, False)
         azuma_n = _resolve(args, "azuma-n", file_cfg, None)
         cfg = ExperimentConfig(
             strategy=strategy,

@@ -6,8 +6,8 @@ reports at every parallelism degree.  Aggregation works on integer
 counts first and converts to floats once, in a fixed order.
 
 Trials run in contiguous chunks.  A chunk of a strategy with a batch
-kernel is one array computation over the chunk's root bits; any other
-chunk plays each trial through ``run_trial``, the scalar reference.
+kernel is one array computation over the chunk's root bits and seeds; any
+other chunk plays each trial through ``run_trial``, the scalar reference.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import stats
 
-from .bitstream import BitStream
+from .bitstream import BitStream, generator_bits
 from .game import GameSpec, TrialRecord, run_trial, score_batch
 from .oracle import ChoiceOracle
 from .seeding import (
@@ -123,17 +123,17 @@ def _run_one(cfg: ExperimentConfig, index: int) -> TrialRecord:
 CHUNK_CELLS = 1 << 16
 
 
-def _root_bits(cfg: ExperimentConfig, start: int, stop: int, width: int) -> np.ndarray:
-    """Root bits 1..width of trials start..stop-1, override flips applied.
+def _root_seeds(cfg: ExperimentConfig, start: int, stop: int) -> np.ndarray:
+    """Seeds of the roots of trials start..stop-1, as ``trial_root`` derives
+    them, in a uint64 array."""
+    return child_seed_np(child_seed(cfg.master_seed, DOMAIN_ROOT), np.arange(start, stop))
 
-    A uint8 array of shape [stop - start, width] whose column i - 1 holds
-    bit i of ``trial_root``: bit i of a generator root is bit (i-1) % 64 of
-    hash word 2 * ((i-1) // 64), so whole rows come from a few array hashes.
-    """
-    seeds = child_seed_np(child_seed(cfg.master_seed, DOMAIN_ROOT), np.arange(start, stop))
-    words = child_seed_np(seeds[:, None], 2 * np.arange(-(-width // 64)))
-    bits = (words[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-    bits = bits.astype(np.uint8).reshape(stop - start, -1)[:, :width]
+
+def _root_bits(cfg: ExperimentConfig, root_seeds: np.ndarray, width: int) -> np.ndarray:
+    """Root bits 1..width of the trials with these root seeds, override
+    flips applied: row t, column i - 1 holds bit i of the trial's
+    ``trial_root``."""
+    bits = generator_bits(root_seeds, width)
     bits[:, : cfg.override_depth] ^= 1
     return bits
 
@@ -145,14 +145,17 @@ def _run_chunk(cfg: ExperimentConfig, start: int, stop: int) -> list[TrialRecord
     for each trial otherwise.
     """
     width = max(cfg.players + (cfg.strategy.view_bits or 0), cfg.override_depth)
-    bits = _root_bits(cfg, start, stop, width)
+    root_seeds = _root_seeds(cfg, start, stop)
+    bits = _root_bits(cfg, root_seeds, width)
     trial_seeds = child_seed_np(child_seed(cfg.master_seed, DOMAIN_TRIAL), np.arange(start, stop))
-    outputs = cfg.strategy.guess_batch(bits, trial_seeds, cfg.players)
+    outputs = cfg.strategy.guess_batch(bits, trial_seeds, root_seeds, cfg.players)
     if outputs is None:
         return [_run_one(cfg, t) for t in range(start, stop)]
+    # The flipped bits 1..override_depth are the root's overrides, as
+    # trial_root builds them.
     roots = [
-        trial_root(cfg.master_seed, t, cfg.override_depth).to_json()
-        for t in range(start, stop)
+        BitStream(seed=seed, overrides=tuple(enumerate(flips, 1))).to_json()
+        for seed, flips in zip(root_seeds.tolist(), bits[:, : cfg.override_depth].tolist())
     ]
     return score_batch(roots, outputs, bits[:, : cfg.players])
 

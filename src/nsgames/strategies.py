@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitstream import BitStream
+from .bitstream import BitStream, generator_bits
 from .oracle import ChoiceOracle
 from .seeding import (
     DOMAIN_PLAYER,
@@ -77,10 +77,11 @@ class GuessContext:
 class Strategy:
     """Base strategy: subclasses set `name` and implement guess.
 
-    A strategy whose guess reads nothing but its first view bits and its
-    private or shared randomness may also implement ``guess_batch``, the
-    same function over a whole block of trials at once.  ``run_trial``
-    stays the reference; the batch kernel must reproduce it bit for bit.
+    A strategy whose guess reads nothing but its view bits, its view's seed
+    and its private or shared randomness may also implement
+    ``guess_batch``, the same function over a whole block of trials at
+    once.  ``run_trial`` stays the reference; the batch kernel must
+    reproduce it bit for bit.
     """
 
     name = "?"
@@ -97,15 +98,23 @@ class Strategy:
         raise NotImplementedError
 
     def guess_batch(
-        self, bits: np.ndarray, trial_seeds: np.ndarray, players: int
+        self,
+        bits: np.ndarray,
+        trial_seeds: np.ndarray,
+        root_seeds: np.ndarray,
+        players: int,
     ) -> np.ndarray | None:
         """Outputs of players 1..players over a block of trials, or None.
 
         ``bits[t, i - 1]`` is root bit i of trial t (player k's view bit j
         is root bit k + j), for i up to players + view_bits;
-        ``trial_seeds[t]`` is the trial's shared seed.  Returns a uint8
-        array of shape [trials, players].  None means the strategy has no
-        batch kernel and every trial goes through ``run_trial``.
+        ``trial_seeds[t]`` is the trial's shared seed; ``root_seeds[t]`` is
+        the seed of trial t's root, which every view of the trial carries
+        (``ctx.view.seed`` on the scalar path).  ``bits`` holds the targets
+        and the override flips, so a kernel reads from it only the view bits
+        its ``guess`` reads.  Returns a uint8 array of shape [trials,
+        players].  None means the strategy has no batch kernel and every
+        trial goes through ``run_trial``.
         """
         return None
 
@@ -136,6 +145,13 @@ class FnsStrategy(Strategy):
         # Bit k of the representative = first bit after k-1 more shifts.
         return rep.bit_at(ctx.player)
 
+    def guess_batch(self, bits, trial_seeds, root_seeds, players):
+        # Player k's padded view is back at shift 0, so its class is
+        # (root seed, 0) and the representative is the pristine generator
+        # of the root seed.  The root bits, which carry the targets and the
+        # flips, are never read.
+        return generator_bits(root_seeds, players)
+
 
 class LocalTableStrategy(Strategy):
     """Deterministic function of the first m view bits."""
@@ -157,7 +173,7 @@ class LocalTableStrategy(Strategy):
             idx = (idx << 1) | ctx.view.bit_at(j)
         return self.table[idx]
 
-    def guess_batch(self, bits, trial_seeds, players):
+    def guess_batch(self, bits, trial_seeds, root_seeds, players):
         idx = np.zeros((bits.shape[0], players), dtype=np.intp)
         for j in range(1, self.view_bits + 1):
             idx = (idx << 1) | bits[:, j : j + players]
@@ -181,7 +197,7 @@ class LocalRandomStrategy(Strategy):
     def guess(self, ctx: GuessContext) -> int:
         return ctx.rng.bernoulli(self.p)
 
-    def guess_batch(self, bits, trial_seeds, players):
+    def guess_batch(self, bits, trial_seeds, root_seeds, players):
         # The first draw of player k's SplitRandom; the 53-bit integer and
         # its scaling by 2**-53 are exact in float64, as in random().
         player_seeds = child_seed_np(
@@ -235,12 +251,14 @@ class SharedMixtureStrategy(Strategy):
     def guess(self, ctx: GuessContext) -> int:
         return self.components[self._pick(ctx.shared_seed)].guess(ctx)
 
-    def guess_batch(self, bits, trial_seeds, players):
+    def guess_batch(self, bits, trial_seeds, root_seeds, players):
         picks = np.array([self._pick(seed) for seed in trial_seeds.tolist()])
         out = np.empty((bits.shape[0], players), dtype=np.uint8)
         for i, component in enumerate(self.components):
             rows = picks == i
-            out[rows] = component.guess_batch(bits[rows], trial_seeds[rows], players)
+            out[rows] = component.guess_batch(
+                bits[rows], trial_seeds[rows], root_seeds[rows], players
+            )
         return out
 
     def params(self) -> dict:

@@ -211,25 +211,30 @@ def test_criterion_7_behavior_verifier(capsys):
 
 
 def test_criterion_8_reproducibility(scalar_reference, capsys):
-    def config(parallelism):
+    def config(spec, parallelism, depth=0):
         return ExperimentConfig(
-            strategy=build_strategy({"name": "local-table", "table": [0, 1, 1, 0]}),
+            strategy=build_strategy(spec),
             players=16,
             trials=256,
             master_seed=MASTER_SEED,
+            override_depth=depth,
             parallelism=parallelism,
         )
 
     def outputs(result):
         return result.render_json(), result.trial_log()
 
-    serial = outputs(run_experiment(config(1)))
-    parallel = outputs(run_experiment(config(8)))
-    scalar = outputs(scalar_reference(config(1)))
-    ok = serial == parallel == scalar
+    table = {"name": "local-table", "table": [0, 1, 1, 0]}
+    serial = outputs(run_experiment(config(table, 1)))
+    parallel = outputs(run_experiment(config(table, 8)))
+    scalar = outputs(scalar_reference(config(table, 1)))
+    fns = config({"name": "fns"}, 1, depth=2)
+    fns_same = outputs(run_experiment(fns)) == outputs(scalar_reference(fns))
+    ok = serial == parallel == scalar and fns_same
     announce(
         capsys, ok,
         "byte-identical JSON report and trial log at parallelism 1 and 8, "
-        "and from the batch path and the scalar run_trial reference",
+        "and from the batch path and the scalar run_trial reference "
+        "(local table, and fns at override depth 2)",
     )
     assert ok

@@ -13,9 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsgames.experiment as experiment
+from nsgames.bitstream import BitStream
 from nsgames.experiment import ExperimentConfig, run_experiment
+from nsgames.oracle import ChoiceOracle
 from nsgames.seeding import GOLDEN, MASK64, child_seed, child_seed_np, mix64, mix64_np
 from nsgames.strategies import (
+    STRATEGY_PARAMS,
+    FnsStrategy,
     LocalTableStrategy,
     Strategy,
     build_strategy,
@@ -32,6 +36,7 @@ def _mixture(components):
 
 
 batch_specs = st.one_of(
+    st.just({"name": "fns"}),
     st.builds(lambda v: {"name": "constant", "value": v}, st.integers(0, 1)),
     st.builds(lambda t: {"name": "local-table", "table": t}, tables),
     st.builds(lambda p: {"name": "local-random", "p": p}, st.floats(0.0, 1.0)),
@@ -45,6 +50,12 @@ batch_specs = st.one_of(
 def assert_same_bytes(result, reference):
     assert result.trial_log() == reference.trial_log()
     assert result.render_json() == reference.render_json()
+
+
+def kernel_args(trials, width, players):
+    bits = np.zeros((trials, width), dtype=np.uint8)
+    seeds = np.zeros(trials, dtype=np.uint64)
+    return bits, seeds, seeds, players
 
 
 class TestArrayHash:
@@ -113,18 +124,83 @@ class TestBatchEqualsScalar:
             master_seed=8,
             override_depth=3,
         )
-        bits = experiment._root_bits(cfg, 2, 5, 130)
-        for row, t in zip(bits.tolist(), range(2, 5)):
+        seeds = experiment._root_seeds(cfg, 2, 5)
+        bits = experiment._root_bits(cfg, seeds, 130)
+        for seed, row, t in zip(seeds.tolist(), bits.tolist(), range(2, 5)):
             root = experiment.trial_root(cfg.master_seed, t, cfg.override_depth)
+            assert seed == root.seed
             assert row == root.bits(130)
+
+    @pytest.mark.parametrize("depth", [0, 3])
+    def test_fns_unchanged(self, scalar_reference, monkeypatch, depth):
+        cfg = ExperimentConfig(
+            strategy=build_strategy({"name": "fns"}),
+            players=20,
+            trials=5,
+            master_seed=9,
+            override_depth=depth,
+        )
+        reference = scalar_reference(cfg)
+
+        def refuse(cfg, index):
+            raise AssertionError(f"trial {index} left the batch path")
+
+        monkeypatch.setattr(experiment, "_run_one", refuse)
+        assert_same_bytes(run_experiment(cfg), reference)
+
+    def test_fns_kernel_ignores_root_bits(self):
+        # The targets and flips live in bits; the kernel reads only seeds.
+        seeds = np.array([3, MASK64], dtype=np.uint64)
+        strategy = build_strategy({"name": "fns"})
+        zeros = np.zeros((2, 40), dtype=np.uint8)
+        out = strategy.guess_batch(zeros, seeds, seeds, 40)
+        assert np.array_equal(out, strategy.guess_batch(1 - zeros, seeds, seeds, 40))
+        assert out.tolist() == [BitStream.generator(s).bits(40) for s in seeds.tolist()]
 
 
 class TestScalarOnly:
-    def test_oracle_and_cheat_have_no_kernel(self):
-        bits = np.zeros((1, 8), dtype=np.uint8)
-        seeds = np.zeros(1, dtype=np.uint64)
-        for name in ("fns", "cheat"):
-            assert build_strategy({"name": name}).guess_batch(bits, seeds, 4) is None
+    def test_only_cheat_has_no_kernel(self):
+        params = {"local-table": {"table": [0, 1]}, "local-random": {"p": 0.5},
+                  "shared-mixture": {"tables": [[0, 1]]}}
+        for name in STRATEGY_PARAMS:
+            strategy = build_strategy({"name": name, **params.get(name, {})})
+            outputs = strategy.guess_batch(*kernel_args(1, 8, 4))
+            assert (outputs is None) == (name == "cheat"), name
+
+    def test_fns_reference_asks_oracle_once_per_player(self, monkeypatch):
+        asked = []
+        representative = ChoiceOracle.representative
+
+        def spy(oracle, member):
+            asked.append(member)
+            return representative(oracle, member)
+
+        monkeypatch.setattr(ChoiceOracle, "representative", spy)
+        cfg = ExperimentConfig(
+            strategy=build_strategy({"name": "fns"}),
+            players=7,
+            trials=3,
+            master_seed=5,
+            override_depth=2,
+        )
+        experiment._run_one(cfg, 1)
+        root = experiment.trial_root(cfg.master_seed, 1, cfg.override_depth)
+        # Player k's padded view: the root's seed at shift 0, k zeros first.
+        assert [(m.seed, m.shift, m.zero_prefix) for m in asked] == [
+            (root.seed, 0, k) for k in range(1, 8)
+        ]
+
+    def test_fns_subclass_overriding_guess_stays_scalar(self, scalar_reference):
+        class Contrary(FnsStrategy):
+            def guess(self, ctx):
+                return 1 - super().guess(ctx)
+
+        strategy = Contrary()
+        assert strategy.guess_batch(*kernel_args(1, 8, 4)) is None
+        cfg = ExperimentConfig(strategy=strategy, players=8, trials=4, master_seed=3)
+        result = run_experiment(cfg)
+        assert_same_bytes(result, scalar_reference(cfg))
+        assert all(set(r.s) == {-1} for r in result.records)
 
     def test_subclass_overriding_guess_stays_scalar(self, scalar_reference):
         class Inverted(LocalTableStrategy):
@@ -132,7 +208,7 @@ class TestScalarOnly:
                 return 1 - super().guess(ctx)
 
         strategy = Inverted([0, 1])
-        assert strategy.guess_batch(np.zeros((1, 8), np.uint8), np.zeros(1, np.uint64), 4) is None
+        assert strategy.guess_batch(*kernel_args(1, 8, 4)) is None
         cfg = ExperimentConfig(strategy=strategy, players=8, trials=6, master_seed=1)
         result = run_experiment(cfg)
         assert_same_bytes(result, scalar_reference(cfg))
@@ -149,22 +225,11 @@ class TestScalarOnly:
             def guess(self, ctx):
                 return 0
 
-            def guess_batch(self, bits, trial_seeds, players):
+            def guess_batch(self, bits, trial_seeds, root_seeds, players):
                 return np.zeros((bits.shape[0], players), dtype=np.uint8)
 
-        outputs = Both().guess_batch(np.zeros((2, 3), np.uint8), np.zeros(2, np.uint64), 3)
+        outputs = Both().guess_batch(*kernel_args(2, 3, 3))
         assert outputs.shape == (2, 3)
-
-    @pytest.mark.parametrize("depth", [0, 3])
-    def test_fns_unchanged(self, scalar_reference, depth):
-        cfg = ExperimentConfig(
-            strategy=build_strategy({"name": "fns"}),
-            players=20,
-            trials=5,
-            master_seed=9,
-            override_depth=depth,
-        )
-        assert_same_bytes(run_experiment(cfg), scalar_reference(cfg))
 
     def test_quarantined_cheat_unchanged(self, scalar_reference):
         cfg = ExperimentConfig(

@@ -1,6 +1,10 @@
 """End-to-end command line coverage: exit codes, files, formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +153,13 @@ class TestSimulate:
         ({"strategy": "fns", "azuma-n": [16.0]}, "'azuma-n'"),
         ({"strategy": "fns", "azuma-n": [True]}, "'azuma-n'"),
         ({"strategy": "fns", "azuma-n": 16}, "'azuma-n'"),
+        ({"strategy": "cheat", "allow-cheat": "false", "no-enforce": "no",
+          "players": 4, "trials": 5}, "'allow-cheat'"),
+        ({"strategy": "cheat", "allow-cheat": True, "no-enforce": "no"}, "'no-enforce'"),
+        ({"strategy": "fns", "no-enforce": 0}, "'no-enforce'"),
+        ({"strategy": "fns", "azuma-eps": [True]}, "'azuma-eps'"),
+        ({"strategy": "fns", "azuma-eps": ["4"]}, "'azuma-eps'"),
+        ({"strategy": "fns", "azuma-eps": 4.0}, "'azuma-eps'"),
     ])
     def test_bad_config_document_exit_one(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "cfg.json"
@@ -159,6 +170,20 @@ class TestSimulate:
         assert code == 1
         assert "config error" in err and message in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("no_enforce, code", [(False, 2), (True, 0)])
+    def test_config_booleans_and_epsilons(self, tmp_path, capsys, no_enforce, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "strategy": "cheat", "allow-cheat": True, "no-enforce": no_enforce,
+            "players": 4, "trials": 3, "azuma-eps": [2, 4.5],
+        }))
+        assert run(capsys, "simulate", "--config", str(cfg),
+                   "--out-dir", str(tmp_path))[0] == code
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["enable_backdoor"] is True
+        assert report["config"]["enforce_contracts"] is not no_enforce
+        assert report["config"]["azuma_eps"] == [2, 4.5]
 
     @pytest.mark.parametrize("flag", [["--game", "hat"], ["--oracle-mode", "memoized"]])
     def test_removed_flags_exit_one(self, capsys, flag):
@@ -330,6 +355,16 @@ class TestEnumerateFns:
 
 
 class TestParser:
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nsgames", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "simulate" in proc.stdout
+
     def test_no_command_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
