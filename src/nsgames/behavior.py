@@ -3,10 +3,14 @@
 A behavior is a conditional distribution P(a1..aN | x1..xN) over finite
 alphabets.  This module checks the no-signaling marginal conditions, detects
 deterministic extremal points, extracts and checks functional no-signaling,
-and brute-forces the equivalence between FNS and functional locality.
+and checks the equivalence between FNS and functional locality.  Both FNS
+and the factored form are per-party properties, so the equivalence is
+checked party by party over every single-party response function; the
+tuple-by-tuple enumeration is kept as the reference it is tested against.
 
 Tables are rational by default; floating tables must declare a tolerance,
-since every check here is an equality of marginals.
+since every check here is an equality of marginals.  Exact tables are
+checked as integer arrays over a common denominator.
 """
 
 from __future__ import annotations
@@ -17,10 +21,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 Vector = tuple[int, ...]
 
 # The most steps one enumeration or behavior check may take.
 DEFAULT_BUDGET = 10**6
+
+# The dense no-signaling check sums table rows in int64.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class BudgetExceededError(ValueError):
@@ -185,12 +194,104 @@ def check_no_signaling(
     nonempty party subset.  Raises on a non-normalized table, and raises
     BudgetExceededError before any loop when the input-by-output grid,
     times the party subsets under strict, exceeds DEFAULT_BUDGET.
+
+    An exact table checked without tolerance is put on the common
+    denominator of its entries as one dense integer array, and every
+    marginal is compared at once; the report equals _no_signaling_reference
+    witness for witness.  Float tables, a positive tolerance, and a common
+    denominator too large for int64 sums go through that reference loop.
     """
-    n = behavior.parties
+    _check_ns_budget(behavior, strict)
+    eps = _resolve_tol(behavior, tol)
+    if behavior.exact and eps == 0:
+        denominator = math.lcm(*(p.denominator for p in behavior.table.values()))
+        if denominator * math.prod(behavior.outputs) <= _INT64_MAX:
+            dense = _dense_table(behavior, denominator)
+            return NSReport(
+                violations=_dense_violations(behavior, dense, denominator, strict),
+                strict=strict,
+            )
+    return _no_signaling_reference(behavior, tol, strict)
+
+
+def _check_ns_budget(behavior: Behavior, strict: bool) -> None:
     cells = math.prod(behavior.inputs) * math.prod(behavior.outputs)
-    required = cells * max(1, 2**n - 2) if strict else cells
+    required = cells * max(1, 2**behavior.parties - 2) if strict else cells
     if required > DEFAULT_BUDGET:
         raise BudgetExceededError(required, DEFAULT_BUDGET, "table cell visits")
+
+
+def _ns_subsets(n: int, strict: bool) -> list[tuple[int, ...]]:
+    if strict:
+        return [s for r in range(1, n) for s in itertools.combinations(range(n), r)]
+    return [(k,) for k in range(n)] if n > 1 else []
+
+
+def _dense_table(behavior: Behavior, denominator: int) -> np.ndarray:
+    """The table as int64 counts of 1/denominator, shape [*inputs, *outputs].
+
+    Raises the reference's ValueError on the first input vector, in
+    input_vectors order, whose row does not sum to 1.
+    """
+    n = behavior.parties
+    dense = np.zeros(behavior.inputs + behavior.outputs, dtype=np.int64)
+    cells = np.array([x + a for x, a in behavior.table], dtype=np.intp).reshape(-1, 2 * n)
+    dense[tuple(cells.T)] = [
+        p.numerator * (denominator // p.denominator) for p in behavior.table.values()
+    ]
+    sums = dense.reshape(behavior.inputs + (-1,)).sum(axis=-1)
+    bad = np.argwhere(sums != denominator)
+    if len(bad):
+        x = tuple(bad[0].tolist())
+        total = Fraction(int(sums[x]), denominator)
+        raise ValueError(f"behavior is not normalized: sum at x={x} is {total}")
+    return dense
+
+
+def _dense_violations(
+    behavior: Behavior, dense: np.ndarray, denominator: int, strict: bool
+) -> tuple[NSViolation, ...]:
+    """Every subset marginal compared with its first context, in the
+    reference loop's order: subset, x_sub, a_sub, context."""
+    n = behavior.parties
+    violations = []
+    for subset in _ns_subsets(n, strict):
+        rest = tuple(k for k in range(n) if k not in subset)
+        marginal = dense.sum(axis=tuple(n + k for k in rest))
+        # Axes [*x_sub, *a_sub, *context], so argwhere walks the loop order.
+        marginal = marginal.transpose(
+            subset + tuple(range(n, n + len(subset))) + rest
+        )
+        first = marginal[(...,) + (0,) * len(rest)]
+        moved = marginal != first.reshape(first.shape + (1,) * len(rest))
+        for index in np.argwhere(moved).tolist():
+            x_sub = tuple(index[: len(subset)])
+            a_sub = tuple(index[len(subset) : 2 * len(subset)])
+            ctx = tuple(index[2 * len(subset) :])
+            violations.append(
+                NSViolation(
+                    subset,
+                    x_sub,
+                    a_sub,
+                    _merge(subset, x_sub, rest, (0,) * len(rest), n),
+                    _merge(subset, x_sub, rest, ctx, n),
+                    Fraction(int(first[x_sub + a_sub]), denominator),
+                    Fraction(int(marginal[x_sub + a_sub + ctx]), denominator),
+                )
+            )
+    return tuple(violations)
+
+
+def _no_signaling_reference(
+    behavior: Behavior, tol: float | None = None, strict: bool = False
+) -> NSReport:
+    """check_no_signaling as a loop over Fraction (or float) marginals.
+
+    The reference the dense path is tested against, and the path for float
+    tables, positive tolerances and denominators beyond int64.
+    """
+    n = behavior.parties
+    _check_ns_budget(behavior, strict)
     eps = _resolve_tol(behavior, tol)
     norm_tol = float(eps) if not behavior.exact else 0.0
     bad = behavior.normalization_errors(norm_tol)
@@ -198,17 +299,8 @@ def check_no_signaling(
         x, total = bad[0]
         raise ValueError(f"behavior is not normalized: sum at x={x} is {total}")
 
-    if strict:
-        subsets = [
-            s
-            for r in range(1, n)
-            for s in itertools.combinations(range(n), r)
-        ]
-    else:
-        subsets = [(k,) for k in range(n)] if n > 1 else []
-
     violations = []
-    for subset in subsets:
+    for subset in _ns_subsets(n, strict):
         rest = tuple(k for k in range(n) if k not in subset)
         sub_inputs = itertools.product(*(range(behavior.inputs[k]) for k in subset))
         for x_sub in sub_inputs:
@@ -400,6 +492,75 @@ class EquivalenceReport:
 
 
 def check_functional_locality_equivalence(
+    inputs: Sequence[int], outputs: Sequence[int], budget: int = DEFAULT_BUDGET
+) -> EquivalenceReport:
+    """Count the FNS and the factored tuples over small alphabets.
+
+    Both check_fns and is_factored are conjunctions of one property per
+    party, so a tuple passes either check iff each of its functions does:
+    the counts are products of per-party counts.  The two classifications
+    agree on every tuple iff they agree on every single-party function;
+    for the "only if", complete a disagreeing function with constant
+    functions, which pass both checks.  So each party's o_k^g functions of
+    the g-point input grid are classified once, by the two procedures
+    independently, as one integer array.  _equivalence_reference
+    enumerates the tuples themselves and is the tested reference; the
+    budget still counts the ∏ o_k^g tuples it would visit.  Raises
+    ValueError unless there is at least one party and every size is >= 1.
+    """
+    inputs = tuple(int(n) for n in inputs)
+    outputs = tuple(int(n) for n in outputs)
+    if len(inputs) != len(outputs):
+        raise ValueError("one input and one output alphabet size per party")
+    if not inputs:
+        raise ValueError("need at least one party")
+    if any(n < 1 for n in inputs + outputs):
+        raise ValueError("alphabet sizes must be >= 1")
+    total = math.prod(size ** math.prod(inputs) for size in outputs)
+    if total > budget:
+        raise BudgetExceededError(total, budget)
+
+    fns_count = 1
+    factored_count = 1
+    coincide = True
+    for k, size in enumerate(outputs):
+        functions = _party_functions(size, inputs)
+        others = tuple(1 + j for j in range(len(inputs)) if j != k)
+        # FNS: at each own input, constant over the other parties' inputs.
+        fns = np.all(functions.max(axis=others) == functions.min(axis=others), axis=1)
+        # Factored: the reading off the base context, broadcast, is f_k.
+        base = functions[(slice(None),) + tuple(
+            slice(None) if j == k else slice(0, 1) for j in range(len(inputs))
+        )]
+        factored = np.all(functions == base, axis=tuple(range(1, len(inputs) + 1)))
+        fns_count *= int(fns.sum())
+        factored_count *= int(factored.sum())
+        coincide = coincide and bool(np.array_equal(fns, factored))
+    return EquivalenceReport(
+        total=total,
+        fns_count=fns_count,
+        factored_count=factored_count,
+        coincide=coincide,
+    )
+
+
+def _party_functions(size: int, inputs: tuple[int, ...]) -> np.ndarray:
+    """Every function of the input grid into range(size), shape [size**g, *inputs].
+
+    Row r holds the r-th tuple of itertools.product(range(size), repeat=g)
+    over the grid in itertools.product order, the order in which
+    _equivalence_reference builds one party's functions.
+    """
+    g = math.prod(inputs)
+    rows = np.arange(size**g, dtype=np.int64)
+    functions = np.empty((size**g, g), dtype=np.min_scalar_type(size - 1))
+    for j in reversed(range(g)):
+        functions[:, j] = rows % size
+        rows //= size
+    return functions.reshape((size**g,) + inputs)
+
+
+def _equivalence_reference(
     inputs: Sequence[int], outputs: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> EquivalenceReport:
     """Brute-force the FNS ⇔ factored-form equivalence over small alphabets.

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Thin driver over the library: run simulations, verify behavior tables,
-run the measure-invariance test, and enumerate FNS function tuples.
+run the measure-invariance test, and count FNS function tuples.
 
 Exit codes are contract values: 0 success, 1 config or input error,
 2 simulate saw SIGNALING-INVALID trials, 3 a verification rejected.
@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--alpha", type=float, default=1e-3)
     inv.add_argument("--out", help="also write the JSON report here")
 
-    enu = sub.add_parser("enumerate-fns", help="brute-force FNS vs factored counts")
+    enu = sub.add_parser("enumerate-fns", help="count FNS vs factored function tuples")
     enu.add_argument("--inputs", type=_int_list, default=(2, 2), metavar="N1,N2,...")
     enu.add_argument("--outputs", type=_int_list, default=(2, 2), metavar="N1,N2,...")
     enu.add_argument("--budget", type=int, default=DEFAULT_BUDGET)

@@ -22,7 +22,6 @@ from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .bitstream import BitStream, generator_bits
 from .game import GameSpec, TrialRecord, run_trial, score_batch
@@ -584,6 +583,11 @@ def _sample_seed(seed: int, index: int) -> int:
     return child_seed(child_seed(seed, DOMAIN_INVARIANCE), index)
 
 
+# Roots hashed per block of the invariance histogram, so that its arrays
+# stay at a few hundred KiB however many samples are drawn.
+INVARIANCE_BLOCK = 1 << 16
+
+
 def _invariance_counts(
     samples: int, width: int, seed: int, iterations: int, sampler: str
 ) -> np.ndarray:
@@ -592,20 +596,25 @@ def _invariance_counts(
     Vectorized path; reproduces _invariance_counts_reference exactly (the
     reference walks the public stream API and is cross-checked in tests).
     The image bits are root bits iterations+1 .. iterations+width, read from
-    the one or two hash words that hold them.
+    the one or two hash words that hold them, INVARIANCE_BLOCK roots at a
+    time.
     """
-    roots = child_seed_np(child_seed(seed, DOMAIN_INVARIANCE), np.arange(samples))
+    base = child_seed(seed, DOMAIN_INVARIANCE)
     q, r = divmod(iterations, 64)
-    window = child_seed_np(roots, 2 * q) >> np.uint64(r)
-    if r + width > 64:
-        # r >= 1 here (width < 64), so the shift below stays under 64.
-        window |= child_seed_np(roots, 2 * q + 2) << np.uint64(64 - r)
-    window &= np.uint64((1 << width) - 1)
-    if sampler == ADVERSARIAL:
-        low = window & np.uint64(1)
-        window = (window & ~np.uint64(2)) | (low << np.uint64(1))
     rev = _bit_reversal_table(width)
-    return np.bincount(rev[window.astype(np.int64)], minlength=1 << width)
+    counts = np.zeros(1 << width, dtype=np.int64)
+    for start in range(0, samples, INVARIANCE_BLOCK):
+        roots = child_seed_np(base, np.arange(start, min(start + INVARIANCE_BLOCK, samples)))
+        window = child_seed_np(roots, 2 * q) >> np.uint64(r)
+        if r + width > 64:
+            # r >= 1 here (width < 64), so the shift below stays under 64.
+            window |= child_seed_np(roots, 2 * q + 2) << np.uint64(64 - r)
+        window &= np.uint64((1 << width) - 1)
+        if sampler == ADVERSARIAL:
+            low = window & np.uint64(1)
+            window = (window & ~np.uint64(2)) | (low << np.uint64(1))
+        counts += np.bincount(rev[window.astype(np.int64)], minlength=1 << width)
+    return counts
 
 
 def _invariance_counts_reference(
@@ -656,6 +665,10 @@ def invariance_test(
     if sampler == ADVERSARIAL and width < 2:
         raise ValueError("adversarial sampler needs at least 4 bins")
     counts = _invariance_counts(samples, width, seed, iterations, sampler)
+    # Imported here: scipy.stats is most of the package's import time, and
+    # this is its only use.
+    from scipy import stats
+
     statistic, pvalue = stats.chisquare(counts)
     return InvarianceReport(
         samples=samples,

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import nsgames.behavior as behavior_module
 from nsgames.behavior import (
     DEFAULT_BUDGET,
     Behavior,
@@ -25,6 +26,7 @@ from nsgames.behavior import (
     signaling_box,
     uniform_noise_box,
 )
+from nsgames.behavior import _equivalence_reference, _no_signaling_reference
 
 
 def ref_single_party_marginals(behavior):
@@ -286,6 +288,61 @@ class TestEquivalenceEnumeration:
             check_functional_locality_equivalence([4, 4], [4, 4], budget=10**6)
         assert err.value.required == 4**16 * 4**16
 
+    def test_matches_reference_on_small_alphabets(self):
+        # Every alphabet of 1-3 parties with sizes 1-3 whose tuple count is
+        # at most 10**3 (336 alphabets): each party position, 1-input and
+        # 1-output parties included.
+        checked = 0
+        for parties in (1, 2, 3):
+            for inputs in itertools.product(range(1, 4), repeat=parties):
+                for outputs in itertools.product(range(1, 4), repeat=parties):
+                    g = math.prod(inputs)
+                    if math.prod(o**g for o in outputs) > 10**3:
+                        continue
+                    fast = check_functional_locality_equivalence(inputs, outputs)
+                    assert fast == _equivalence_reference(inputs, outputs), (inputs, outputs)
+                    checked += 1
+        assert checked == 336
+
+    @pytest.mark.parametrize(
+        "inputs, outputs", [((4, 2), (2, 2)), ((2, 2, 2), (2, 2, 1))]
+    )
+    def test_matches_reference_on_benchmark_alphabets(self, inputs, outputs):
+        fast = check_functional_locality_equivalence(inputs, outputs)
+        assert fast == _equivalence_reference(inputs, outputs)
+        assert fast.total == 65536
+
+    def test_classifies_beyond_the_reference(self):
+        # 3**18 tuples: out of the reference's reach, one 19683-row array
+        # per party here.
+        report = check_functional_locality_equivalence([3, 3], [3, 3], budget=3**18)
+        assert report.to_json() == {
+            "total": 3**18, "fns": 3**6, "factored": 3**6, "equal": True,
+        }
+
+    def test_party_functions_follow_product_order(self):
+        functions = behavior_module._party_functions(3, (2, 1, 2))
+        expected = list(itertools.product(range(3), repeat=4))
+        assert functions.shape == (81, 2, 1, 2)
+        assert [tuple(row.ravel().tolist()) for row in functions] == expected
+
+    @pytest.mark.parametrize(
+        "inputs, outputs",
+        [([0, 2], [2, 2]), ([2, 2], [0, 2]), ([2, -1], [2, 2]), ([], []), ([2], [2, 2])],
+    )
+    def test_bad_alphabets_rejected(self, inputs, outputs):
+        with pytest.raises(ValueError):
+            check_functional_locality_equivalence(inputs, outputs)
+
+    def test_budget_checked_before_any_array(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("function array built before the budget check")
+
+        monkeypatch.setattr(behavior_module, "_party_functions", refuse)
+        with pytest.raises(BudgetExceededError) as err:
+            check_functional_locality_equivalence([4, 4], [4, 4])
+        assert err.value.required == 4**32
+
 
 class TestNoSignalingBudget:
     def test_oversized_header_rejected_before_any_loop(self):
@@ -304,6 +361,132 @@ class TestNoSignalingBudget:
         with pytest.raises(BudgetExceededError) as err:
             check_no_signaling(box, strict=True)
         assert err.value.required == 3**10 * 30
+
+
+def random_local_mixture(rng, inputs, outputs, weights):
+    """A mixture of random deterministic local boxes: exact and no-signaling."""
+    table = {}
+    for weight in weights:
+        responses = [[rng.randrange(o) for _ in range(i)] for i, o in zip(inputs, outputs)]
+        for x in itertools.product(*(range(i) for i in inputs)):
+            a = tuple(responses[k][x[k]] for k in range(len(inputs)))
+            table[(x, a)] = table.get((x, a), Fraction(0)) + weight
+    return Behavior(len(inputs), tuple(inputs), tuple(outputs), table)
+
+
+def one_cell_perturbation(box, rng):
+    """Move one cell's mass to the cell that differs in party 1's output."""
+    cells = sorted(cell for cell, p in box.table.items() if p > 0)
+    x, a = cells[rng.randrange(len(cells))]
+    moved = ((a[0] + 1) % box.outputs[0],) + a[1:]
+    table = dict(box.table)
+    mass = table.pop((x, a))
+    table[(x, moved)] = table.get((x, moved), Fraction(0)) + mass
+    return Behavior(box.parties, box.inputs, box.outputs, table)
+
+
+def assert_same_report(box, tol=None, strict=False):
+    fast = check_no_signaling(box, tol=tol, strict=strict)
+    reference = _no_signaling_reference(box, tol=tol, strict=strict)
+    assert fast == reference
+    assert [str(v) for v in fast.violations] == [str(v) for v in reference.violations]
+    return fast
+
+
+def refuse_dense(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense table built")
+
+    monkeypatch.setattr(behavior_module, "_dense_table", refuse)
+
+
+class TestNoSignalingMatchesReference:
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_random_mixtures_and_perturbations(self, strict):
+        rng = random.Random(17)
+        signaling = 0
+        for _ in range(40):
+            parties = rng.randint(1, 3)
+            inputs = [rng.randint(1, 3) for _ in range(parties)]
+            outputs = [rng.randint(1, 3) for _ in range(parties)]
+            weights = rng.choice([
+                (Fraction(1),),
+                (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+                (Fraction(2, 7), Fraction(5, 7)),
+            ])
+            box = random_local_mixture(rng, inputs, outputs, weights)
+            assert assert_same_report(box, strict=strict).passed
+            bad = assert_same_report(one_cell_perturbation(box, rng), strict=strict)
+            signaling += not bad.passed
+        # Perturbations of 1-output or single-party boxes stay no-signaling;
+        # most others must not.
+        assert signaling >= 15
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_fixtures(self, strict):
+        for box in (pr_box(), signaling_box(), uniform_noise_box(), local_product_box()):
+            assert_same_report(box, strict=strict)
+        assert len(check_no_signaling(signaling_box(), strict=strict).violations) == 4
+
+    def test_three_party_subset_witnesses(self):
+        table = {}
+        for x in itertools.product(range(2), repeat=3):
+            for a12 in itertools.product(range(2), repeat=2):
+                a = (a12[0], a12[1], x[0] ^ x[1])
+                table[(x, a)] = table.get((x, a), Fraction(0)) + Fraction(1, 4)
+        box = Behavior(3, (2, 2, 2), (2, 2, 2), table)
+        report = assert_same_report(box, strict=True)
+        assert any(len(v.subset) == 2 for v in report.violations)
+
+    def test_float_table_takes_the_loop(self, monkeypatch):
+        table = {((x, y), (x, y)): 1.0 for x in range(2) for y in range(2)}
+        table[((1, 0), (0, 0))] = table.pop(((1, 0), (1, 0)))
+        box = Behavior(2, (2, 2), (2, 2), table)
+        refuse_dense(monkeypatch)
+        assert not assert_same_report(box, tol=1e-9).passed
+
+    def test_positive_tolerance_takes_the_loop(self, monkeypatch):
+        refuse_dense(monkeypatch)
+        assert not assert_same_report(signaling_box(), tol=Fraction(1, 10)).passed
+        assert assert_same_report(pr_box(), tol=0.5, strict=True).passed
+
+    def test_int64_overflow_takes_the_loop(self, monkeypatch):
+        # Two Mersenne-prime denominators: their LCM is about 2**92.
+        small, large = Fraction(1, 2**31 - 1), Fraction(1, 2**61 - 1)
+        table = {
+            ((0, 0), (0, 0)): small, ((0, 0), (1, 1)): 1 - small,
+            ((0, 1), (0, 1)): large, ((0, 1), (1, 1)): 1 - large,
+            ((1, 0), (0, 0)): Fraction(1), ((1, 1), (1, 0)): Fraction(1),
+        }
+        box = Behavior(2, (2, 2), (2, 2), table)
+        refuse_dense(monkeypatch)
+        report = assert_same_report(box, strict=True)
+        assert not report.passed
+        assert (report.violations[0].p_first, report.violations[0].p_other) == (small, large)
+
+    def test_zero_tolerance_stays_exact(self):
+        # The same violations as tol=None, including one of 1/(2**20).
+        tiny = Fraction(1, 2**20)
+        table = {((0, 0), (0, 0)): Fraction(1), ((0, 1), (0, 0)): 1 - tiny,
+                 ((0, 1), (1, 0)): tiny, ((1, 0), (1, 1)): Fraction(1),
+                 ((1, 1), (1, 1)): Fraction(1)}
+        box = Behavior(2, (2, 2), (2, 2), table)
+        report = assert_same_report(box, tol=0.0)
+        assert report == check_no_signaling(box)
+        assert str(report.violations[0]) == (
+            "marginal of parties {1} at inputs (0,) outputs (0,): 1 under "
+            "context (0, 0) vs 1048575/1048576 under context (0, 1)"
+        )
+
+    @pytest.mark.parametrize("check", [check_no_signaling, _no_signaling_reference])
+    def test_not_normalized_message(self, check):
+        box = Behavior(2, (2, 2), (2, 2), {
+            ((x, y), (0, 0)): Fraction(1) for x in range(2) for y in range(2)
+            if (x, y) != (1, 0)
+        } | {((1, 0), (0, 1)): Fraction(1, 3)})
+        with pytest.raises(ValueError) as err:
+            check(box)
+        assert str(err.value) == "behavior is not normalized: sum at x=(1, 0) is 1/3"
 
 
 class TestFnsNsCorrespondence:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import nsgames.behavior as behavior_module
 from nsgames.behavior import pr_box, signaling_box
 from nsgames.cli import main
 
@@ -308,6 +309,27 @@ class TestVerifyBehavior:
             assert code == 1
             assert "budget error" in err
 
+    def test_oversized_header_fails_before_the_dense_table(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("dense table built before the budget check")
+
+        monkeypatch.setattr(behavior_module, "_dense_table", refuse)
+        # 3**5 inputs x 3**5 outputs fit the budget only without --strict.
+        for parties, size, extra, required in (
+            (40, 2, (), 2**80), (40, 2, ("--strict",), 2**80 * (2**40 - 2)),
+            (5, 3, ("--strict",), 3**10 * 30),
+        ):
+            path = tmp_path / "wide.json"
+            path.write_text(json.dumps({
+                "parties": parties, "inputs": [size] * parties,
+                "outputs": [size] * parties, "table": [],
+            }))
+            code, _, err = run(capsys, "verify-behavior", str(path), *extra)
+            assert code == 1
+            assert f"budget error: enumeration needs {required} table cell visits" in err
+
 
 class TestInvarianceCommand:
     def test_uniform_passes(self, tmp_path, capsys):
@@ -352,6 +374,20 @@ class TestEnumerateFns:
         )
         assert code == 1
         assert "budget error" in err
+
+    def test_default_budget_names_the_tuple_count(self, capsys):
+        code, out, err = run(
+            capsys, "enumerate-fns", "--inputs", "4,4", "--outputs", "4,4",
+        )
+        assert code == 1
+        assert out == ""
+        assert f"budget error: enumeration needs {4**32} function tuples" in err
+
+    @pytest.mark.parametrize("inputs, outputs", [("0,2", "2,2"), ("2,2", "2,-1"), ("", "")])
+    def test_bad_alphabet_exit_one(self, capsys, inputs, outputs):
+        code, _, err = run(capsys, "enumerate-fns", "--inputs", inputs, "--outputs", outputs)
+        assert code == 1
+        assert "config error" in err
 
 
 class TestParser:

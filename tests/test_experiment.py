@@ -251,6 +251,14 @@ class TestInvariance:
         slow = _invariance_counts_reference(512, 4, 77, iterations, sampler)
         assert np.array_equal(fast, slow)
 
+    @pytest.mark.parametrize("sampler", [UNIFORM, ADVERSARIAL])
+    def test_blocks_sum_to_the_reference(self, monkeypatch, sampler):
+        # 512 roots in blocks of 100: five full blocks and a remainder.
+        monkeypatch.setattr(experiment, "INVARIANCE_BLOCK", 100)
+        fast = experiment._invariance_counts(512, 4, 77, 61, sampler)
+        slow = _invariance_counts_reference(512, 4, 77, 61, sampler)
+        assert np.array_equal(fast, slow)
+
     @pytest.mark.parametrize("iterations", [61, 64, 200])
     def test_deep_windows_stay_vectorized(self, monkeypatch, iterations):
         # Windows reaching past the first hash word are read from two words,
