@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -33,24 +34,27 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class BudgetExceededError(ValueError):
-    """Enumeration would exceed the allowed budget."""
+    """Enumeration would exceed the allowed budget.
 
-    def __init__(self, required: int, budget: int, what: str = "function tuples") -> None:
-        super().__init__(f"enumeration needs {required} {what}, budget is {budget}")
+    ``required`` is the exact count of steps, or None for a count too large
+    to build; ``log10_required`` then gives its decimal magnitude.
+    """
+
+    def __init__(self, required: int | None, budget: int, what: str = "function tuples",
+                 log10_required: float | None = None) -> None:
+        need = f"about 10^{log10_required:.1f}" if required is None else required
+        super().__init__(f"enumeration needs {need} {what}, budget is {budget}")
         self.required = required
+        self.log10_required = log10_required
         self.budget = budget
 
 
 def _parse_prob(value) -> Fraction | float:
     if isinstance(value, bool):
         raise ValueError(f"probability must be numeric, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         return value
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
+    if isinstance(value, (int, Fraction, str)):
         return Fraction(value)
     raise ValueError(f"cannot parse probability {value!r}")
 
@@ -179,8 +183,8 @@ def _resolve_tol(behavior: Behavior, tol: float | None) -> float | Fraction:
                 "behavior table contains floats; pass an explicit tolerance"
             )
         return Fraction(0)
-    if tol < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     return tol
 
 
@@ -327,9 +331,7 @@ def _no_signaling_reference(
 
 def _merge(subset: Vector, x_sub: Vector, rest: Vector, ctx: Vector, n: int) -> Vector:
     x = [0] * n
-    for k, v in zip(subset, x_sub):
-        x[k] = v
-    for k, v in zip(rest, ctx):
+    for k, v in zip(subset + rest, x_sub + ctx):
         x[k] = v
     return tuple(x)
 
@@ -504,9 +506,12 @@ def check_functional_locality_equivalence(
     functions, which pass both checks.  So each party's o_k^g functions of
     the g-point input grid are classified once, by the two procedures
     independently, as one integer array.  _equivalence_reference
-    enumerates the tuples themselves and is the tested reference; the
-    budget still counts the ∏ o_k^g tuples it would visit.  Raises
-    ValueError unless there is at least one party and every size is >= 1.
+    enumerates the tuples themselves and is the tested reference.
+
+    The budget counts the Σ_k o_k^g · g array cells classified, checked
+    before any array is built; the report's total is still the exact
+    ∏ o_k^g.  Raises ValueError unless there is at least one party and
+    every size is >= 1.
     """
     inputs = tuple(int(n) for n in inputs)
     outputs = tuple(int(n) for n in outputs)
@@ -516,32 +521,59 @@ def check_functional_locality_equivalence(
         raise ValueError("need at least one party")
     if any(n < 1 for n in inputs + outputs):
         raise ValueError("alphabet sizes must be >= 1")
-    total = math.prod(size ** math.prod(inputs) for size in outputs)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
+    _check_equivalence_budget(inputs, outputs, budget)
 
-    fns_count = 1
-    factored_count = 1
+    g = math.prod(inputs)
+    # Party k's functions as [rows, inputs before k, x_k, inputs after k];
+    # parties of one output size and one such grid classify alike.
+    shapes, before = [], 1
+    for n, size in zip(inputs, outputs):
+        shapes.append((size, before, n, g // (before * n)))
+        before *= n
+    fns_count = factored_count = 1
     coincide = True
-    for k, size in enumerate(outputs):
-        functions = _party_functions(size, inputs)
-        others = tuple(1 + j for j in range(len(inputs)) if j != k)
+    for (size, *grid), parties in Counter(shapes).items():
+        functions = _party_functions(size, tuple(grid))
         # FNS: at each own input, constant over the other parties' inputs.
-        fns = np.all(functions.max(axis=others) == functions.min(axis=others), axis=1)
+        fns = np.all(functions.max(axis=(1, 3)) == functions.min(axis=(1, 3)), axis=1)
         # Factored: the reading off the base context, broadcast, is f_k.
-        base = functions[(slice(None),) + tuple(
-            slice(None) if j == k else slice(0, 1) for j in range(len(inputs))
-        )]
-        factored = np.all(functions == base, axis=tuple(range(1, len(inputs) + 1)))
-        fns_count *= int(fns.sum())
-        factored_count *= int(factored.sum())
+        factored = np.all(functions == functions[:, :1, :, :1], axis=(1, 2, 3))
+        fns_count *= int(fns.sum()) ** parties
+        factored_count *= int(factored.sum()) ** parties
         coincide = coincide and bool(np.array_equal(fns, factored))
     return EquivalenceReport(
-        total=total,
+        total=math.prod(size**g for size in outputs),
         fns_count=fns_count,
         factored_count=factored_count,
         coincide=coincide,
     )
+
+
+def _check_equivalence_budget(
+    inputs: tuple[int, ...], outputs: tuple[int, ...], budget: int
+) -> None:
+    """Raise BudgetExceededError if the per-party classification would fill
+    more than budget cells: Σ_k o_k^g · g, for o_k^g functions of g points.
+
+    Compared as logarithms first, so a declaration beyond the budget fails
+    before any exact power, or g itself, is built; only a count that fits
+    the budget up to rounding is computed, and compared, exactly.
+    """
+    what = "response-function cells"
+    log_g = math.fsum(math.log(n) for n in inputs)
+    try:  # the terms' natural logs; exp overflows only for g beyond any budget
+        logs = [log_g + (math.exp(log_g) * math.log(o) if o > 1 else 0.0) for o in outputs]
+    except OverflowError:
+        logs = [math.inf]
+    top = max(logs)
+    if math.isfinite(top):
+        top += math.log(math.fsum(math.exp(x - top) for x in logs))
+    if budget < 1 or top > math.log(budget) * (1 + 1e-9) + 1e-9:
+        raise BudgetExceededError(None, budget, what, log10_required=top / math.log(10))
+    g = math.prod(inputs)
+    cells = g * sum(size**g for size in outputs)
+    if cells > budget:
+        raise BudgetExceededError(cells, budget, what)
 
 
 def _party_functions(size: int, inputs: tuple[int, ...]) -> np.ndarray:
@@ -575,9 +607,7 @@ def _equivalence_reference(
         raise ValueError("one input and one output alphabet size per party")
     grid = list(itertools.product(*(range(n) for n in inputs)))
     g = len(grid)
-    total = 1
-    for size in outputs:
-        total *= size**g
+    total = math.prod(size**g for size in outputs)
     if total > budget:
         raise BudgetExceededError(total, budget)
 

@@ -6,8 +6,9 @@ reports at every parallelism degree.  Aggregation works on integer
 counts first and converts to floats once, in a fixed order.
 
 Trials run in contiguous chunks.  A chunk of a strategy with a batch
-kernel is one array computation over the chunk's root bits and seeds; any
-other chunk plays each trial through ``run_trial``, the scalar reference.
+kernel is one array computation over the players' views and the chunk's
+seeds, scored against root bits the kernel is never handed; any other
+chunk plays each trial through ``run_trial``, the scalar reference.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bitstream import BitStream, generator_bits
 from .game import GameSpec, TrialRecord, run_trial, score_batch
-from .oracle import ChoiceOracle
 from .seeding import (
     DOMAIN_INVARIANCE,
     DOMAIN_ROOT,
@@ -109,7 +110,6 @@ def _run_one(cfg: ExperimentConfig, index: int) -> TrialRecord:
         players=cfg.players,
         root=trial_root(cfg.master_seed, index, cfg.override_depth),
         strategy=cfg.strategy,
-        oracle=ChoiceOracle(),
         trial_seed=derive(cfg.master_seed, DOMAIN_TRIAL, index),
         enforce_contracts=cfg.enforce_contracts,
         enable_backdoor=cfg.enable_backdoor,
@@ -141,13 +141,16 @@ def _run_chunk(cfg: ExperimentConfig, start: int, stop: int) -> list[TrialRecord
     """Records of trials start..stop-1, in order.
 
     Uses the strategy's batch kernel when it has one, and ``run_trial``
-    for each trial otherwise.
+    for each trial otherwise.  The kernel gets only the players' read-only
+    views (see ``Strategy.guess_batch``), not the root bits scored here.
     """
-    width = max(cfg.players + (cfg.strategy.view_bits or 0), cfg.override_depth)
+    m = cfg.strategy.view_bits
+    width = max(cfg.players + m, cfg.override_depth)
     root_seeds = _root_seeds(cfg, start, stop)
     bits = _root_bits(cfg, root_seeds, width)
+    views = sliding_window_view(bits[:, 1:], m, axis=1)[:, : cfg.players]
     trial_seeds = child_seed_np(child_seed(cfg.master_seed, DOMAIN_TRIAL), np.arange(start, stop))
-    outputs = cfg.strategy.guess_batch(bits, trial_seeds, root_seeds, cfg.players)
+    outputs = cfg.strategy.guess_batch(views, trial_seeds, root_seeds)
     if outputs is None:
         return [_run_one(cfg, t) for t in range(start, stop)]
     # The flipped bits 1..override_depth are the root's overrides, as
@@ -509,7 +512,6 @@ def martingale_audit(
     )
 
     bins: list[MartingaleBin] = []
-    tested = 0
     if records[0].s and len(records[0].s) > 1:
         condition = traj[:, :-1].ravel()
         step = s[:, 1:].ravel()
@@ -523,7 +525,6 @@ def martingale_audit(
             margin = z / math.sqrt(count)
             if count < min_bin_count:
                 continue
-            tested += 1
             bins.append(
                 MartingaleBin(
                     s_value=v,
@@ -537,7 +538,7 @@ def martingale_audit(
         trials=len(records),
         increments_ok=increments_ok,
         bins=tuple(bins),
-        bins_tested=tested,
+        bins_tested=len(bins),
     )
 
 

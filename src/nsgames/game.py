@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .bitstream import BitStream
-from .oracle import ChoiceOracle
 from .strategies import GuessContext, Strategy
 
 
@@ -31,7 +30,6 @@ class GameSpec:
     players: int
     root: BitStream
     strategy: Strategy
-    oracle: ChoiceOracle | None = None
     trial_seed: int = 0
     enforce_contracts: bool = True
     enable_backdoor: bool = False
@@ -115,13 +113,8 @@ def run_trial(spec: GameSpec) -> TrialRecord:
     view = root
     for k in range(1, spec.players + 1):
         view = view.baker_shift()
-        ctx = GuessContext(
-            player=k,
-            view=view,
-            shared_seed=spec.trial_seed,
-            oracle=spec.oracle,
-            root=backdoor_root,
-        )
+        ctx = GuessContext(player=k, view=view, shared_seed=spec.trial_seed,
+                           root=backdoor_root)
         a = spec.strategy.guess(ctx)
         if a not in (0, 1):
             raise ValueError(f"strategy {spec.strategy.name!r} returned non-bit {a!r}")

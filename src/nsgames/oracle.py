@@ -1,9 +1,11 @@
 """Choice oracle over eventual-equality classes.
 
 Every stream belongs to a class of streams that agree beyond
-some finite index.  The oracle hands back one fixed member per class, the
-shared "pre-agreed" selection all players consult.  The member is derived
-from the class structure itself, so the selection needs no stored state.
+some finite index.  ``canonical_representative(class_of(s))`` hands back
+one fixed member of s's class, the shared "pre-agreed" selection all
+players consult.  The member is derived from the class structure itself,
+so the selection needs no stored state and is freely shared across
+players, trials and processes.
 """
 
 from __future__ import annotations
@@ -34,18 +36,6 @@ def canonical_representative(handle: ClassHandle) -> BitStream:
     """The member singled out by the class structure alone: the pristine
     base stream with no overrides."""
     return BitStream.generator(handle.seed, handle.shift)
-
-
-class ChoiceOracle:
-    """Shared selection of one representative per class.
-
-    Stateless: every lookup returns the canonical representative, so the
-    oracle is pure and freely shared across players, trials and processes.
-    """
-
-    def representative(self, member: BitStream) -> BitStream:
-        """The fixed representative of `member`'s class."""
-        return canonical_representative(class_of(member))
 
 
 def disagreement_bound(member: BitStream, rep: BitStream) -> int:

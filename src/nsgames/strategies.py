@@ -1,9 +1,8 @@
 """Player strategies.
 
-A strategy turns one player's context (its view stream, private randomness,
-and optionally the shared choice oracle) into a single output bit.  The
-referee quarantines trials in which a strategy read the root through the
-test-only backdoor.
+A strategy turns one player's context (its view stream and private
+randomness) into a single output bit.  The referee quarantines trials in
+which a strategy read the root through the test-only backdoor.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .bitstream import BitStream, generator_bits
-from .oracle import ChoiceOracle
+from .oracle import canonical_representative, class_of
 from .seeding import (
     DOMAIN_PLAYER,
     DOMAIN_SHARED,
@@ -39,20 +38,12 @@ class GuessContext:
     that marks the trial SIGNALING-INVALID.
     """
 
-    __slots__ = ("player", "view", "oracle", "shared_seed", "_rng", "_root",
-                 "forbidden_used")
+    __slots__ = ("player", "view", "shared_seed", "_rng", "_root", "forbidden_used")
 
-    def __init__(
-        self,
-        player: int,
-        view: BitStream,
-        shared_seed: int,
-        oracle: ChoiceOracle | None = None,
-        root: BitStream | None = None,
-    ) -> None:
+    def __init__(self, player: int, view: BitStream, shared_seed: int,
+                 root: BitStream | None = None) -> None:
         self.player = player
         self.view = view
-        self.oracle = oracle
         self.shared_seed = shared_seed
         self._rng = None
         self._root = root
@@ -77,15 +68,15 @@ class GuessContext:
 class Strategy:
     """Base strategy: subclasses set `name` and implement guess.
 
-    A strategy whose guess reads nothing but its view bits, its view's seed
-    and its private or shared randomness may also implement
-    ``guess_batch``, the same function over a whole block of trials at
-    once.  ``run_trial`` stays the reference; the batch kernel must
-    reproduce it bit for bit.
+    A strategy whose guess reads nothing but its first ``view_bits`` view
+    bits, its view's seed and its private or shared randomness may also
+    implement ``guess_batch``, the same function over a whole block of
+    trials at once.  ``run_trial`` stays the reference; the batch kernel
+    must reproduce it bit for bit.
     """
 
     name = "?"
-    view_bits: int | None = 0
+    view_bits = 0
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -98,23 +89,18 @@ class Strategy:
         raise NotImplementedError
 
     def guess_batch(
-        self,
-        bits: np.ndarray,
-        trial_seeds: np.ndarray,
-        root_seeds: np.ndarray,
-        players: int,
+        self, views: np.ndarray, trial_seeds: np.ndarray, root_seeds: np.ndarray
     ) -> np.ndarray | None:
-        """Outputs of players 1..players over a block of trials, or None.
+        """Outputs of every player over a block of trials, or None.
 
-        ``bits[t, i - 1]`` is root bit i of trial t (player k's view bit j
-        is root bit k + j), for i up to players + view_bits;
-        ``trial_seeds[t]`` is the trial's shared seed; ``root_seeds[t]`` is
-        the seed of trial t's root, which every view of the trial carries
-        (``ctx.view.seed`` on the scalar path).  ``bits`` holds the targets
-        and the override flips, so a kernel reads from it only the view bits
-        its ``guess`` reads.  Returns a uint8 array of shape [trials,
-        players].  None means the strategy has no batch kernel and every
-        trial goes through ``run_trial``.
+        ``views`` is a read-only uint8 array of shape [trials, players,
+        view_bits]: ``views[t, k - 1, j - 1]`` is bit j of player k's view
+        in trial t (``ctx.view.bit_at(j)`` on the scalar path), which is
+        root bit k + j.  ``trial_seeds[t]`` is the trial's shared seed;
+        ``root_seeds[t]`` is the seed of trial t's root, which every view of
+        the trial carries (``ctx.view.seed``).  Returns a uint8 array of
+        shape [trials, players].  None means the strategy has no batch
+        kernel and every trial goes through ``run_trial``.
         """
         return None
 
@@ -128,29 +114,26 @@ class Strategy:
 class FnsStrategy(Strategy):
     """Choice-oracle strategy.
 
-    Pads the view back to root alignment with zeros, asks the shared oracle
-    for the class representative, and answers with the representative's bit
-    at the player's own index.  The padding fixes the class, so the guess
-    depends on nothing outside the player's view.
+    Pads the view back to root alignment with zeros, looks up the canonical
+    representative of its class (the choice all players share), and answers
+    with the representative's bit at the player's own index.  The padding
+    fixes the class, so the guess depends on nothing outside the player's
+    view.
     """
 
     name = "fns"
-    view_bits = None
 
     def guess(self, ctx: GuessContext) -> int:
-        if ctx.oracle is None:
-            raise ValueError("fns strategy needs a shared oracle")
         padded = ctx.view.pad_prefix_zeros(ctx.player)
-        rep = ctx.oracle.representative(padded)
+        rep = canonical_representative(class_of(padded))
         # Bit k of the representative = first bit after k-1 more shifts.
         return rep.bit_at(ctx.player)
 
-    def guess_batch(self, bits, trial_seeds, root_seeds, players):
+    def guess_batch(self, views, trial_seeds, root_seeds):
         # Player k's padded view is back at shift 0, so its class is
         # (root seed, 0) and the representative is the pristine generator
-        # of the root seed.  The root bits, which carry the targets and the
-        # flips, are never read.
-        return generator_bits(root_seeds, players)
+        # of the root seed.  No view bit is read (view_bits is 0).
+        return generator_bits(root_seeds, views.shape[1])
 
 
 class LocalTableStrategy(Strategy):
@@ -173,10 +156,10 @@ class LocalTableStrategy(Strategy):
             idx = (idx << 1) | ctx.view.bit_at(j)
         return self.table[idx]
 
-    def guess_batch(self, bits, trial_seeds, root_seeds, players):
-        idx = np.zeros((bits.shape[0], players), dtype=np.intp)
-        for j in range(1, self.view_bits + 1):
-            idx = (idx << 1) | bits[:, j : j + players]
+    def guess_batch(self, views, trial_seeds, root_seeds):
+        idx = np.zeros(views.shape[:2], dtype=np.intp)
+        for j in range(self.view_bits):
+            idx = (idx << 1) | views[:, :, j]
         return np.array(self.table, dtype=np.uint8)[idx]
 
     def params(self) -> dict:
@@ -187,7 +170,6 @@ class LocalRandomStrategy(Strategy):
     """Output 1 with probability p from private randomness; ignores the view."""
 
     name = "local-random"
-    view_bits = 0
 
     def __init__(self, p: float) -> None:
         if not 0.0 <= p <= 1.0:
@@ -197,12 +179,12 @@ class LocalRandomStrategy(Strategy):
     def guess(self, ctx: GuessContext) -> int:
         return ctx.rng.bernoulli(self.p)
 
-    def guess_batch(self, bits, trial_seeds, root_seeds, players):
+    def guess_batch(self, views, trial_seeds, root_seeds):
         # The first draw of player k's SplitRandom; the 53-bit integer and
         # its scaling by 2**-53 are exact in float64, as in random().
         player_seeds = child_seed_np(
             child_seed_np(trial_seeds, DOMAIN_PLAYER)[:, None],
-            np.arange(1, players + 1),
+            np.arange(1, views.shape[1] + 1),
         )
         draws = child_seed_np(player_seeds, 0) >> np.uint64(11)
         return (draws.astype(np.float64) * 2.0**-53 < self.p).astype(np.uint8)
@@ -251,13 +233,13 @@ class SharedMixtureStrategy(Strategy):
     def guess(self, ctx: GuessContext) -> int:
         return self.components[self._pick(ctx.shared_seed)].guess(ctx)
 
-    def guess_batch(self, bits, trial_seeds, root_seeds, players):
+    def guess_batch(self, views, trial_seeds, root_seeds):
         picks = np.array([self._pick(seed) for seed in trial_seeds.tolist()])
-        out = np.empty((bits.shape[0], players), dtype=np.uint8)
+        out = np.empty(views.shape[:2], dtype=np.uint8)
         for i, component in enumerate(self.components):
             rows = picks == i
             out[rows] = component.guess_batch(
-                bits[rows], trial_seeds[rows], root_seeds[rows], players
+                views[rows], trial_seeds[rows], root_seeds[rows]
             )
         return out
 
@@ -276,7 +258,6 @@ class CheatStrategy(Strategy):
     """
 
     name = "cheat"
-    view_bits = 0
 
     def guess(self, ctx: GuessContext) -> int:
         return ctx.root_bit(ctx.player)

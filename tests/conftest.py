@@ -10,7 +10,6 @@ from nsgames.experiment import (
     win_rate_report,
 )
 from nsgames.game import GameSpec, run_trial
-from nsgames.oracle import ChoiceOracle
 from nsgames.seeding import DOMAIN_TRIAL, derive
 
 
@@ -22,7 +21,6 @@ def _scalar_reference(cfg: ExperimentConfig) -> ExperimentResult:
                 players=cfg.players,
                 root=trial_root(cfg.master_seed, t, cfg.override_depth),
                 strategy=cfg.strategy,
-                oracle=ChoiceOracle(),
                 trial_seed=derive(cfg.master_seed, DOMAIN_TRIAL, t),
                 enforce_contracts=cfg.enforce_contracts,
                 enable_backdoor=cfg.enable_backdoor,

@@ -5,6 +5,7 @@ computations; run_trial plays one trial at a time.  For every config the
 two must write the same trial log and report, byte for byte.
 """
 
+import contextlib
 import random
 
 import numpy as np
@@ -13,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsgames.experiment as experiment
+import nsgames.strategies as strategies
 from nsgames.bitstream import BitStream
 from nsgames.experiment import ExperimentConfig, run_experiment
-from nsgames.oracle import ChoiceOracle
 from nsgames.seeding import GOLDEN, MASK64, child_seed, child_seed_np, mix64, mix64_np
 from nsgames.strategies import (
     STRATEGY_PARAMS,
@@ -52,10 +53,25 @@ def assert_same_bytes(result, reference):
     assert result.render_json() == reference.render_json()
 
 
-def kernel_args(trials, width, players):
-    bits = np.zeros((trials, width), dtype=np.uint8)
+def kernel_args(trials, players, m):
+    views = np.zeros((trials, players, m), dtype=np.uint8)
     seeds = np.zeros(trials, dtype=np.uint64)
-    return bits, seeds, seeds, players
+    return views, seeds, seeds
+
+
+class ViewRecorder(Strategy):
+    """Answers 0 everywhere and keeps the views its kernel was handed."""
+
+    def __init__(self, m):
+        self.view_bits = m
+        self.views = None
+
+    def guess(self, ctx):
+        return 0
+
+    def guess_batch(self, views, trial_seeds, root_seeds):
+        self.views = views
+        return np.zeros(views.shape[:2], dtype=np.uint8)
 
 
 class TestArrayHash:
@@ -130,6 +146,23 @@ class TestBatchEqualsScalar:
             root = experiment.trial_root(cfg.master_seed, t, cfg.override_depth)
             assert seed == root.seed
             assert row == root.bits(130)
+        # A kernel's views are read-only windows of these bits: player k's
+        # is root bits k + 1..k + m, so its own target, bit k, is never in it.
+        for depth in (0, 3):
+            for m in range(4):
+                recorder = ViewRecorder(m)
+                cfg = ExperimentConfig(
+                    strategy=recorder, players=4, trials=5, master_seed=8,
+                    override_depth=depth,
+                )
+                experiment._run_chunk(cfg, 2, 5)
+                views = recorder.views
+                assert views.shape == (3, 4, m)
+                assert not views.flags.writeable
+                for t in range(2, 5):
+                    root = experiment.trial_root(cfg.master_seed, t, depth)
+                    for k in range(1, 5):
+                        assert views[t - 2, k - 1, :].tolist() == root.bits(m, start=k + 1)
 
     @pytest.mark.parametrize("depth", [0, 3])
     def test_fns_unchanged(self, scalar_reference, monkeypatch, depth):
@@ -149,13 +182,41 @@ class TestBatchEqualsScalar:
         assert_same_bytes(run_experiment(cfg), reference)
 
     def test_fns_kernel_ignores_root_bits(self):
-        # The targets and flips live in bits; the kernel reads only seeds.
+        # The flips live in the view bits; the kernel reads only seeds.
         seeds = np.array([3, MASK64], dtype=np.uint64)
         strategy = build_strategy({"name": "fns"})
-        zeros = np.zeros((2, 40), dtype=np.uint8)
-        out = strategy.guess_batch(zeros, seeds, seeds, 40)
-        assert np.array_equal(out, strategy.guess_batch(1 - zeros, seeds, seeds, 40))
+        assert strategy.view_bits == 0
+        zeros = np.zeros((2, 40, 2), dtype=np.uint8)
+        out = strategy.guess_batch(zeros, seeds, seeds)
+        assert np.array_equal(out, strategy.guess_batch(1 - zeros, seeds, seeds))
         assert out.tolist() == [BitStream.generator(s).bits(40) for s in seeds.tolist()]
+
+
+class TestKernelIsolation:
+    def test_writing_kernel_cannot_raise_its_score(self, scalar_reference):
+        players = 32
+
+        class Overwriter(Strategy):
+            """Tries to zero whatever array it is handed first, targets
+            included, then answers 0 everywhere."""
+
+            view_bits = 1
+
+            def guess(self, ctx):
+                return 0
+
+            def guess_batch(self, data, *seeds):
+                with contextlib.suppress(ValueError):
+                    data[...] = 0
+                return np.zeros((data.shape[0], players), dtype=np.uint8)
+
+        cfg = ExperimentConfig(
+            strategy=Overwriter(), players=players, trials=200, master_seed=1
+        )
+        result = run_experiment(cfg)
+        assert result.win.invalid_trials == 0
+        assert result.win.pooled_freq < 0.55
+        assert_same_bytes(result, scalar_reference(cfg))
 
 
 class TestScalarOnly:
@@ -164,18 +225,24 @@ class TestScalarOnly:
                   "shared-mixture": {"tables": [[0, 1]]}}
         for name in STRATEGY_PARAMS:
             strategy = build_strategy({"name": name, **params.get(name, {})})
-            outputs = strategy.guess_batch(*kernel_args(1, 8, 4))
+            outputs = strategy.guess_batch(*kernel_args(1, 4, strategy.view_bits))
             assert (outputs is None) == (name == "cheat"), name
 
     def test_fns_reference_asks_oracle_once_per_player(self, monkeypatch):
-        asked = []
-        representative = ChoiceOracle.representative
+        asked, handles = [], []
+        class_of = strategies.class_of
+        canonical_representative = strategies.canonical_representative
 
-        def spy(oracle, member):
+        def class_spy(member):
             asked.append(member)
-            return representative(oracle, member)
+            return class_of(member)
 
-        monkeypatch.setattr(ChoiceOracle, "representative", spy)
+        def representative_spy(handle):
+            handles.append(handle)
+            return canonical_representative(handle)
+
+        monkeypatch.setattr(strategies, "class_of", class_spy)
+        monkeypatch.setattr(strategies, "canonical_representative", representative_spy)
         cfg = ExperimentConfig(
             strategy=build_strategy({"name": "fns"}),
             players=7,
@@ -189,6 +256,7 @@ class TestScalarOnly:
         assert [(m.seed, m.shift, m.zero_prefix) for m in asked] == [
             (root.seed, 0, k) for k in range(1, 8)
         ]
+        assert [(h.seed, h.shift) for h in handles] == [(root.seed, 0)] * 7
 
     def test_fns_subclass_overriding_guess_stays_scalar(self, scalar_reference):
         class Contrary(FnsStrategy):
@@ -196,7 +264,7 @@ class TestScalarOnly:
                 return 1 - super().guess(ctx)
 
         strategy = Contrary()
-        assert strategy.guess_batch(*kernel_args(1, 8, 4)) is None
+        assert strategy.guess_batch(*kernel_args(1, 4, 0)) is None
         cfg = ExperimentConfig(strategy=strategy, players=8, trials=4, master_seed=3)
         result = run_experiment(cfg)
         assert_same_bytes(result, scalar_reference(cfg))
@@ -208,7 +276,7 @@ class TestScalarOnly:
                 return 1 - super().guess(ctx)
 
         strategy = Inverted([0, 1])
-        assert strategy.guess_batch(*kernel_args(1, 8, 4)) is None
+        assert strategy.guess_batch(*kernel_args(1, 4, 1)) is None
         cfg = ExperimentConfig(strategy=strategy, players=8, trials=6, master_seed=1)
         result = run_experiment(cfg)
         assert_same_bytes(result, scalar_reference(cfg))
@@ -225,10 +293,10 @@ class TestScalarOnly:
             def guess(self, ctx):
                 return 0
 
-            def guess_batch(self, bits, trial_seeds, root_seeds, players):
-                return np.zeros((bits.shape[0], players), dtype=np.uint8)
+            def guess_batch(self, views, trial_seeds, root_seeds):
+                return np.zeros(views.shape[:2], dtype=np.uint8)
 
-        outputs = Both().guess_batch(*kernel_args(2, 3, 3))
+        outputs = Both().guess_batch(*kernel_args(2, 3, 0))
         assert outputs.shape == (2, 3)
 
     def test_quarantined_cheat_unchanged(self, scalar_reference):

@@ -157,6 +157,13 @@ class TestCheckNoSignaling:
             check_no_signaling(b)
         assert check_no_signaling(b, tol=1e-9).passed
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # Every comparison with NaN is false, so a NaN tolerance would pass
+        # the signaling box; an infinite one would pass anything.
+        with pytest.raises(ValueError, match="finite"):
+            check_no_signaling(signaling_box(), tol=tol)
+
     def test_float_tolerance_applied(self):
         eps = 1e-12
         table = {}
@@ -284,9 +291,15 @@ class TestEquivalenceEnumeration:
         assert report.fns_count == 4
 
     def test_budget_enforced(self):
+        # The budget counts cells: 2 parties x 4**16 functions x 16 points.
         with pytest.raises(BudgetExceededError) as err:
             check_functional_locality_equivalence([4, 4], [4, 4], budget=10**6)
-        assert err.value.required == 4**16 * 4**16
+        assert err.value.required is None
+        assert err.value.log10_required == pytest.approx(37 * math.log10(2))
+        # (2,2)/(2,2) fills 2 x 2**4 x 4 = 128 cells.
+        assert check_functional_locality_equivalence([2, 2], [2, 2], budget=128).total == 256
+        with pytest.raises(BudgetExceededError):
+            check_functional_locality_equivalence([2, 2], [2, 2], budget=127)
 
     def test_matches_reference_on_small_alphabets(self):
         # Every alphabet of 1-3 parties with sizes 1-3 whose tuple count is
@@ -314,11 +327,19 @@ class TestEquivalenceEnumeration:
 
     def test_classifies_beyond_the_reference(self):
         # 3**18 tuples: out of the reference's reach, one 19683-row array
-        # per party here.
-        report = check_functional_locality_equivalence([3, 3], [3, 3], budget=3**18)
+        # per party here, 2 x 3**9 x 9 cells within the default budget.
+        report = check_functional_locality_equivalence([3, 3], [3, 3])
         assert report.to_json() == {
             "total": 3**18, "fns": 3**6, "factored": 3**6, "equal": True,
         }
+
+    def test_many_parties_classify(self):
+        # 15000 parties of one input and two outputs: 30000 cells, past
+        # numpy's 64 axes and with a 4516-digit exact total.
+        report = check_functional_locality_equivalence([1] * 15000, [2] * 15000)
+        assert report == behavior_module.EquivalenceReport(
+            total=2**15000, fns_count=2**15000, factored_count=2**15000, coincide=True
+        )
 
     def test_party_functions_follow_product_order(self):
         functions = behavior_module._party_functions(3, (2, 1, 2))
@@ -341,7 +362,41 @@ class TestEquivalenceEnumeration:
         monkeypatch.setattr(behavior_module, "_party_functions", refuse)
         with pytest.raises(BudgetExceededError) as err:
             check_functional_locality_equivalence([4, 4], [4, 4])
-        assert err.value.required == 4**32
+        assert err.value.required is None
+        assert "about 10^11.1 response-function cells" in str(err.value)
+        # A count within rounding of the budget is compared exactly.
+        with pytest.raises(BudgetExceededError) as err:
+            check_functional_locality_equivalence([1], [10**10], budget=10**10 - 1)
+        assert err.value.required == 10**10
+
+    @pytest.mark.parametrize(
+        "inputs, outputs",
+        [([100, 100], [2, 2]), ([10**6], [2]), ([2] * 1100, [1] * 1100)],
+    )
+    def test_huge_declarations_fail_fast(self, monkeypatch, inputs, outputs):
+        # Their exact counts have thousands of digits or more: the check
+        # must fail on logarithms, before any exact power is built.
+        def refuse(*args):
+            raise AssertionError("function array built before the budget check")
+
+        monkeypatch.setattr(behavior_module, "_party_functions", refuse)
+        with pytest.raises(BudgetExceededError, match="response-function cells") as err:
+            check_functional_locality_equivalence(inputs, outputs)
+        assert err.value.required is None
+        assert err.value.log10_required > 6
+
+    @pytest.mark.parametrize(
+        "inputs, outputs, log10",
+        [((10**6, 10**6), (2, 2), 10**12 * math.log10(2)), ((10**400,), (2,), math.inf),
+         ((2,) * 1100, (2,) * 1100, math.inf)],
+        ids=["million-squared-grid", "googol-power-grid", "1100-parties"],
+    )
+    def test_budget_past_float_range(self, inputs, outputs, log10):
+        # Only the budget check is called: the exact powers here would not
+        # fit in memory.
+        with pytest.raises(BudgetExceededError) as err:
+            behavior_module._check_equivalence_budget(inputs, outputs, DEFAULT_BUDGET)
+        assert err.value.log10_required == pytest.approx(log10, rel=1e-6)
 
 
 class TestNoSignalingBudget:

@@ -1,5 +1,6 @@
 """End-to-end command line coverage: exit codes, files, formats."""
 
+import decimal
 import json
 import os
 import subprocess
@@ -330,6 +331,22 @@ class TestVerifyBehavior:
             assert code == 1
             assert f"budget error: enumeration needs {required} table cell visits" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exit_one(self, tmp_path, capsys, tol):
+        path = write_box(tmp_path, signaling_box())
+        code, out, err = run(capsys, "verify-behavior", path, "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert "input error: tolerance must be finite" in err
+
+    def test_ambiguous_deterministic_reading_exit_one(self, tmp_path, capsys):
+        # Under a tolerance of 0.6 each PR-box entry, 1/2, reads as certain.
+        path = write_box(tmp_path, pr_box())
+        code, out, err = run(capsys, "verify-behavior", path, "--tol", "0.6")
+        assert code == 1
+        assert out == ""
+        assert "input error: two certain outcomes" in err
+
 
 class TestInvarianceCommand:
     def test_uniform_passes(self, tmp_path, capsys):
@@ -375,13 +392,37 @@ class TestEnumerateFns:
         assert code == 1
         assert "budget error" in err
 
-    def test_default_budget_names_the_tuple_count(self, capsys):
+    def test_default_budget_names_the_cell_count(self, capsys):
         code, out, err = run(
             capsys, "enumerate-fns", "--inputs", "4,4", "--outputs", "4,4",
         )
         assert code == 1
         assert out == ""
-        assert f"budget error: enumeration needs {4**32} function tuples" in err
+        # 2 parties x 4**16 functions x 16 points = 2**37 cells.
+        assert "budget error: enumeration needs about 10^11.1 response-function cells" in err
+
+    def test_huge_alphabet_is_a_budget_error(self, capsys):
+        code, out, err = run(
+            capsys, "enumerate-fns", "--inputs", "100,100", "--outputs", "2,2",
+        )
+        assert code == 1
+        assert out == ""
+        assert "budget error: enumeration needs about 10^3014.6" in err
+
+    def test_counts_beyond_the_int_digit_limit_printed(self, capsys):
+        # 15000 parties of one input and two outputs fit the budget; their
+        # total, 2**15000, has 4516 digits.
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(
+            capsys, "enumerate-fns",
+            "--inputs", ",".join(["1"] * 15000), "--outputs", ",".join(["2"] * 15000),
+        )
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        total = out.split('"total": ')[1].split()[0]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5000
+            assert total == str(decimal.Decimal(2) ** 15000)
 
     @pytest.mark.parametrize("inputs, outputs", [("0,2", "2,2"), ("2,2", "2,-1"), ("", "")])
     def test_bad_alphabet_exit_one(self, capsys, inputs, outputs):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from nsgames.bitstream import BitStream
 from nsgames.game import GameSpec, TrialRecord, run_trial, winner_threshold
-from nsgames.oracle import ChoiceOracle
 from nsgames.strategies import (
     CheatStrategy,
     FnsStrategy,
@@ -155,8 +154,7 @@ class TestWinnerThreshold:
 class TestRunTrial:
     def test_fns_on_pristine_root_all_win(self):
         spec = GameSpec(
-            64, BitStream.generator(42), FnsStrategy(),
-            oracle=ChoiceOracle(), trial_seed=7,
+            64, BitStream.generator(42), FnsStrategy(), trial_seed=7,
         )
         rec = run_trial(spec)
         assert all(s == 1 for s in rec.s)
@@ -171,7 +169,7 @@ class TestRunTrial:
         root = BitStream.generator(
             42, overrides={1: 1 - base.bit_at(1), 2: 1 - base.bit_at(2)}
         )
-        spec = GameSpec(64, root, FnsStrategy(), oracle=ChoiceOracle())
+        spec = GameSpec(64, root, FnsStrategy())
         rec = run_trial(spec)
         assert [k for k in range(1, 65) if rec.s[k - 1] == -1] == [1, 2]
         assert rec.threshold == 2
@@ -182,7 +180,7 @@ class TestRunTrial:
         base = BitStream.generator(seed)
         overrides = {i: 1 - base.bit_at(i) for i in range(1, depth + 1)}
         root = BitStream.generator(seed, overrides=overrides)
-        spec = GameSpec(32, root, FnsStrategy(), oracle=ChoiceOracle())
+        spec = GameSpec(32, root, FnsStrategy())
         rec = run_trial(spec)
         assert rec.threshold <= depth
         assert all(s == 1 for s in rec.s[depth:])
@@ -225,8 +223,7 @@ class TestRunTrial:
 
     def test_fns_never_flagged(self):
         spec = GameSpec(
-            16, BitStream.generator(3), FnsStrategy(),
-            oracle=ChoiceOracle(), enable_backdoor=True,
+            16, BitStream.generator(3), FnsStrategy(), enable_backdoor=True,
         )
         assert run_trial(spec).valid
 

@@ -1,16 +1,11 @@
-"""Class handles, representatives, and the choice oracle."""
+"""Class handles, canonical representatives, and the disagreement bound."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsgames.bitstream import BitStream, eventually_equal
-from nsgames.oracle import (
-    ChoiceOracle,
-    canonical_representative,
-    class_of,
-    disagreement_bound,
-)
+from nsgames.oracle import canonical_representative, class_of, disagreement_bound
 
 # Small seed and shift ranges, so that pairs drawn from them often share a
 # class; edits and zero padding vary the member within its class.
@@ -77,24 +72,16 @@ class TestCanonicalRepresentative:
         rep = canonical_representative(class_of(s))
         assert eventually_equal(s, rep).is_equivalent
 
-
-class TestChoiceOracle:
-    def test_canonical_mode_is_pure(self):
-        oracle = ChoiceOracle()
+    def test_lookup_is_pure(self):
         member = BitStream.generator(9, overrides={2: 1})
-        assert oracle.representative(member) == oracle.representative(member)
-        assert oracle.representative(member) == BitStream.generator(9)
+        first = canonical_representative(class_of(member))
+        assert first == canonical_representative(class_of(member))
+        assert first == BitStream.generator(9)
 
-    def test_memoized_representative_is_member_of_class(self):
-        oracle = ChoiceOracle()
+    def test_overridden_member_is_in_class(self):
         member = BitStream.generator(1, overrides={1: 1})
-        rep = oracle.representative(member)
+        rep = canonical_representative(class_of(member))
         assert eventually_equal(member, rep).is_equivalent
-
-    def test_unknown_mode_rejected(self):
-        # The oracle has a single, canonical selection and takes no mode.
-        with pytest.raises(TypeError):
-            ChoiceOracle(mode="psychic")
 
 
 class TestDisagreementBound:

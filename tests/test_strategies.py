@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsgames.bitstream import BitStream
-from nsgames.oracle import ChoiceOracle
+from nsgames.oracle import canonical_representative, class_of
 from nsgames.seeding import DOMAIN_PLAYER, SplitRandom, derive
 from nsgames.strategies import (
     BackdoorDisabledError,
@@ -42,14 +42,8 @@ def ref_table_win_probability(table) -> Fraction:
     return Fraction(wins, total)
 
 
-def make_ctx(view, player=1, shared_seed=0, oracle=None, root=None):
-    return GuessContext(
-        player=player,
-        view=view,
-        shared_seed=shared_seed,
-        oracle=oracle,
-        root=root,
-    )
+def make_ctx(view, player=1, shared_seed=0, root=None):
+    return GuessContext(player=player, view=view, shared_seed=shared_seed, root=root)
 
 
 class TestLocalTable:
@@ -170,24 +164,16 @@ class TestSharedMixture:
 
 class TestFns:
     def test_guess_is_representative_bit(self):
-        oracle = ChoiceOracle()
         root = BitStream.generator(77)
         view = root.baker_shift().baker_shift().baker_shift()
-        guess = FnsStrategy().guess(make_ctx(view, player=3, oracle=oracle))
+        guess = FnsStrategy().guess(make_ctx(view, player=3))
         assert guess == root.bit_at(3)
 
-    def test_requires_oracle(self):
-        with pytest.raises(ValueError):
-            FnsStrategy().guess(make_ctx(BitStream.generator(1)))
-
     def test_first_player_guess_is_first_representative_bit(self):
-        oracle = ChoiceOracle()
         root = BitStream.generator(77, overrides={1: 1, 2: 0})
         view = root.baker_shift()
-        rep = oracle.representative(view.pad_prefix_zeros(1))
-        assert FnsStrategy().guess(make_ctx(view, player=1, oracle=oracle)) == (
-            rep.bit_at(1)
-        )
+        rep = canonical_representative(class_of(view.pad_prefix_zeros(1)))
+        assert FnsStrategy().guess(make_ctx(view, player=1)) == rep.bit_at(1)
 
     @settings(max_examples=30)
     @given(st.integers(0, 2**64 - 1), st.integers(1, 12))
@@ -195,7 +181,6 @@ class TestFns:
         # Edits to bits other players see (anything at index > k of the
         # root, i.e. inside the view, stays; here we edit bits <= k which
         # the view cannot contain) leave the padded class unchanged.
-        oracle = ChoiceOracle()
         root_plain = BitStream.generator(seed)
         root_edited = BitStream.generator(
             seed, overrides={i: 1 - root_plain.bit_at(i) for i in range(1, k + 1)}
@@ -207,7 +192,7 @@ class TestFns:
                 v = v.baker_shift()
             views.append(v)
         guesses = [
-            FnsStrategy().guess(make_ctx(v, player=k, oracle=oracle)) for v in views
+            FnsStrategy().guess(make_ctx(v, player=k)) for v in views
         ]
         assert guesses[0] == guesses[1]
 
@@ -228,9 +213,7 @@ class TestCheat:
         root = BitStream.generator(5)
         for strategy in (LocalTableStrategy([0, 1]), LocalRandomStrategy(0.5),
                          FnsStrategy()):
-            ctx = make_ctx(
-                root.baker_shift(), player=1, oracle=ChoiceOracle(), root=root
-            )
+            ctx = make_ctx(root.baker_shift(), player=1, root=root)
             strategy.guess(ctx)
             assert not ctx.forbidden_used
 
