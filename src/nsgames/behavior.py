@@ -29,6 +29,10 @@ Vector = tuple[int, ...]
 # The most steps one enumeration or behavior check may take.
 DEFAULT_BUDGET = 10**6
 
+# Budget errors name an exact count of up to this many digits, and only
+# the magnitude of a longer one, which would be slow to build and to print.
+_EXACT_COUNT_DIGITS = 100
+
 # The dense no-signaling check sums table rows in int64.
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -219,10 +223,21 @@ def check_no_signaling(
 
 
 def _check_ns_budget(behavior: Behavior, strict: bool) -> None:
-    cells = math.prod(behavior.inputs) * math.prod(behavior.outputs)
-    required = cells * max(1, 2**behavior.parties - 2) if strict else cells
+    """Raise BudgetExceededError if the input-by-output grid, times the
+    party subsets under strict, exceeds DEFAULT_BUDGET.
+
+    The count's logarithm comes first: a count of more than
+    _EXACT_COUNT_DIGITS digits is over budget without being built.
+    """
+    what = "table cell visits"
+    subsets = max(1, 2**behavior.parties - 2) if strict else 1
+    sizes = behavior.inputs + behavior.outputs
+    log10_required = math.fsum(map(math.log10, sizes)) + math.log10(subsets)
+    if log10_required > _EXACT_COUNT_DIGITS:
+        raise BudgetExceededError(None, DEFAULT_BUDGET, what, log10_required=log10_required)
+    required = math.prod(sizes) * subsets
     if required > DEFAULT_BUDGET:
-        raise BudgetExceededError(required, DEFAULT_BUDGET, "table cell visits")
+        raise BudgetExceededError(required, DEFAULT_BUDGET, what)
 
 
 def _ns_subsets(n: int, strict: bool) -> list[tuple[int, ...]]:

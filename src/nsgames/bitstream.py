@@ -3,7 +3,9 @@
 A stream stands for the binary expansion of a number in [0, 1] (or a row of
 hat colors).  Every stream is generator-backed: its bit at any index is a
 pure hash of a seed, standing in for a "generic" real.  The family is closed
-under the shift dynamics and finite bit edits.
+under the shift dynamics and finite bit edits.  Edits never reach past
+``max_override_index``, so two streams on the same (seed, shift) agree
+beyond it; ``oracle.class_of`` reads class identity off that pair.
 
 Streams are immutable values; every operation returns a new stream.  Working
 with streams rather than floats keeps the doubling dynamics exact: every bit
@@ -21,15 +23,6 @@ import numpy as np
 from .seeding import MASK64, child_seed, child_seed_np
 
 GENERATOR = "generator"
-
-# Scanning caps for searches that are guaranteed to terminate quickly for
-# honest generators but would loop forever on a degenerate bit function.
-_WITNESS_SCAN_CAP = 1 << 16
-
-
-class DegenerateStreamError(RuntimeError):
-    """Two structurally distinct generator streams agreed for far longer
-    than any honest hash allows."""
 
 
 @dataclass(frozen=True)
@@ -179,60 +172,6 @@ def generator_bits(seeds: np.ndarray, width: int) -> np.ndarray:
     words = child_seed_np(seeds[:, None], 2 * np.arange(-(-width // 64)))
     bits = (words[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
     return bits.astype(np.uint8).reshape(len(seeds), -1)[:, :width]
-
-
-@dataclass(frozen=True)
-class EquivalenceWitness:
-    """Outcome of the eventual-equality test.
-
-    ``equivalent`` carries a bound t with agreement at every index > t;
-    ``not_equivalent`` carries one index where the streams disagree (one of
-    the infinitely many that exist).
-    """
-
-    verdict: str
-    bound: int | None = None
-    witness: int | None = None
-
-    @classmethod
-    def equivalent(cls, bound: int) -> "EquivalenceWitness":
-        return cls("equivalent", bound=bound)
-
-    @classmethod
-    def not_equivalent(cls, witness: int) -> "EquivalenceWitness":
-        return cls("not_equivalent", witness=witness)
-
-    @property
-    def is_equivalent(self) -> bool:
-        return self.verdict == "equivalent"
-
-    @property
-    def is_not_equivalent(self) -> bool:
-        return self.verdict == "not_equivalent"
-
-
-def eventually_equal(s1: BitStream, s2: BitStream) -> EquivalenceWitness:
-    """Decide structurally whether two streams agree beyond some finite index.
-
-    Streams are compared by identity (seed and shift): equal structure
-    gives agreement beyond the overridden prefix, different structure yields
-    a scanned disagreement witness.
-    """
-    if (s1.seed, s1.shift) == (s2.seed, s2.shift):
-        bound = max(s1.max_override_index(), s2.max_override_index())
-        return EquivalenceWitness.equivalent(bound)
-    return EquivalenceWitness.not_equivalent(
-        _scan_disagreement(s1, s2, _WITNESS_SCAN_CAP)
-    )
-
-
-def _scan_disagreement(s1: BitStream, s2: BitStream, cap: int) -> int:
-    for i in range(1, cap + 1):
-        if s1.bit_at(i) != s2.bit_at(i):
-            return i
-    raise DegenerateStreamError(
-        f"structurally distinct streams agree on bits 1..{cap}"
-    )
 
 
 def _validated_overrides(

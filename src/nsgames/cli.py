@@ -165,20 +165,23 @@ def _simulate(args) -> int:
         if isinstance(strategy_arg, dict):
             strategy_arg = json.dumps(strategy_arg)
         strategy = parse_strategy_arg(strategy_arg)
-        allow_cheat = _resolve(args, "allow-cheat", file_cfg, False)
-        no_enforce = _resolve(args, "no-enforce", file_cfg, False)
-        azuma_n = _resolve(args, "azuma-n", file_cfg, None)
+        # What neither a flag nor the file sets keeps ExperimentConfig's default.
+        settings = {}
+        for key, field in (
+            ("root-override-depth", "override_depth"), ("azuma-n", "azuma_n"),
+            ("azuma-eps", "azuma_eps"), ("parallelism", "parallelism"),
+        ):
+            value = _resolve(args, key, file_cfg, None)
+            if value is not None:
+                settings[field] = tuple(value) if isinstance(value, list) else value
         cfg = ExperimentConfig(
             strategy=strategy,
             players=_resolve(args, "players", file_cfg, 64),
             trials=_resolve(args, "trials", file_cfg, 1000),
             master_seed=_resolve(args, "seed", file_cfg, 0),
-            override_depth=_resolve(args, "root-override-depth", file_cfg, 0),
-            azuma_n=tuple(azuma_n) if azuma_n is not None else None,
-            azuma_eps=tuple(_resolve(args, "azuma-eps", file_cfg, (4.0, 8.0, 16.0))),
-            parallelism=_resolve(args, "parallelism", file_cfg, 1),
-            enforce_contracts=not no_enforce,
-            enable_backdoor=allow_cheat,
+            enforce_contracts=not _resolve(args, "no-enforce", file_cfg, False),
+            enable_backdoor=_resolve(args, "allow-cheat", file_cfg, False),
+            **settings,
         )
     except (ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -42,6 +42,11 @@ SCHEMA_VERSION = 2
 UNIFORM = "uniform"
 ADVERSARIAL = "adversarial"
 
+# Half-width, in standard errors, of every report interval and margin.
+Z = 3.0
+# Fewest steps a martingale-audit bin needs before its mean is tested.
+MIN_BIN_COUNT = 100
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -307,7 +312,7 @@ class ExperimentResult:
         return "".join(r.to_json_line() + "\n" for r in self.records)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int, z: float = Z) -> tuple[float, float]:
     """Wilson score interval; stays put at frequency 0 and 1."""
     if not 0 <= successes <= trials:
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
@@ -334,7 +339,7 @@ def azuma_bound(n: int, epsilon: float) -> float:
     return 2.0 * math.exp(-(epsilon * epsilon) / (2.0 * n))
 
 
-def win_rate_report(records: Sequence[TrialRecord], players: int, z: float = 3.0) -> WinRateReport:
+def win_rate_report(records: Sequence[TrialRecord], players: int) -> WinRateReport:
     valid = [r for r in records if r.valid]
     invalid = [r for r in records if not r.valid]
     if invalid:
@@ -353,7 +358,7 @@ def win_rate_report(records: Sequence[TrialRecord], players: int, z: float = 3.0
     per_player = []
     for k in range(players):
         w = int(wins[k])
-        lo, hi = wilson_interval(w, scored, z)
+        lo, hi = wilson_interval(w, scored)
         per_player.append(
             PlayerRate(
                 player=k + 1,
@@ -367,7 +372,7 @@ def win_rate_report(records: Sequence[TrialRecord], players: int, z: float = 3.0
 
     total_wins = int(wins.sum())
     total = scored * players
-    pooled_lo, pooled_hi = wilson_interval(total_wins, total, z)
+    pooled_lo, pooled_hi = wilson_interval(total_wins, total)
     hist: dict[int, int] = {}
     for r in valid:
         hist[r.threshold] = hist.get(r.threshold, 0) + 1
@@ -385,10 +390,7 @@ def win_rate_report(records: Sequence[TrialRecord], players: int, z: float = 3.0
 
 
 def azuma_report(
-    records: Sequence[TrialRecord],
-    grid_n: Iterable[int],
-    grid_eps: Iterable[float],
-    z: float = 3.0,
+    records: Sequence[TrialRecord], grid_n: Iterable[int], grid_eps: Iterable[float]
 ) -> AzumaReport:
     valid = [r for r in records if r.valid]
     trials = len(valid)
@@ -404,7 +406,7 @@ def azuma_report(
             if trajectories is not None:
                 exceed = int((trajectories[:, n - 1] >= eps).sum())
                 freq = exceed / trials
-                _, hi = wilson_interval(exceed, trials, z)
+                _, hi = wilson_interval(exceed, trials)
                 margin = hi - freq
                 violation = freq > bound + margin
             else:
@@ -487,18 +489,15 @@ class MartingaleReport:
         }
 
 
-def martingale_audit(
-    records: Sequence[TrialRecord],
-    min_bin_count: int = 100,
-    z: float = 3.0,
-) -> MartingaleReport:
+def martingale_audit(records: Sequence[TrialRecord]) -> MartingaleReport:
     """Check the defining martingale properties on a trial log.
 
     Verifies every trajectory moves by exactly +-1, then estimates the
     conditional mean of the next step given the current partial sum by
-    binning on the value of S_n, pooled over n.  Under any local strategy
-    the mean in every bin should vanish; a drift (the FNS signature) shows
-    up as bins far outside their sampling margin.
+    binning on the value of S_n, pooled over n.  Bins of at least
+    MIN_BIN_COUNT steps are tested against a margin of Z standard errors.
+    Under any local strategy the mean in every bin should vanish; a drift
+    (the FNS signature) shows up as bins far outside their sampling margin.
     """
     if not records:
         raise ValueError("empty trial log")
@@ -518,16 +517,13 @@ def martingale_audit(
         offset = condition - condition.min()
         counts = np.bincount(offset)
         sums = np.bincount(offset, weights=step.astype(np.float64))
-        for pos in np.nonzero(counts)[0]:
-            v = int(pos + condition.min())
+        for pos in np.nonzero(counts >= MIN_BIN_COUNT)[0]:
             count = int(counts[pos])
             mean = float(sums[pos] / count)
-            margin = z / math.sqrt(count)
-            if count < min_bin_count:
-                continue
+            margin = Z / math.sqrt(count)
             bins.append(
                 MartingaleBin(
-                    s_value=v,
+                    s_value=int(pos + condition.min()),
                     count=count,
                     mean=mean,
                     margin=margin,

@@ -417,6 +417,19 @@ class TestNoSignalingBudget:
             check_no_signaling(box, strict=True)
         assert err.value.required == 3**10 * 30
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_huge_header_gives_the_magnitude(self, strict):
+        # 4**15000 cells (times 2**15000 - 2 subsets under strict): a count
+        # too long to build quickly or to print, so only its magnitude is named.
+        n = 15000
+        box = Behavior(parties=n, inputs=(2,) * n, outputs=(2,) * n, table={})
+        with pytest.raises(BudgetExceededError) as err:
+            check_no_signaling(box, strict=strict)
+        assert err.value.required is None
+        expected = n * math.log10(4) + (n * math.log10(2) if strict else 0.0)
+        assert err.value.log10_required == pytest.approx(expected)
+        assert err.value.budget == DEFAULT_BUDGET
+
 
 def random_local_mixture(rng, inputs, outputs, weights):
     """A mixture of random deterministic local boxes: exact and no-signaling."""

@@ -1,4 +1,5 @@
-"""Stream construction, bit access, shift dynamics, and equivalence."""
+"""Stream construction, bit access, shift dynamics, and eventual equality
+as ``oracle.class_of`` decides it."""
 
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsgames.bitstream import BitStream, EquivalenceWitness, eventually_equal
+from nsgames.bitstream import BitStream
+from nsgames.oracle import class_of, disagreement_bound
 from nsgames.seeding import child_seed
 
 
@@ -15,8 +17,7 @@ def with_prefix(bits, seed=0) -> BitStream:
     return BitStream.generator(seed, overrides=dict(enumerate(bits, start=1)))
 
 
-# Small seed, shift, edit and padding ranges, so that pairs drawn from them
-# often share a class.
+# Small seed and shift ranges, so that pairs often share a class.
 edited_streams = st.builds(
     lambda seed, shift, edits, pad: (
         BitStream.generator(seed, shift, edits).pad_prefix_zeros(pad)
@@ -187,62 +188,54 @@ class TestEventualEquality:
     def test_same_generator_equivalent(self):
         a = BitStream.generator(7)
         b = BitStream.generator(7, overrides={1: 0, 2: 1})
-        w = eventually_equal(a, b)
-        assert w.is_equivalent
-        assert w.bound == 2
+        assert class_of(a) == class_of(b)
+        assert b.max_override_index() == 2
+        assert a.bits(64, start=3) == b.bits(64, start=3)
 
     def test_distinct_generators_not_equivalent(self):
-        w = eventually_equal(BitStream.generator(1), BitStream.generator(2))
-        assert w.is_not_equivalent
         a, b = BitStream.generator(1), BitStream.generator(2)
-        assert a.bit_at(w.witness) != b.bit_at(w.witness)
+        assert class_of(a) != class_of(b)
+        assert a.bits(64) != b.bits(64)
+        with pytest.raises(ValueError):
+            disagreement_bound(a, b)
 
     def test_spec_bound_two(self):
         # A zero prefix of length 2 over the same base: bound 2.
         a = BitStream.generator(5).pad_prefix_zeros(2)
         b = BitStream.generator(5, shift=-2)
-        w = eventually_equal(a, b)
-        assert w.is_equivalent
-        assert w.bound == 2
+        assert class_of(a) == class_of(b)
+        assert a.max_override_index() == 2
         assert a.bits(20, start=3) == b.bits(20, start=3)
-
-    def test_antiphase_not_equivalent(self):
-        # One base read one step out of phase is a different class.
-        a, b = BitStream.generator(5), BitStream.generator(5, shift=1)
-        w = eventually_equal(a, b)
-        assert w.is_not_equivalent
-        assert a.bit_at(w.witness) != b.bit_at(w.witness)
-        assert a.bits(w.witness - 1) == b.bits(w.witness - 1)
-
-    def test_reflexive(self):
-        padded = BitStream.generator(11, shift=3, overrides={2: 1}).pad_prefix_zeros(4)
-        for s in (BitStream.generator(11), padded):
-            assert eventually_equal(s, s).is_equivalent
-
-    @given(st.integers(0, 2**32), st.integers(0, 2**32))
-    def test_symmetric(self, s1, s2):
-        a, b = BitStream.generator(s1), BitStream.generator(s2)
-        assert eventually_equal(a, b).verdict == eventually_equal(b, a).verdict
+        assert disagreement_bound(a, b) == max((i for i in (1, 2) if b.bit_at(i)), default=0)
 
     @settings(max_examples=40)
     @given(edited_streams, edited_streams)
     def test_verdicts_sound_on_generator_pairs(self, a, b):
-        w = eventually_equal(a, b)
-        assert w.is_equivalent != w.is_not_equivalent
-        if w.is_equivalent:
-            assert a.bits(64, start=w.bound + 1) == b.bits(64, start=w.bound + 1)
+        # Same class: the bits agree beyond the disagreement bound, and the
+        # bound itself is a real disagreement.  Different classes: some bit
+        # among the first 256 differs, and no bound is given.
+        if class_of(a) == class_of(b):
+            t = disagreement_bound(a, b)
+            assert a.bits(64, start=t + 1) == b.bits(64, start=t + 1)
+            assert t == 0 or a.bit_at(t) != b.bit_at(t)
         else:
-            assert a.bit_at(w.witness) != b.bit_at(w.witness)
+            assert a.bits(256) != b.bits(256)
+            with pytest.raises(ValueError):
+                disagreement_bound(a, b)
+
+    def test_antiphase_not_equivalent(self):
+        # One base read one step out of phase is a different class.
+        a, b = BitStream.generator(5), BitStream.generator(5, shift=1)
+        assert class_of(a) != class_of(b)
+        assert a.bits(64) != b.bits(64)
+        with pytest.raises(ValueError):
+            disagreement_bound(a, b)
 
     def test_shifted_twin_has_identical_structure(self):
         a = BitStream.generator(3, shift=1)
         b = BitStream.generator(3).baker_shift()
         assert a == b
-        assert eventually_equal(a, b).is_equivalent
-
-    def test_witness_constructors(self):
-        assert EquivalenceWitness.equivalent(3).bound == 3
-        assert EquivalenceWitness.not_equivalent(5).witness == 5
+        assert class_of(a) == class_of(b)
 
 
 class TestTruncatedValue:

@@ -331,6 +331,19 @@ class TestVerifyBehavior:
             assert code == 1
             assert f"budget error: enumeration needs {required} table cell visits" in err
 
+    def test_huge_header_is_a_budget_error(self, tmp_path, capsys):
+        # 15000 parties of two inputs and two outputs: 4**15000 cells, a
+        # count of 9031 digits, times 2**15000 - 2 party subsets under --strict.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "parties": 15000, "inputs": [2] * 15000, "outputs": [2] * 15000, "table": [],
+        }))
+        for extra, magnitude in (((), "9030.9"), (("--strict",), "13546.3")):
+            code, out, err = run(capsys, "verify-behavior", str(path), *extra)
+            assert code == 1
+            assert out == ""
+            assert f"budget error: enumeration needs about 10^{magnitude} table cell visits" in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_exit_one(self, tmp_path, capsys, tol):
         path = write_box(tmp_path, signaling_box())
@@ -441,6 +454,18 @@ class TestParser:
         )
         assert proc.returncode == 0, proc.stderr
         assert "simulate" in proc.stdout
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats is most of the import time and serves only the
+        # invariance test, which imports it when it runs.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import sys, nsgames, nsgames.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_no_command_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -239,8 +239,14 @@ class TestMartingaleAudit:
             make_record(tuple(rng.choice((-1, 1)) for _ in range(4)))
             for _ in range(20)
         ]
-        rep = martingale_audit(records, min_bin_count=100)
+        # 20 trials x 3 conditioned steps: no bin reaches 100.
+        rep = martingale_audit(records)
         assert rep.bins_tested == 0
+        # Two-step trials put their one conditioned step in the bin S = 1:
+        # 100 of them fill it, 99 do not.
+        full = [make_record((1, 1))] * 100
+        assert martingale_audit(full).bins_tested == 1
+        assert martingale_audit(full[1:]).bins_tested == 0
 
 
 class TestInvariance:

@@ -1,10 +1,12 @@
 """Class handles, canonical representatives, and the disagreement bound."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsgames.bitstream import BitStream, eventually_equal
+from nsgames.bitstream import BitStream
 from nsgames.oracle import canonical_representative, class_of, disagreement_bound
 
 # Small seed and shift ranges, so that pairs drawn from them often share a
@@ -37,8 +39,15 @@ class TestClassOf:
 
     @given(streams, streams)
     def test_handle_equality_tracks_eventual_equality(self, a, b):
-        same = class_of(a) == class_of(b)
-        assert same == eventually_equal(a, b).is_equivalent
+        # Equal handles: the bits agree beyond the larger max_override_index.
+        # Different handles: some bit among the first 256 differs.  b's edits
+        # moved onto a's class give an equal-handle pair on every draw.
+        for other in (b, replace(b, seed=a.seed, shift=a.shift)):
+            if class_of(a) == class_of(other):
+                t = max(a.max_override_index(), other.max_override_index())
+                assert a.bits(64, start=t + 1) == other.bits(64, start=t + 1)
+            else:
+                assert a.bits(256) != other.bits(256)
 
     @given(streams, st.integers(0, 10))
     def test_class_constant_along_padded_orbit(self, s, k):
@@ -57,7 +66,9 @@ class TestCanonicalRepresentative:
     @given(streams)
     def test_membership(self, s):
         rep = canonical_representative(class_of(s))
-        assert eventually_equal(s, rep).is_equivalent
+        t = s.max_override_index()
+        assert disagreement_bound(s, rep) <= t
+        assert s.bits(64, start=t + 1) == rep.bits(64, start=t + 1)
 
     @given(streams)
     def test_idempotent_on_representative(self, s):
@@ -70,7 +81,8 @@ class TestCanonicalRepresentative:
     def test_generator_membership(self, seed, shift):
         s = BitStream.generator(seed, shift, overrides={3: 1})
         rep = canonical_representative(class_of(s))
-        assert eventually_equal(s, rep).is_equivalent
+        assert disagreement_bound(s, rep) == (3 if rep.bit_at(3) == 0 else 0)
+        assert s.bits(64, start=4) == rep.bits(64, start=4)
 
     def test_lookup_is_pure(self):
         member = BitStream.generator(9, overrides={2: 1})
@@ -81,7 +93,8 @@ class TestCanonicalRepresentative:
     def test_overridden_member_is_in_class(self):
         member = BitStream.generator(1, overrides={1: 1})
         rep = canonical_representative(class_of(member))
-        assert eventually_equal(member, rep).is_equivalent
+        assert disagreement_bound(member, rep) == 1 - rep.bit_at(1)
+        assert member.bits(64, start=2) == rep.bits(64, start=2)
 
 
 class TestDisagreementBound:
@@ -98,7 +111,7 @@ class TestDisagreementBound:
             3, overrides={1: 1 - base.bit_at(1), 2: base.bit_at(2)}
         )
         rep = canonical_representative(class_of(member))
-        assert eventually_equal(member, rep).bound == 2
+        assert member.max_override_index() == 2
         assert disagreement_bound(member, rep) == 1
 
     def test_structural_example(self):
@@ -127,9 +140,16 @@ class TestDisagreementBound:
         rep = canonical_representative(class_of(member))
         assert disagreement_bound(member, rep) == 5
 
-    def test_rejects_inequivalent_pair(self):
-        with pytest.raises(ValueError):
-            disagreement_bound(BitStream.generator(1), BitStream.generator(2))
+    def test_rejects_inequivalent_pair(self, monkeypatch):
+        # Class identity is read off the handles; no bit is scanned first.
+        def refuse(self, i):
+            raise AssertionError("bit read while deciding the class")
+
+        monkeypatch.setattr(BitStream, "bit_at", refuse)
+        for a, b in ((BitStream.generator(1), BitStream.generator(2)),
+                     (BitStream.generator(5), BitStream.generator(5, shift=1))):
+            with pytest.raises(ValueError):
+                disagreement_bound(a, b)
 
     @settings(max_examples=50)
     @given(streams)
