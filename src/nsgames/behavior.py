@@ -35,6 +35,12 @@ _EXACT_COUNT_DIGITS = 100
 
 # The dense no-signaling check sums table rows in int64.
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Most axes an ndarray may have; the dense table has two per party.
+_MAX_DIMS = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
+
+# The keys of a behavior document and of one of its table entries.
+BEHAVIOR_KEYS = frozenset({"parties", "inputs", "outputs", "table"})
+ENTRY_KEYS = frozenset({"x", "a", "p"})
 
 
 class BudgetExceededError(ValueError):
@@ -61,6 +67,25 @@ def _parse_prob(value) -> Fraction | float:
     if isinstance(value, (int, Fraction, str)):
         return Fraction(value)
     raise ValueError(f"cannot parse probability {value!r}")
+
+
+def _check_keys(doc, keys: frozenset, what: str) -> None:
+    """Raise unless doc is a JSON object with exactly these keys."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    for problem, names in (("missing", keys - set(doc)), ("unknown", set(doc) - keys)):
+        if names:
+            raise ValueError(f"{what} has {problem} key " + ", ".join(map(repr, sorted(names))))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_vector(value, what: str) -> tuple[int, ...]:
+    if not (isinstance(value, (list, tuple)) and all(map(_is_int, value))):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -130,11 +155,19 @@ class Behavior:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Behavior":
+        """Parse the document to_json writes.  Keys are checked in full, and
+        sizes and vectors must be JSON integers, not booleans or floats."""
+        _check_keys(doc, BEHAVIOR_KEYS, "behavior")
+        if not _is_int(doc["parties"]):
+            raise ValueError(f"parties must be an integer, got {doc['parties']!r}")
+        if not isinstance(doc["table"], (list, tuple)):
+            raise ValueError(f"table must be a list of entries, got {doc['table']!r}")
         table = {}
         for i, entry in enumerate(doc["table"]):
             try:
-                x = tuple(int(v) for v in entry["x"])
-                a = tuple(int(v) for v in entry["a"])
+                _check_keys(entry, ENTRY_KEYS, "entry")
+                x = _int_vector(entry["x"], "x")
+                a = _int_vector(entry["a"], "a")
                 p = _parse_prob(entry["p"])
             except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
                 raise ValueError(f"table entry {i}: {exc}") from exc
@@ -142,9 +175,9 @@ class Behavior:
                 raise ValueError(f"table entry {i}: duplicate cell ({x}, {a})")
             table[(x, a)] = p
         return cls(
-            parties=int(doc["parties"]),
-            inputs=tuple(int(n) for n in doc["inputs"]),
-            outputs=tuple(int(n) for n in doc["outputs"]),
+            parties=doc["parties"],
+            inputs=_int_vector(doc["inputs"], "inputs"),
+            outputs=_int_vector(doc["outputs"], "outputs"),
             table=table,
         )
 
@@ -173,7 +206,6 @@ class NSViolation:
 @dataclass(frozen=True)
 class NSReport:
     violations: tuple[NSViolation, ...]
-    strict: bool
 
     @property
     def passed(self) -> bool:
@@ -206,19 +238,17 @@ def check_no_signaling(
     An exact table checked without tolerance is put on the common
     denominator of its entries as one dense integer array, and every
     marginal is compared at once; the report equals _no_signaling_reference
-    witness for witness.  Float tables, a positive tolerance, and a common
-    denominator too large for int64 sums go through that reference loop.
+    witness for witness.  Float tables, a positive tolerance, a common
+    denominator too large for int64 sums, and more parties than an ndarray
+    has axes for go through that reference loop.
     """
     _check_ns_budget(behavior, strict)
     eps = _resolve_tol(behavior, tol)
-    if behavior.exact and eps == 0:
+    if behavior.exact and eps == 0 and 2 * behavior.parties <= _MAX_DIMS:
         denominator = math.lcm(*(p.denominator for p in behavior.table.values()))
         if denominator * math.prod(behavior.outputs) <= _INT64_MAX:
             dense = _dense_table(behavior, denominator)
-            return NSReport(
-                violations=_dense_violations(behavior, dense, denominator, strict),
-                strict=strict,
-            )
+            return NSReport(_dense_violations(behavior, dense, denominator, strict))
     return _no_signaling_reference(behavior, tol, strict)
 
 
@@ -341,7 +371,7 @@ def _no_signaling_reference(
                         violations.append(
                             NSViolation(subset, x_sub, a_sub, first_x, x, first_p, p)
                         )
-    return NSReport(violations=tuple(violations), strict=strict)
+    return NSReport(tuple(violations))
 
 
 def _merge(subset: Vector, x_sub: Vector, rest: Vector, ctx: Vector, n: int) -> Vector:

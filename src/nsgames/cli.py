@@ -26,7 +26,7 @@ from .behavior import (
     is_deterministic_extremal,
 )
 from .experiment import SCHEMA_VERSION, ExperimentConfig, invariance_test, run_experiment
-from .strategies import BackdoorDisabledError, parse_strategy_arg
+from .strategies import BackdoorDisabledError, is_int, is_number, parse_strategy_arg
 
 OUT_DIR_ENV = "NSGAMES_OUT_DIR"
 
@@ -109,14 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _config_problem(file_cfg) -> str | None:
     """Why a parsed --config document is unusable, or None if it is fine."""
     if not isinstance(file_cfg, dict):
@@ -124,13 +116,15 @@ def _config_problem(file_cfg) -> str | None:
     unknown = sorted(set(file_cfg) - CONFIG_KEYS)
     if unknown:
         return "unknown key " + ", ".join(repr(k) for k in unknown)
+    if not isinstance(file_cfg.get("strategy", ""), (str, dict)):
+        return f"'strategy' must be a string or an object, got {file_cfg['strategy']!r}"
     for key in INT_CONFIG_KEYS:
-        if key in file_cfg and not _is_int(file_cfg[key]):
+        if key in file_cfg and not is_int(file_cfg[key]):
             return f"{key!r} must be an integer, got {file_cfg[key]!r}"
     for key in BOOL_CONFIG_KEYS:
         if key in file_cfg and not isinstance(file_cfg[key], bool):
             return f"{key!r} must be true or false, got {file_cfg[key]!r}"
-    lists = (("azuma-n", _is_int, "integers"), ("azuma-eps", _is_number, "numbers"))
+    lists = (("azuma-n", is_int, "integers"), ("azuma-eps", is_number, "numbers"))
     for key, ok, kind in lists:
         values = file_cfg.get(key)
         if values is not None and not (isinstance(values, list) and all(map(ok, values))):

@@ -18,8 +18,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, fields
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -188,6 +188,26 @@ def _plan(cfg: ExperimentConfig) -> tuple[list[tuple[int, int]], int]:
     return chunks, min(workers, len(chunks))
 
 
+def _row(report) -> dict:
+    """A report's fields by name, in declaration order."""
+    return vars(report).copy()
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    return repr(value)
+
+
+def _csv(row_class: type, rows: Iterable) -> str:
+    """A header of the row class's field names, then one line per row."""
+    lines = [",".join(f.name for f in fields(row_class))]
+    lines += [",".join(map(_cell, vars(row).values())) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class PlayerRate:
     player: int
@@ -212,33 +232,13 @@ class WinRateReport:
 
     def to_json(self) -> dict:
         return {
-            "players": self.players,
-            "scored_trials": self.scored_trials,
-            "invalid_trials": self.invalid_trials,
-            "invalid_raw_success_rate": self.invalid_raw_success_rate,
-            "per_player": [
-                {
-                    "player": r.player,
-                    "wins": r.wins,
-                    "trials": r.trials,
-                    "freq": r.freq,
-                    "lo": r.lo,
-                    "hi": r.hi,
-                }
-                for r in self.per_player
-            ],
-            "pooled_freq": self.pooled_freq,
-            "pooled_lo": self.pooled_lo,
-            "pooled_hi": self.pooled_hi,
+            **_row(self),
+            "per_player": [_row(r) for r in self.per_player],
             "threshold_hist": [list(pair) for pair in self.threshold_hist],
         }
 
     def to_csv(self) -> str:
-        lines = ["player,wins,trials,freq,lo,hi"]
-        for r in self.per_player:
-            freq = "" if r.freq is None else repr(r.freq)
-            lines.append(f"{r.player},{r.wins},{r.trials},{freq},{r.lo!r},{r.hi!r}")
-        return "\n".join(lines) + "\n"
+        return _csv(PlayerRate, self.per_player)
 
 
 @dataclass(frozen=True)
@@ -252,18 +252,6 @@ class AzumaPoint:
     margin: float
     violation: bool
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "exceed": self.exceed,
-            "trials": self.trials,
-            "freq": self.freq,
-            "bound": self.bound,
-            "margin": self.margin,
-            "violation": self.violation,
-        }
-
 
 @dataclass(frozen=True)
 class AzumaReport:
@@ -274,28 +262,27 @@ class AzumaReport:
         return sum(p.violation for p in self.points)
 
     def to_json(self) -> dict:
-        return {
-            "points": [p.to_json() for p in self.points],
-            "violations": self.violations,
-        }
+        return {"points": [_row(p) for p in self.points], "violations": self.violations}
 
     def to_csv(self) -> str:
-        lines = ["n,epsilon,exceed,trials,freq,bound,margin,violation"]
-        for p in self.points:
-            freq = "" if p.freq is None else repr(p.freq)
-            lines.append(
-                f"{p.n},{p.epsilon!r},{p.exceed},{p.trials},{freq},"
-                f"{p.bound!r},{p.margin!r},{int(p.violation)}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv(AzumaPoint, self.points)
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """A run's config and its trial records, in trial order; the reports
+    are computed from them on first use."""
+
     config: ExperimentConfig
     records: tuple[TrialRecord, ...]
-    win: WinRateReport
-    azuma: AzumaReport
+
+    @cached_property
+    def win(self) -> WinRateReport:
+        return win_rate_report(self.records, self.config.players)
+
+    @cached_property
+    def azuma(self) -> AzumaReport:
+        return azuma_report(self.records, self.config.azuma_n, self.config.azuma_eps)
 
     def to_json(self) -> dict:
         return {
@@ -412,22 +399,13 @@ def azuma_report(
             else:
                 exceed, freq, margin, violation = 0, None, 1.0, False
             points.append(
-                AzumaPoint(
-                    n=n,
-                    epsilon=float(eps),
-                    exceed=exceed,
-                    trials=trials,
-                    freq=freq,
-                    bound=bound,
-                    margin=margin,
-                    violation=violation,
-                )
+                AzumaPoint(n, float(eps), exceed, trials, freq, bound, margin, violation)
             )
     return AzumaReport(points=tuple(points))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the full trial ensemble and aggregate the standard reports.
+    """Run the full trial ensemble.
 
     Trial records are merged in trial-index order whatever the parallelism,
     and every derived quantity is a pure function of the ordered records,
@@ -441,13 +419,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(worker, starts, stops))
-    records = tuple(itertools.chain.from_iterable(parts))
-    return ExperimentResult(
-        config=cfg,
-        records=records,
-        win=win_rate_report(records, cfg.players),
-        azuma=azuma_report(records, cfg.azuma_n, cfg.azuma_eps),
-    )
+    return ExperimentResult(cfg, tuple(itertools.chain.from_iterable(parts)))
 
 
 @dataclass(frozen=True)
@@ -458,22 +430,16 @@ class MartingaleBin:
     margin: float
     ok: bool
 
-    def to_json(self) -> dict:
-        return {
-            "s_value": self.s_value,
-            "count": self.count,
-            "mean": self.mean,
-            "margin": self.margin,
-            "ok": self.ok,
-        }
-
 
 @dataclass(frozen=True)
 class MartingaleReport:
     trials: int
     increments_ok: bool
     bins: tuple[MartingaleBin, ...]
-    bins_tested: int
+
+    @property
+    def bins_tested(self) -> int:
+        return len(self.bins)
 
     @property
     def passed(self) -> bool:
@@ -481,9 +447,8 @@ class MartingaleReport:
 
     def to_json(self) -> dict:
         return {
-            "trials": self.trials,
-            "increments_ok": self.increments_ok,
-            "bins": [b.to_json() for b in self.bins],
+            **_row(self),
+            "bins": [_row(b) for b in self.bins],
             "bins_tested": self.bins_tested,
             "passed": self.passed,
         }
@@ -521,21 +486,9 @@ def martingale_audit(records: Sequence[TrialRecord]) -> MartingaleReport:
             count = int(counts[pos])
             mean = float(sums[pos] / count)
             margin = Z / math.sqrt(count)
-            bins.append(
-                MartingaleBin(
-                    s_value=int(pos + condition.min()),
-                    count=count,
-                    mean=mean,
-                    margin=margin,
-                    ok=abs(mean) <= margin,
-                )
-            )
-    return MartingaleReport(
-        trials=len(records),
-        increments_ok=increments_ok,
-        bins=tuple(bins),
-        bins_tested=len(bins),
-    )
+            s_value = int(pos + condition.min())
+            bins.append(MartingaleBin(s_value, count, mean, margin, abs(mean) <= margin))
+    return MartingaleReport(trials=len(records), increments_ok=increments_ok, bins=tuple(bins))
 
 
 @dataclass(frozen=True)
@@ -553,16 +506,7 @@ class InvarianceReport:
         return self.pvalue > self.alpha
 
     def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "bins": self.bins,
-            "iterations": self.iterations,
-            "sampler": self.sampler,
-            "statistic": self.statistic,
-            "pvalue": self.pvalue,
-            "alpha": self.alpha,
-            "passed": self.passed,
-        }
+        return {**_row(self), "passed": self.passed}
 
 
 def _bit_reversal_table(width: int) -> np.ndarray:
@@ -650,6 +594,8 @@ def invariance_test(
     distribution.  The adversarial sampler duplicates one sampled bit into
     its neighbor, a deliberately non-uniform source the test must reject.
     """
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     if bins < 2 or bins & (bins - 1):
         raise ValueError(f"bins must be a power of two >= 2, got {bins}")
     if samples < 100 * bins:

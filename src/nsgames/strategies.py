@@ -274,6 +274,33 @@ STRATEGY_PARAMS = {
 }
 
 
+def is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A JSON number: an int or a float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(ok):
+    return lambda value: isinstance(value, (list, tuple)) and all(map(ok, value))
+
+
+# What each parameter of a JSON blob must hold, and how to say so.  The
+# constructors check ranges; these checks keep a bool or a float from being
+# read as an integer.
+PARAM_TYPES = {
+    "value": (is_int, "an integer"),
+    "m": (is_int, "an integer"),
+    "p": (is_number, "a number"),
+    "table": (_list_of(is_int), "a list of integers"),
+    "tables": (_list_of(_list_of(is_int)), "a list of lists of integers"),
+    "weights": (_list_of(is_number), "a list of numbers"),
+}
+
+
 def build_strategy(spec: dict) -> Strategy:
     """Construct a strategy from its JSON parameter blob."""
     spec = dict(spec)
@@ -284,21 +311,26 @@ def build_strategy(spec: dict) -> Strategy:
     if unknown:
         names = ", ".join(repr(k) for k in unknown)
         raise ValueError(f"strategy {name!r} has unknown parameter {names}")
+    for key, value in spec.items():
+        ok, kind = PARAM_TYPES[key]
+        if not ok(value):
+            raise ValueError(f"strategy {name!r} parameter {key!r} must be {kind}, got {value!r}")
     try:
         if name == "fns":
             return FnsStrategy()
         if name == "cheat":
             return CheatStrategy()
         if name == "constant":
-            return LocalTableStrategy([int(spec.get("value", 0))])
+            return LocalTableStrategy([spec.get("value", 0)])
         if name == "local-table":
             table = spec["table"]
             m = spec.get("m")
-            if m is not None and len(table) != 1 << int(m):
+            # Compared as a bit length: 1 << m is huge for a huge m.
+            if m is not None and m != len(table).bit_length() - 1:
                 raise ValueError(f"table length {len(table)} does not match m={m}")
             return LocalTableStrategy(table)
         if name == "local-random":
-            return LocalRandomStrategy(float(spec["p"]))
+            return LocalRandomStrategy(spec["p"])
         return SharedMixtureStrategy(spec["tables"], spec.get("weights"))
     except KeyError as exc:
         raise ValueError(f"strategy {name!r} is missing parameter {exc}") from exc

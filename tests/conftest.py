@@ -2,13 +2,7 @@
 
 import pytest
 
-from nsgames.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    azuma_report,
-    trial_root,
-    win_rate_report,
-)
+from nsgames.experiment import ExperimentConfig, ExperimentResult, trial_root
 from nsgames.game import GameSpec, run_trial
 from nsgames.seeding import DOMAIN_TRIAL, derive
 
@@ -28,12 +22,7 @@ def _scalar_reference(cfg: ExperimentConfig) -> ExperimentResult:
         )
         for t in range(cfg.trials)
     )
-    return ExperimentResult(
-        config=cfg,
-        records=records,
-        win=win_rate_report(records, cfg.players),
-        azuma=azuma_report(records, cfg.azuma_n, cfg.azuma_eps),
-    )
+    return ExperimentResult(cfg, records)
 
 
 @pytest.fixture(scope="session")

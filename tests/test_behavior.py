@@ -87,6 +87,32 @@ class TestBehaviorTable:
                  "table": [{"x": [0], "a": [0], "p": "one"}]}
             )
 
+    @pytest.mark.parametrize("change, where, message", [
+        ({"parties": 2.9}, None, "parties must be an integer"),
+        ({"parties": True}, None, "parties must be an integer"),
+        ({"inputs": [2.5, 2]}, None, "inputs must be a list of integers"),
+        ({"outputs": [2, True]}, None, "outputs must be a list of integers"),
+        ({"inputs": "22"}, None, "inputs must be a list of integers"),
+        ({"x": [0.9, 1]}, 0, "x must be a list of integers"),
+        ({"a": [True, 0]}, 0, "a must be a list of integers"),
+        ({"extra": 1}, None, "behavior has unknown key 'extra'"),
+        ({"q": 1}, 0, "entry has unknown key 'q'"),
+        ({"table": 5}, None, "table must be a list of entries"),
+        ({"table": {"x": [0, 0]}}, None, "table must be a list of entries"),
+    ])
+    def test_json_requires_integers_and_known_keys(self, change, where, message):
+        doc = pr_box().to_json()
+        (doc if where is None else doc["table"][where]).update(change)
+        with pytest.raises(ValueError, match=message):
+            Behavior.from_json(doc)
+
+    @pytest.mark.parametrize("missing", ["parties", "table"])
+    def test_json_requires_every_key(self, missing):
+        doc = pr_box().to_json()
+        del doc[missing]
+        with pytest.raises(ValueError, match=f"missing key '{missing}'"):
+            Behavior.from_json(doc)
+
     def test_float_entries_mark_table_inexact(self):
         b = Behavior(1, (1,), (2,), {((0,), (0,)): 0.5, ((0,), (1,)): 0.5})
         assert not b.exact
@@ -183,6 +209,13 @@ class TestCheckNoSignaling:
             ((0,), (0,)): Fraction(1), ((1,), (1,)): Fraction(1),
         })
         assert check_no_signaling(b).passed
+
+    def test_more_parties_than_array_axes(self):
+        # The dense table would need 80 axes; the reference loop takes it.
+        box = Behavior(40, (1,) * 40, (1,) * 40, {((0,) * 40, (0,) * 40): Fraction(1)})
+        report = check_no_signaling(box)
+        assert report.passed
+        assert report == _no_signaling_reference(box)
 
     def test_strict_subset_check_on_three_parties(self):
         # Third party broadcasts the XOR of the first two inputs into its

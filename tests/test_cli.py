@@ -162,6 +162,19 @@ class TestSimulate:
         ({"strategy": "fns", "azuma-eps": [True]}, "'azuma-eps'"),
         ({"strategy": "fns", "azuma-eps": ["4"]}, "'azuma-eps'"),
         ({"strategy": "fns", "azuma-eps": 4.0}, "'azuma-eps'"),
+        ({"strategy": 5}, "'strategy' must be a string or an object"),
+        ({"strategy": ["fns"]}, "'strategy' must be a string or an object"),
+        ({"strategy": {"name": "constant", "value": 1.7}}, "'value' must be an integer"),
+        ({"strategy": {"name": "constant", "value": True}}, "'value' must be an integer"),
+        ({"strategy": {"name": "local-table", "table": [True, False]}},
+         "'table' must be a list of integers"),
+        ({"strategy": {"name": "local-table", "table": [0, 1], "m": 1.0}},
+         "'m' must be an integer"),
+        ({"strategy": {"name": "local-random", "p": True}}, "'p' must be a number"),
+        ({"strategy": {"name": "shared-mixture", "tables": [[False]]}},
+         "'tables' must be a list of lists"),
+        ({"strategy": {"name": "shared-mixture", "tables": [[0], [1]], "weights": [True, 1]}},
+         "'weights' must be a list of numbers"),
     ])
     def test_bad_config_document_exit_one(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "cfg.json"
@@ -344,6 +357,38 @@ class TestVerifyBehavior:
             assert out == ""
             assert f"budget error: enumeration needs about 10^{magnitude} table cell visits" in err
 
+    def test_more_parties_than_array_axes(self, tmp_path, capsys):
+        # Two axes per party would be 80, beyond any numpy's ndarray limit.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "parties": 40, "inputs": [1] * 40, "outputs": [1] * 40,
+            "table": [{"x": [0] * 40, "a": [0] * 40, "p": 1}],
+        }))
+        code, out, err = run(capsys, "verify-behavior", str(path))
+        assert code == 0, err
+        assert "NS: pass" in out
+
+    @pytest.mark.parametrize("change, message", [
+        ({"parties": 2.9}, "parties must be an integer"),
+        ({"parties": True}, "parties must be an integer"),
+        ({"inputs": [2.5, 2]}, "inputs must be a list of integers"),
+        ({"outputs": [2, True]}, "outputs must be a list of integers"),
+        ({"x": [0.9, 1]}, "x must be a list of integers"),
+        ({"a": [True, 0]}, "a must be a list of integers"),
+        ({"extra": 1}, "behavior has unknown key 'extra'"),
+        ({"q": 1}, "entry has unknown key 'q'"),
+    ])
+    def test_non_integer_json_exit_one(self, tmp_path, capsys, change, message):
+        doc = pr_box().to_json()
+        entry_keys = {"x", "a", "q"} & set(change)
+        (doc["table"][0] if entry_keys else doc).update(change)
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify-behavior", str(path))
+        assert code == 1
+        assert out == ""
+        assert "input error" in err and message in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_exit_one(self, tmp_path, capsys, tol):
         path = write_box(tmp_path, signaling_box())
@@ -381,6 +426,18 @@ class TestInvarianceCommand:
         )
         assert code == 3
         assert "REJECT" in out
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "2", "-1", "0", "1"])
+    def test_bad_alpha_exit_one(self, tmp_path, capsys, alpha):
+        out_file = tmp_path / "inv.json"
+        code, out, err = run(
+            capsys, "invariance-test", "--samples", "1600", "--bins", "16",
+            "--alpha", alpha, "--out", str(out_file),
+        )
+        assert code == 1
+        assert out == ""
+        assert "config error: alpha must lie strictly between 0 and 1" in err
+        assert not out_file.exists()
 
     def test_bad_bins_exit_one(self, capsys):
         code, _, err = run(capsys, "invariance-test", "--bins", "10")

@@ -3,7 +3,10 @@
 The digests below were taken from the scalar referee before any
 refactor of the harness.  A refactor or a faster path must reproduce
 them byte for byte: the trial log and the win-rate and Azuma report
-blocks are the deterministic outputs of a (config, seed) pair.
+blocks are the deterministic outputs of a (config, seed) pair.  The
+CSV, martingale-audit and invariance digests were taken from the
+hand-written serializers before the reports' JSON and CSV were read off
+their dataclass fields.
 """
 
 import hashlib
@@ -12,7 +15,13 @@ import json
 import pytest
 
 import nsgames
-from nsgames.experiment import ExperimentConfig, run_experiment
+from nsgames.experiment import (
+    ExperimentConfig,
+    azuma_report,
+    invariance_test,
+    martingale_audit,
+    run_experiment,
+)
 from nsgames.strategies import build_strategy
 
 GOLDEN = {
@@ -40,6 +49,28 @@ GOLDEN = {
 }
 
 
+# win.csv, azuma.csv and the martingale audit's sorted JSON, per GOLDEN config.
+GOLDEN_TABLES = {
+    "local-table": (
+        "032f70f56c49c57df646da8fee8148eebcee23890ea03e0edcdbcfd7a3c2f17c",
+        "7b31fe2a5f165a4e7fe17c805a91b77efff400011f7170adbd38bcbce2e784c4",
+        "e6437295a1dc2fe8c1193f32419ad4a9bcaebcd488bd5bac4ec752dafe27f3ff",
+    ),
+    "fns-depth-2-parallel": (
+        "4d31e037f254f350fa78aea54a3c7ec101eeb71292ab8cb35503ee9fded5bbb9",
+        "46e82779166ff5d33146a4fc8de7ad2bb69311b02d89ed9c4ea64b034f5d2ab4",
+        "5f222b69bc82bd920c9e01d17788d085fcfbf30ff759fd83e90ee91c8ab47261",
+    ),
+    "local-random": (
+        "b8014be7526a27debc68f79dac37cfa9d2b6e09b850bfbf4c01f843ef9e9e02b",
+        "31b7706a4df04ccabd4ef244271cb552894a061adbd899efc830736525bb54e0",
+        "c06fc0ca01a35a9da7bb944714572b22e3f905c505b459af5a02319804eba0db",
+    ),
+}
+
+INVARIANCE_DIGEST = "53c0823845235f7f655493bd9a85ad0bb0e73788b9061e27c5e60f616532e595"
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -53,6 +84,28 @@ def test_golden_digests(name):
     assert sha256(result.trial_log()) == log_digest
     assert sha256(json.dumps(report["win_rate"], sort_keys=True)) == win_digest
     assert sha256(json.dumps(report["azuma"], sort_keys=True)) == azuma_digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_table_digests(name):
+    kwargs = GOLDEN[name][0]
+    kwargs = dict(kwargs, strategy=build_strategy(kwargs["strategy"]))
+    result = run_experiment(ExperimentConfig(**kwargs))
+    win_csv, azuma_csv, audit = GOLDEN_TABLES[name]
+    assert sha256(result.win.to_csv()) == win_csv
+    assert sha256(result.azuma.to_csv()) == azuma_csv
+    report = martingale_audit(result.records).to_json()
+    assert sha256(json.dumps(report, sort_keys=True)) == audit
+
+
+def test_invariance_digest():
+    report = invariance_test(samples=1600, bins=16, seed=7, iterations=3)
+    assert sha256(json.dumps(report.to_json(), sort_keys=True)) == INVARIANCE_DIGEST
+
+
+def test_empty_azuma_grid_csv_is_the_header_alone():
+    report = azuma_report([], grid_n=(), grid_eps=(4.0,))
+    assert report.to_csv() == "n,epsilon,exceed,trials,freq,bound,margin,violation\n"
 
 
 def test_every_export_resolves():

@@ -250,6 +250,11 @@ class TestMartingaleAudit:
 
 
 class TestInvariance:
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 2.0, 1.0, 0.0, -1.0])
+    def test_alpha_validated(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            invariance_test(samples=1600, bins=16, seed=0, alpha=alpha)
+
     @pytest.mark.parametrize("iterations", [1, 3, 60, 61, 64, 127, 200])
     @pytest.mark.parametrize("sampler", [UNIFORM, ADVERSARIAL])
     def test_fast_path_matches_reference(self, iterations, sampler):
@@ -323,6 +328,23 @@ class TestTrialRoot:
 
 
 class TestRunExperiment:
+    def test_reports_computed_once_from_the_records(self, monkeypatch):
+        calls = []
+
+        def counted(builder):
+            return lambda *args: calls.append(builder) or builder(*args)
+
+        monkeypatch.setattr(experiment, "win_rate_report", counted(win_rate_report))
+        monkeypatch.setattr(experiment, "azuma_report", counted(azuma_report))
+        cfg = ExperimentConfig(
+            strategy=build_strategy({"name": "constant"}), players=4, trials=3, master_seed=1
+        )
+        result = run_experiment(cfg)
+        for _ in range(2):
+            assert result.win == win_rate_report(result.records, cfg.players)
+            assert result.azuma == azuma_report(result.records, cfg.azuma_n, cfg.azuma_eps)
+        assert calls == [win_rate_report, azuma_report]
+
     def test_local_random_half(self):
         cfg = ExperimentConfig(
             strategy=build_strategy({"name": "local-random", "p": 0.5}),

@@ -248,6 +248,25 @@ class TestRegistry:
             with pytest.raises(ValueError, match="'extra'"):
                 build_strategy(spec)
 
+    @pytest.mark.parametrize("spec", [
+        {"name": "constant", "value": 1.7},
+        {"name": "constant", "value": True},
+        {"name": "local-table", "table": [True, False]},
+        {"name": "local-table", "table": [0.0, 1.0]},
+        {"name": "local-table", "table": [0, 1], "m": 1.0},
+        {"name": "local-random", "p": True},
+        {"name": "local-random", "p": "0.5"},
+        {"name": "shared-mixture", "tables": [[0], [True]]},
+        {"name": "shared-mixture", "tables": [[0], [1]], "weights": [1, False]},
+    ])
+    def test_build_requires_json_types(self, spec):
+        with pytest.raises(ValueError, match="must be"):
+            build_strategy(spec)
+
+    def test_huge_m_rejected_at_once(self):
+        with pytest.raises(ValueError, match="does not match m"):
+            build_strategy({"name": "local-table", "m": 10**18, "table": [0, 1]})
+
     def test_parse_shorthands(self):
         assert parse_strategy_arg("fns").name == "fns"
         assert parse_strategy_arg("constant:1").table == (1,)
