@@ -3,8 +3,8 @@
 Thin driver over the library: run simulations, verify behavior tables,
 run the measure-invariance test, and count FNS function tuples.
 
-Exit codes are contract values: 0 success, 1 config or input error,
-2 simulate saw SIGNALING-INVALID trials, 3 a verification rejected.
+Exit codes are contract values: 0 success, 1 config, input or output
+error, 2 simulate saw SIGNALING-INVALID trials, 3 a verification rejected.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def _simulate(args) -> int:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             print(f"config error: --config: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         problem = _config_problem(file_cfg)
@@ -188,13 +188,18 @@ def _simulate(args) -> int:
         return EXIT_CONFIG
 
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV, "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
-        (out_dir / "report.json").write_text(result.render_json(), encoding="utf-8")
+        outputs = {"report.json": result.render_json()}
     else:
-        (out_dir / "win.csv").write_text(result.win.to_csv(), encoding="utf-8")
-        (out_dir / "azuma.csv").write_text(result.azuma.to_csv(), encoding="utf-8")
-    (out_dir / "trials.jsonl").write_text(result.trial_log(), encoding="utf-8")
+        outputs = {"win.csv": result.win.to_csv(), "azuma.csv": result.azuma.to_csv()}
+    outputs["trials.jsonl"] = result.trial_log()
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in outputs.items():
+            (out_dir / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     win = result.win
     pooled = "n/a" if win.pooled_freq is None else f"{win.pooled_freq:.6f}"
@@ -214,6 +219,9 @@ def _verify_behavior(args) -> int:
             doc = json.load(fh)
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except UnicodeDecodeError as exc:
+        print(f"input error: {args.path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except json.JSONDecodeError as exc:
         print(
@@ -274,9 +282,13 @@ def _invariance(args) -> int:
         return EXIT_CONFIG
     doc = {"schema_version": SCHEMA_VERSION, **report.to_json()}
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        try:
+            Path(args.out).write_text(
+                json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+            )
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     print(
         f"sampler={report.sampler} iterations={report.iterations} "
         f"bins={report.bins} samples={report.samples}"

@@ -5,15 +5,18 @@ seeding, so any (config, master seed) pair reproduces byte-identical
 reports at every parallelism degree.  Aggregation works on integer
 counts first and converts to floats once, in a fixed order.
 
-Trials run in contiguous chunks.  A chunk of a strategy with a batch
-kernel is one array computation over the players' views and the chunk's
-seeds, scored against root bits the kernel is never handed; any other
-chunk plays each trial through ``run_trial``, the scalar reference.
+Trials run in contiguous chunks, and each chunk returns its trials as a
+columnar ``TrialBlock``.  A chunk of a strategy with a batch kernel is one
+array computation over the players' views and the chunk's seeds, scored
+against root bits the kernel is never handed; any other chunk plays each
+trial through ``run_trial``, the scalar reference, and packs the records
+into the same block.  The reports and the trial log are computed from the
+merged block; the record-based builders (``win_rate_report``,
+``azuma_report``, ``TrialRecord.to_json_line``) stay as their reference.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -25,8 +28,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bitstream import BitStream, generator_bits
-from .game import GameSpec, TrialRecord, run_trial, score_batch
+from .bitstream import GENERATOR, BitStream, generator_bits
+from .game import GameSpec, TrialRecord, last_losing_index, run_trial, score_batch
 from .seeding import (
     DOMAIN_INVARIANCE,
     DOMAIN_ROOT,
@@ -142,8 +145,29 @@ def _root_bits(cfg: ExperimentConfig, root_seeds: np.ndarray, width: int) -> np.
     return bits
 
 
-def _run_chunk(cfg: ExperimentConfig, start: int, stop: int) -> list[TrialRecord]:
-    """Records of trials start..stop-1, in order.
+@dataclass(frozen=True, eq=False)
+class TrialBlock:
+    """Consecutive trials of a run as columns, one row per trial.
+
+    ``flips`` holds root bits 1..override_depth, which are the root's
+    overrides (see ``trial_root``).  The trajectories and thresholds
+    follow from ``s`` and ``valid``.
+    """
+
+    root_seeds: np.ndarray  # uint64[trials]
+    flips: np.ndarray  # uint8[trials, override_depth]
+    outputs: np.ndarray  # uint8[trials, players]
+    s: np.ndarray  # int8[trials, players]
+    valid: np.ndarray  # bool[trials]
+
+    @classmethod
+    def concatenate(cls, blocks: Sequence["TrialBlock"]) -> "TrialBlock":
+        names = [f.name for f in fields(cls)]
+        return cls(*(np.concatenate([getattr(b, name) for b in blocks]) for name in names))
+
+
+def _run_chunk(cfg: ExperimentConfig, start: int, stop: int) -> TrialBlock:
+    """Trials start..stop-1, in order.
 
     Uses the strategy's batch kernel when it has one, and ``run_trial``
     for each trial otherwise.  The kernel gets only the players' read-only
@@ -157,14 +181,14 @@ def _run_chunk(cfg: ExperimentConfig, start: int, stop: int) -> list[TrialRecord
     trial_seeds = child_seed_np(child_seed(cfg.master_seed, DOMAIN_TRIAL), np.arange(start, stop))
     outputs = cfg.strategy.guess_batch(views, trial_seeds, root_seeds)
     if outputs is None:
-        return [_run_one(cfg, t) for t in range(start, stop)]
-    # The flipped bits 1..override_depth are the root's overrides, as
-    # trial_root builds them.
-    roots = [
-        BitStream(seed=seed, overrides=tuple(enumerate(flips, 1))).to_json()
-        for seed, flips in zip(root_seeds.tolist(), bits[:, : cfg.override_depth].tolist())
-    ]
-    return score_batch(roots, outputs, bits[:, : cfg.players])
+        records = [_run_one(cfg, t) for t in range(start, stop)]
+        outputs = np.array([r.outputs for r in records], dtype=np.uint8)
+        s = np.array([r.s for r in records], dtype=np.int8)
+        valid = np.array([r.valid for r in records], dtype=bool)
+    else:
+        s = np.where(outputs == bits[:, : cfg.players], 1, -1).astype(np.int8)
+        valid = np.ones(stop - start, dtype=bool)
+    return TrialBlock(root_seeds, bits[:, : cfg.override_depth], outputs, s, valid)
 
 
 def _cpu_count() -> int:
@@ -178,9 +202,13 @@ def _plan(cfg: ExperimentConfig) -> tuple[list[tuple[int, int]], int]:
     and the number of worker processes to run them on (1: no pool).
 
     Workers never outnumber the requested parallelism, the usable CPUs or
-    the chunks; the chunks are split evenly over the workers.
+    the chunks; the chunks are split evenly over the workers.  A strategy
+    with its own batch kernel gets one worker: its chunks take less time
+    than starting a pool and sending them back.
     """
     workers = min(cfg.parallelism, _cpu_count())
+    if type(cfg.strategy).guess_batch is not Strategy.guess_batch:
+        workers = 1
     size = min(max(1, CHUNK_CELLS // cfg.players), -(-cfg.trials // workers))
     chunks = [
         (start, min(start + size, cfg.trials)) for start in range(0, cfg.trials, size)
@@ -270,19 +298,32 @@ class AzumaReport:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """A run's config and its trial records, in trial order; the reports
-    are computed from them on first use."""
+    """A run's config and its trials as one block, in trial order.
+
+    The reports are computed from the block's arrays on first use, and the
+    trial log on each call.  ``records`` rebuilds the per-trial records,
+    as ``run_trial`` returns them, only when it is read.
+    """
 
     config: ExperimentConfig
-    records: tuple[TrialRecord, ...]
+    block: TrialBlock
 
     @cached_property
     def win(self) -> WinRateReport:
-        return win_rate_report(self.records, self.config.players)
+        return _block_win_rate(self.block, self.config.players)
 
     @cached_property
     def azuma(self) -> AzumaReport:
-        return azuma_report(self.records, self.config.azuma_n, self.config.azuma_eps)
+        return _block_azuma(self.block, self.config.azuma_n, self.config.azuma_eps)
+
+    @cached_property
+    def records(self) -> tuple[TrialRecord, ...]:
+        b = self.block
+        roots = [
+            BitStream(seed=seed, overrides=tuple(enumerate(flips, 1))).to_json()
+            for seed, flips in zip(b.root_seeds.tolist(), b.flips.tolist())
+        ]
+        return tuple(score_batch(roots, b.outputs, b.s, b.valid))
 
     def to_json(self) -> dict:
         return {
@@ -296,7 +337,7 @@ class ExperimentResult:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
 
     def trial_log(self) -> str:
-        return "".join(r.to_json_line() + "\n" for r in self.records)
+        return _block_log(self.block)
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z) -> tuple[float, float]:
@@ -326,22 +367,15 @@ def azuma_bound(n: int, epsilon: float) -> float:
     return 2.0 * math.exp(-(epsilon * epsilon) / (2.0 * n))
 
 
-def win_rate_report(records: Sequence[TrialRecord], players: int) -> WinRateReport:
-    valid = [r for r in records if r.valid]
-    invalid = [r for r in records if not r.valid]
-    if invalid:
-        raw = np.array([r.s for r in invalid], dtype=np.int8)
-        invalid_raw = float((raw > 0).mean())
-    else:
-        invalid_raw = None
-
-    scored = len(valid)
-    if scored:
-        s = np.array([r.s for r in valid], dtype=np.int8)
-        wins = (s > 0).sum(axis=0)
-    else:
-        wins = np.zeros(players, dtype=np.int64)
-
+def _win_rate(
+    players: int,
+    wins: np.ndarray,
+    scored: int,
+    invalid: int,
+    invalid_raw: float | None,
+    hist: Iterable[tuple[int, int]],
+) -> WinRateReport:
+    """The report of per-player win counts over the scored trials."""
     per_player = []
     for k in range(players):
         w = int(wins[k])
@@ -360,37 +394,60 @@ def win_rate_report(records: Sequence[TrialRecord], players: int) -> WinRateRepo
     total_wins = int(wins.sum())
     total = scored * players
     pooled_lo, pooled_hi = wilson_interval(total_wins, total)
-    hist: dict[int, int] = {}
-    for r in valid:
-        hist[r.threshold] = hist.get(r.threshold, 0) + 1
     return WinRateReport(
         players=players,
         scored_trials=scored,
-        invalid_trials=len(invalid),
+        invalid_trials=invalid,
         invalid_raw_success_rate=invalid_raw,
         per_player=tuple(per_player),
         pooled_freq=(total_wins / total) if total else None,
         pooled_lo=pooled_lo,
         pooled_hi=pooled_hi,
-        threshold_hist=tuple(sorted(hist.items())),
+        threshold_hist=tuple(hist),
     )
 
 
-def azuma_report(
-    records: Sequence[TrialRecord], grid_n: Iterable[int], grid_eps: Iterable[float]
-) -> AzumaReport:
+def win_rate_report(records: Sequence[TrialRecord], players: int) -> WinRateReport:
     valid = [r for r in records if r.valid]
-    trials = len(valid)
-    trajectories = (
-        np.array([r.trajectory for r in valid], dtype=np.int64)
-        if trials
-        else None
-    )
+    invalid = [r for r in records if not r.valid]
+    if invalid:
+        raw = np.array([r.s for r in invalid], dtype=np.int8)
+        invalid_raw = float((raw > 0).mean())
+    else:
+        invalid_raw = None
+
+    scored = len(valid)
+    if scored:
+        s = np.array([r.s for r in valid], dtype=np.int8)
+        wins = (s > 0).sum(axis=0)
+    else:
+        wins = np.zeros(players, dtype=np.int64)
+
+    hist: dict[int, int] = {}
+    for r in valid:
+        hist[r.threshold] = hist.get(r.threshold, 0) + 1
+    return _win_rate(players, wins, scored, len(invalid), invalid_raw, sorted(hist.items()))
+
+
+def _block_win_rate(block: TrialBlock, players: int) -> WinRateReport:
+    """``win_rate_report`` of a block's trials, from its arrays."""
+    s, raw = block.s[block.valid], block.s[~block.valid]
+    invalid_raw = float((raw > 0).mean()) if len(raw) else None
+    thresholds, counts = np.unique(last_losing_index(s), return_counts=True)
+    hist = zip(thresholds.tolist(), counts.tolist())
+    return _win_rate(players, (s > 0).sum(axis=0), len(s), len(raw), invalid_raw, hist)
+
+
+def _azuma(
+    trajectories: np.ndarray, grid_n: Iterable[int], grid_eps: Iterable[float]
+) -> AzumaReport:
+    """The Azuma exceedance report of a [trials, players] trajectory array."""
+    trials = len(trajectories)
     points = []
     for n in grid_n:
         for eps in grid_eps:
             bound = azuma_bound(n, eps)
-            if trajectories is not None:
+            if trials:
                 exceed = int((trajectories[:, n - 1] >= eps).sum())
                 freq = exceed / trials
                 _, hi = wilson_interval(exceed, trials)
@@ -404,22 +461,76 @@ def azuma_report(
     return AzumaReport(points=tuple(points))
 
 
+def azuma_report(
+    records: Sequence[TrialRecord], grid_n: Iterable[int], grid_eps: Iterable[float]
+) -> AzumaReport:
+    trajectories = np.array([r.trajectory for r in records if r.valid], dtype=np.int64)
+    return _azuma(trajectories, grid_n, grid_eps)
+
+
+def _block_azuma(
+    block: TrialBlock, grid_n: Iterable[int], grid_eps: Iterable[float]
+) -> AzumaReport:
+    """``azuma_report`` of a block's trials, from its arrays."""
+    return _azuma(np.cumsum(block.s[block.valid], axis=1, dtype=np.int64), grid_n, grid_eps)
+
+
+def _block_log(block: TrialBlock) -> str:
+    """The trial log of a block: each trial's ``TrialRecord.to_json_line``,
+    and a newline, written from the arrays with one fixed format, a slice of
+    at most CHUNK_CELLS cells at a time."""
+    trials, players = block.s.shape
+    # token[v + players] is str(v); every output, step and partial sum is
+    # in -players..players.
+    token = np.array([str(v) for v in range(-players, players + 1)], dtype=object)
+
+    def joined(values: np.ndarray) -> Iterable[str]:
+        return map(",".join, token[values.astype(np.int64) + players].tolist())
+
+    # sort_keys orders the override keys as strings: "1", "10", "2", ...
+    order = np.array(sorted(range(1, block.flips.shape[1] + 1), key=str), dtype=np.intp)
+    pairs = np.array([[f'"{i}":0', f'"{i}":1'] for i in order], dtype=object).reshape(-1, 2)
+    line = (
+        '{{"S":[{}],"outputs":[{}],"root":{{"kind":"' + GENERATOR + '","overrides":{{{}}},'
+        '"seed":{},"shift":0}},"s":[{}],"threshold":{},"valid":{}}}\n'
+    )
+    step = max(1, CHUNK_CELLS // players)
+    parts = []
+    for start in range(0, trials, step):
+        rows = slice(start, start + step)
+        s, valid = block.s[rows], block.valid[rows].tolist()
+        thresholds = last_losing_index(s).tolist()
+        parts.append("".join(map(
+            line.format,
+            joined(np.cumsum(s, axis=1, dtype=np.int64)),
+            joined(block.outputs[rows]),
+            map(",".join, pairs[np.arange(len(order)), block.flips[rows, order - 1]].tolist()),
+            block.root_seeds[rows].tolist(),
+            joined(s),
+            [t if ok else "null" for t, ok in zip(thresholds, valid)],
+            ["true" if ok else "false" for ok in valid],
+        )))
+    return "".join(parts)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full trial ensemble.
 
-    Trial records are merged in trial-index order whatever the parallelism,
-    and every derived quantity is a pure function of the ordered records,
-    which is what makes reports byte-identical across worker counts.
+    The chunks' blocks are merged in trial-index order whatever the
+    parallelism, and every derived quantity is a pure function of the
+    merged block, which is what makes reports and trial logs byte-identical
+    across worker counts.  Only scalar-path runs use worker processes (see
+    ``_plan``).
     """
     chunks, workers = _plan(cfg)
     worker = partial(_run_chunk, cfg)
     starts, stops = zip(*chunks)
     if workers == 1:
-        parts = list(map(worker, starts, stops))
+        blocks = list(map(worker, starts, stops))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(worker, starts, stops))
-    return ExperimentResult(cfg, tuple(itertools.chain.from_iterable(parts)))
+            blocks = list(pool.map(worker, starts, stops))
+    return ExperimentResult(cfg, TrialBlock.concatenate(blocks))
 
 
 @dataclass(frozen=True)

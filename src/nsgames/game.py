@@ -135,35 +135,39 @@ def run_trial(spec: GameSpec) -> TrialRecord:
     )
 
 
-def score_batch(
-    roots: Sequence[dict], outputs: np.ndarray, targets: np.ndarray
-) -> list[TrialRecord]:
-    """Score a block of trials from arrays: the batch twin of run_trial's
-    scoring loop.
-
-    ``outputs`` and ``targets`` are [trials, players] bit arrays; row t
-    belongs to the root whose JSON is ``roots[t]``.  Batch kernels never
-    touch the backdoor, so every trial is valid.
-    """
-    s = np.where(outputs == targets, 1, -1)
-    trajectory = np.cumsum(s, axis=1)
+def last_losing_index(s: np.ndarray) -> np.ndarray:
+    """``winner_threshold`` of every row of a [trials, players] array of
+    success variables."""
     losing = s < 0
     last = s.shape[1] - np.argmax(losing[:, ::-1], axis=1)
-    thresholds = np.where(losing.any(axis=1), last, 0)
+    return np.where(losing.any(axis=1), last, 0)
+
+
+def score_batch(
+    roots: Sequence[dict], outputs: np.ndarray, s: np.ndarray, valid: np.ndarray
+) -> list[TrialRecord]:
+    """The records of a block of scored trials, as run_trial builds them.
+
+    ``outputs`` and ``s`` are [trials, players] arrays and ``valid`` a
+    [trials] array; row t belongs to the root whose JSON is ``roots[t]``.
+    """
+    trajectory = np.cumsum(s, axis=1, dtype=np.int64)
+    thresholds = last_losing_index(s)
     return [
         TrialRecord(
             root=root,
             outputs=tuple(o),
             s=tuple(sk),
             trajectory=tuple(traj),
-            threshold=threshold,
-            valid=True,
+            threshold=threshold if ok else None,
+            valid=ok,
         )
-        for root, o, sk, traj, threshold in zip(
+        for root, o, sk, traj, threshold, ok in zip(
             roots,
             outputs.tolist(),
             s.tolist(),
             trajectory.tolist(),
             thresholds.tolist(),
+            valid.tolist(),
         )
     ]

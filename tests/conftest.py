@@ -1,13 +1,46 @@
 """Shared fixtures."""
 
+import json
+from dataclasses import dataclass
+
 import pytest
 
-from nsgames.experiment import ExperimentConfig, ExperimentResult, trial_root
-from nsgames.game import GameSpec, run_trial
+from nsgames.experiment import (
+    SCHEMA_VERSION,
+    ExperimentConfig,
+    azuma_report,
+    trial_root,
+    win_rate_report,
+)
+from nsgames.game import GameSpec, TrialRecord, run_trial
 from nsgames.seeding import DOMAIN_TRIAL, derive
 
 
-def _scalar_reference(cfg: ExperimentConfig) -> ExperimentResult:
+@dataclass(frozen=True)
+class ScalarResult:
+    """A run's outputs rendered only through the record path: the record
+    builders, ``TrialRecord.to_json_line`` and ``ExperimentResult.to_json``'s
+    layout.  None of the columnar path's counting or log writing runs here,
+    so comparing the two checks it."""
+
+    config: ExperimentConfig
+    records: tuple[TrialRecord, ...]
+
+    def render_json(self) -> str:
+        cfg = self.config
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "config": cfg.to_json(),
+            "win_rate": win_rate_report(self.records, cfg.players).to_json(),
+            "azuma": azuma_report(self.records, cfg.azuma_n, cfg.azuma_eps).to_json(),
+        }
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def trial_log(self) -> str:
+        return "".join(r.to_json_line() + "\n" for r in self.records)
+
+
+def _scalar_reference(cfg: ExperimentConfig) -> ScalarResult:
     """The experiment played one trial at a time through run_trial."""
     records = tuple(
         run_trial(
@@ -22,7 +55,7 @@ def _scalar_reference(cfg: ExperimentConfig) -> ExperimentResult:
         )
         for t in range(cfg.trials)
     )
-    return ExperimentResult(cfg, records)
+    return ScalarResult(cfg, records)
 
 
 @pytest.fixture(scope="session")

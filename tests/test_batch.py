@@ -6,6 +6,7 @@ two must write the same trial log and report, byte for byte.
 """
 
 import contextlib
+import json
 import random
 
 import numpy as np
@@ -72,6 +73,16 @@ class ViewRecorder(Strategy):
     def guess_batch(self, views, trial_seeds, root_seeds):
         self.views = views
         return np.zeros(views.shape[:2], dtype=np.uint8)
+
+
+class SometimesCheat(Strategy):
+    """Reads its target through the backdoor in odd-seeded trials only, so
+    quarantined and scored trials share a block."""
+
+    name = "sometimes-cheat"
+
+    def guess(self, ctx):
+        return ctx.root_bit(ctx.player) if ctx.shared_seed % 2 else 0
 
 
 class TestArrayHash:
@@ -308,3 +319,58 @@ class TestScalarOnly:
             enable_backdoor=True,
         )
         assert_same_bytes(run_experiment(cfg), scalar_reference(cfg))
+
+
+class TestTrialLogWriter:
+    """The fixed-format writer against the records' to_json_line."""
+
+    @staticmethod
+    def check(scalar_reference, spec, players=12, trials=6, **kwargs):
+        strategy = spec if isinstance(spec, Strategy) else build_strategy(spec)
+        cfg = ExperimentConfig(
+            strategy=strategy, players=players, trials=trials, master_seed=21, **kwargs
+        )
+        result = run_experiment(cfg)
+        log = result.trial_log()
+        assert log == "".join(r.to_json_line() + "\n" for r in result.records)
+        assert_same_bytes(result, scalar_reference(cfg))
+        return result, [json.loads(line) for line in log.splitlines()]
+
+    @pytest.mark.parametrize("depth", [0, 9, 10, 12])
+    def test_override_depths(self, scalar_reference, depth):
+        _, docs = self.check(
+            scalar_reference, {"name": "local-table", "table": [0, 1, 1, 0]}, override_depth=depth
+        )
+        for doc in docs:
+            keys = list(doc["root"]["overrides"])
+            assert keys == sorted(str(i) for i in range(1, depth + 1))
+
+    @pytest.mark.parametrize("players", [1, 1024])
+    def test_player_counts(self, scalar_reference, players):
+        _, docs = self.check(scalar_reference, {"name": "local-random", "p": 0.5}, players, 3)
+        assert all(len(doc["S"]) == players for doc in docs)
+
+    def test_negative_trajectories(self, scalar_reference):
+        _, docs = self.check(scalar_reference, {"name": "constant", "value": 1}, 300, 4)
+        assert min(min(doc["S"]) for doc in docs) <= -10
+
+    def test_quarantined_trials(self, scalar_reference):
+        result, docs = self.check(scalar_reference, {"name": "cheat"}, enable_backdoor=True)
+        assert result.win.invalid_trials == len(docs)
+        assert all('"threshold":null,"valid":false' in line
+                   for line in result.trial_log().splitlines())
+
+    def test_quarantined_and_scored_trials_mixed(self, scalar_reference):
+        result, docs = self.check(
+            scalar_reference, SometimesCheat(), trials=20, enable_backdoor=True
+        )
+        assert 0 < result.win.invalid_trials < 20
+        assert {doc["valid"] for doc in docs} == {True, False}
+
+    @pytest.mark.parametrize("strategy", [{"name": "cheat"}, SometimesCheat()])
+    def test_no_enforce(self, scalar_reference, strategy):
+        result, docs = self.check(
+            scalar_reference, strategy, enable_backdoor=True, enforce_contracts=False
+        )
+        assert result.win.invalid_trials == 0
+        assert all(doc["valid"] and doc["threshold"] is not None for doc in docs)

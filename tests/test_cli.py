@@ -132,6 +132,26 @@ class TestSimulate:
             main(["simulate", "--nope"])
         assert exc.value.code == 1
 
+    def test_out_dir_is_a_file_exit_one(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, _, err = run(
+            capsys, "simulate", "--strategy", "constant:0", "--players", "4",
+            "--trials", "3", "--out-dir", str(taken),
+        )
+        assert code == 1
+        assert err.startswith("output error: ")
+
+    def test_non_utf8_config_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"players": 4, "strategy": "fns\xff"}')
+        code, _, err = run(
+            capsys, "simulate", "--config", str(cfg), "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert err.startswith("config error: --config: ")
+        assert not (tmp_path / "report.json").exists()
+
     def test_bad_config_json_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -268,6 +288,14 @@ class TestVerifyBehavior:
         code, _, err = run(capsys, "verify-behavior", "/nonexistent/box.json")
         assert code == 1
         assert "input error" in err
+
+    def test_non_utf8_file_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "box.json"
+        path.write_bytes(b'{"parties": 2, "note": "\xff"}')
+        code, out, err = run(capsys, "verify-behavior", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"input error: {path}: ")
 
     def test_float_table_needs_tol(self, tmp_path, capsys):
         box = pr_box()
@@ -418,6 +446,16 @@ class TestInvarianceCommand:
         doc = json.loads(out_file.read_text())
         assert doc["passed"] is True
         assert doc["bins"] == 16
+
+    def test_unwritable_out_exit_one(self, tmp_path, capsys):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        code, _, err = run(
+            capsys, "invariance-test", "--samples", "2000", "--bins", "16",
+            "--out", str(not_a_dir / "inv.json"),
+        )
+        assert code == 1
+        assert err.startswith("output error: ")
 
     def test_adversarial_rejected_exit_three(self, capsys):
         code, out, _ = run(

@@ -24,7 +24,7 @@ from nsgames.experiment import (
     _invariance_counts_reference,
 )
 from nsgames.game import TrialRecord
-from nsgames.strategies import build_strategy
+from nsgames.strategies import STRATEGY_PARAMS, Strategy, build_strategy
 
 
 def ref_wilson(successes: int, trials: int, z: float) -> tuple[float, float]:
@@ -35,6 +35,15 @@ def ref_wilson(successes: int, trials: int, z: float) -> tuple[float, float]:
     roots = np.roots([1 + z2, -(2 * p_hat + z2), p_hat * p_hat])
     lo, hi = sorted(float(r.real) for r in roots)
     return max(0.0, lo), min(1.0, hi)
+
+
+class GuessOnly(Strategy):
+    """A strategy with no batch kernel: every trial goes through run_trial."""
+
+    name = "guess-only"
+
+    def guess(self, ctx):
+        return ctx.view.bit_at(1)
 
 
 def make_record(s, valid=True):
@@ -334,8 +343,9 @@ class TestRunExperiment:
         def counted(builder):
             return lambda *args: calls.append(builder) or builder(*args)
 
-        monkeypatch.setattr(experiment, "win_rate_report", counted(win_rate_report))
-        monkeypatch.setattr(experiment, "azuma_report", counted(azuma_report))
+        block_win_rate, block_azuma = experiment._block_win_rate, experiment._block_azuma
+        monkeypatch.setattr(experiment, "_block_win_rate", counted(block_win_rate))
+        monkeypatch.setattr(experiment, "_block_azuma", counted(block_azuma))
         cfg = ExperimentConfig(
             strategy=build_strategy({"name": "constant"}), players=4, trials=3, master_seed=1
         )
@@ -343,7 +353,7 @@ class TestRunExperiment:
         for _ in range(2):
             assert result.win == win_rate_report(result.records, cfg.players)
             assert result.azuma == azuma_report(result.records, cfg.azuma_n, cfg.azuma_eps)
-        assert calls == [win_rate_report, azuma_report]
+        assert calls == [block_win_rate, block_azuma]
 
     def test_local_random_half(self):
         cfg = ExperimentConfig(
@@ -414,9 +424,9 @@ class TestRunExperiment:
     def test_plan_clamps_workers(self, monkeypatch):
         monkeypatch.setattr(experiment, "_cpu_count", lambda: 4)
 
-        def plan(parallelism, trials, players=64):
+        def plan(parallelism, trials, players=64, strategy=GuessOnly()):
             cfg = ExperimentConfig(
-                strategy=build_strategy({"name": "constant"}),
+                strategy=strategy,
                 players=players,
                 trials=trials,
                 master_seed=0,
@@ -434,6 +444,52 @@ class TestRunExperiment:
         assert plan(2, 6000, players=16) == ([(0, 3000), (3000, 6000)], 2)
         assert plan(1, 5) == ([(0, 5)], 1)
         assert plan(3, 1, players=10**6) == ([(0, 1)], 1)
+        # A strategy with a batch kernel runs in the calling process.
+        params = {"local-table": {"table": [0, 1]}, "local-random": {"p": 0.5},
+                  "shared-mixture": {"tables": [[0, 1]]}}
+        for name in sorted(set(STRATEGY_PARAMS) - {"cheat"}):
+            strategy = build_strategy({"name": name, **params.get(name, {})})
+            assert plan(10**6, 10**4, strategy=strategy)[1] == 1, name
+            assert plan(2, 6000, players=16, strategy=strategy) == ([(0, 4096), (4096, 6000)], 1)
+        assert plan(2, 6000, players=16, strategy=build_strategy({"name": "cheat"}))[1] == 2
+
+    @pytest.mark.parametrize(
+        "spec", [None, {"name": "cheat"}, {"name": "local-table", "table": [1, 0, 0, 1]}]
+    )
+    def test_outputs_independent_of_chunks_and_workers(self, monkeypatch, spec):
+        """report.json, the CSVs and trials.jsonl, at parallelism 1 and 2 and
+        at two chunk sizes.  Only the scalar-path strategies get 2 workers."""
+        monkeypatch.setattr(experiment, "_cpu_count", lambda: 2)
+        strategy = GuessOnly() if spec is None else build_strategy(spec)
+        pooled = spec is None or spec["name"] == "cheat"
+
+        def outputs():
+            runs = []
+            for parallelism in (1, 2):
+                cfg = ExperimentConfig(
+                    strategy=strategy,
+                    players=10,
+                    trials=30,
+                    master_seed=12,
+                    override_depth=3,
+                    parallelism=parallelism,
+                    enable_backdoor=True,
+                    enforce_contracts=False,
+                )
+                assert experiment._plan(cfg)[1] == (parallelism if pooled else 1)
+                result = run_experiment(cfg)
+                runs.append((
+                    result.render_json(),
+                    result.win.to_csv(),
+                    result.azuma.to_csv(),
+                    result.trial_log(),
+                ))
+            return runs
+
+        default = outputs()
+        monkeypatch.setattr(experiment, "CHUNK_CELLS", 100)
+        small = outputs()
+        assert default[0] == default[1] == small[0] == small[1]
 
     def test_quarantine_counted(self):
         cfg = ExperimentConfig(
