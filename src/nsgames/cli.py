@@ -25,7 +25,13 @@ from .behavior import (
     functions_from_deterministic,
     is_deterministic_extremal,
 )
-from .experiment import SCHEMA_VERSION, ExperimentConfig, invariance_test, run_experiment
+from .experiment import (
+    SCHEMA_VERSION,
+    ExperimentConfig,
+    dumps_indented,
+    invariance_test,
+    run_experiment,
+)
 from .strategies import BackdoorDisabledError, is_int, is_number, parse_strategy_arg
 
 OUT_DIR_ENV = "NSGAMES_OUT_DIR"
@@ -247,14 +253,14 @@ def _verify_behavior(args) -> int:
     fns = None if ft is None else check_fns(ft)
 
     if args.format == "json":
-        print(json.dumps({
+        print(dumps_indented({
             "schema_version": SCHEMA_VERSION,
             "no_signaling": ns.passed,
             "violations": [str(v) for v in ns.violations],
             "deterministic": deterministic,
             "fns": None if fns is None else fns.passed,
             "fns_violations": [] if fns is None else [str(v) for v in fns.violations],
-        }, sort_keys=True, indent=2))
+        }))
     else:
         print(f"NS: {'pass' if ns.passed else 'FAIL'}")
         for v in ns.violations:
@@ -283,9 +289,7 @@ def _invariance(args) -> int:
     doc = {"schema_version": SCHEMA_VERSION, **report.to_json()}
     if args.out:
         try:
-            Path(args.out).write_text(
-                json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-            )
+            Path(args.out).write_text(dumps_indented(doc) + "\n", encoding="utf-8")
         except OSError as exc:
             print(f"output error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
@@ -311,13 +315,14 @@ def _enumerate_fns(args) -> int:
         return EXIT_CONFIG
     doc = {"schema_version": SCHEMA_VERSION, **report.to_json()}
     # The budget bounds the counts' digits, but not below Python's limit on
-    # int-to-str conversion (4300 digits by default, from 3.10.7): 15000
-    # parties of one input and two outputs have a 4516-digit total.
+    # int-to-str conversion (4300 digits by default, from 3.10.7), which
+    # the writer's int.__repr__ enforces: 15000 parties of one input and
+    # two outputs have a 4516-digit total.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(dumps_indented(doc))
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -216,6 +216,88 @@ def _plan(cfg: ExperimentConfig) -> tuple[list[tuple[int, int]], int]:
     return chunks, min(workers, len(chunks))
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_CONSTANT_TEXT = {True: "true", False: "false", None: "null"}.__getitem__
+
+
+def _float_text(value: float) -> str:
+    """A float as ``json.dumps`` spells it."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key: str) -> str:
+    # encode_basestring_ascii raises TypeError for a key that is not a str.
+    return _encode_str(key) + ": "
+
+
+class _TextMemo(dict):
+    """``spell(value)``, computed once per distinct value.  Falsy values
+    are spelled every time: ``-0.0 == 0.0``, but the two print differently."""
+
+    def __init__(self, spell) -> None:
+        super().__init__()
+        self.spell = spell
+
+    def __missing__(self, value) -> str:
+        text = self.spell(value)
+        if value:
+            self[value] = text
+        return text
+
+
+def dumps_indented(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte.
+
+    ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
+    is set; this writer joins each container's items at once instead.
+    Keys must be str, and values of exactly the types json writes natively
+    (dict, list, tuple, str, int, float, bool, None); any other key or
+    value, value subclasses included, raises ``TypeError``.  A report repeats the
+    same few keys and floats, so their text is kept for the call.
+    """
+    key_text = _TextMemo(_key_text).__getitem__
+    # Each scalar type's spelling, looked up by exact type.
+    scalars = {
+        str: _encode_str,
+        int: int.__repr__,
+        float: _TextMemo(_float_text).__getitem__,
+        bool: _CONSTANT_TEXT,
+        type(None): _CONSTANT_TEXT,
+    }
+
+    def write(value, indent: str) -> str:
+        kind = type(value)
+        text = scalars.get(kind)
+        if text is not None:
+            return text(value)
+        inner = indent + "  "
+        if kind is dict:
+            if not value:
+                return "{}"
+            items = []
+            for key, item in sorted(value.items()):
+                text = scalars.get(type(item))
+                items.append(key_text(key) + (text(item) if text else write(item, inner)))
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        if kind is list or kind is tuple:
+            if not value:
+                return "[]"
+            items = []
+            for item in value:
+                text = scalars.get(type(item))
+                items.append(text(item) if text else write(item, inner))
+            return "[" + inner + ("," + inner).join(items) + indent + "]"
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    return write(doc, "\n")
+
+
 def _row(report) -> dict:
     """A report's fields by name, in declaration order."""
     return vars(report).copy()
@@ -300,9 +382,10 @@ class AzumaReport:
 class ExperimentResult:
     """A run's config and its trials as one block, in trial order.
 
-    The reports are computed from the block's arrays on first use, and the
-    trial log on each call.  ``records`` rebuilds the per-trial records,
-    as ``run_trial`` returns them, only when it is read.
+    The reports and the martingale audit are computed from the block's
+    arrays on first use, and the trial log on each call.  ``records``
+    rebuilds the per-trial records, as ``run_trial`` returns them, only
+    when it is read.
     """
 
     config: ExperimentConfig
@@ -315,6 +398,10 @@ class ExperimentResult:
     @cached_property
     def azuma(self) -> AzumaReport:
         return _block_azuma(self.block, self.config.azuma_n, self.config.azuma_eps)
+
+    @cached_property
+    def martingale(self) -> MartingaleReport:
+        return _block_martingale(self.block)
 
     @cached_property
     def records(self) -> tuple[TrialRecord, ...]:
@@ -334,7 +421,7 @@ class ExperimentResult:
         }
 
     def render_json(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
+        return dumps_indented(self.to_json()) + "\n"
 
     def trial_log(self) -> str:
         return _block_log(self.block)
@@ -376,22 +463,22 @@ def _win_rate(
     hist: Iterable[tuple[int, int]],
 ) -> WinRateReport:
     """The report of per-player win counts over the scored trials."""
-    per_player = []
-    for k in range(players):
-        w = int(wins[k])
-        lo, hi = wilson_interval(w, scored)
-        per_player.append(
-            PlayerRate(
-                player=k + 1,
-                wins=w,
-                trials=scored,
-                freq=(w / scored) if scored else None,
-                lo=lo,
-                hi=hi,
-            )
+    counts = wins.tolist()
+    # One interval per distinct count: players of a run share a few counts.
+    intervals = {w: wilson_interval(w, scored) for w in set(counts)}
+    per_player = tuple(
+        PlayerRate(
+            player=k,
+            wins=w,
+            trials=scored,
+            freq=(w / scored) if scored else None,
+            lo=intervals[w][0],
+            hi=intervals[w][1],
         )
+        for k, w in enumerate(counts, 1)
+    )
 
-    total_wins = int(wins.sum())
+    total_wins = sum(counts)
     total = scored * players
     pooled_lo, pooled_hi = wilson_interval(total_wins, total)
     return WinRateReport(
@@ -399,7 +486,7 @@ def _win_rate(
         scored_trials=scored,
         invalid_trials=invalid,
         invalid_raw_success_rate=invalid_raw,
-        per_player=tuple(per_player),
+        per_player=per_player,
         pooled_freq=(total_wins / total) if total else None,
         pooled_lo=pooled_lo,
         pooled_hi=pooled_hi,
@@ -565,6 +652,32 @@ class MartingaleReport:
         }
 
 
+def _martingale(s: np.ndarray, trajectories: np.ndarray) -> MartingaleReport:
+    """The martingale report of [trials, players] steps and their partial
+    sums (see ``martingale_audit``)."""
+    increments_ok = bool(np.array_equal(np.cumsum(s, axis=1), trajectories)) and bool(
+        (np.abs(s) == 1).all()
+    )
+
+    bins: list[MartingaleBin] = []
+    if s.shape[1] > 1:
+        condition = trajectories[:, :-1].ravel()
+        step = s[:, 1:].ravel()
+        offset = condition - condition.min()
+        counts = np.bincount(offset)
+        sums = np.bincount(offset, weights=step.astype(np.float64))
+        for pos in np.nonzero(counts >= MIN_BIN_COUNT)[0]:
+            count = int(counts[pos])
+            mean = float(sums[pos] / count)
+            margin = Z / math.sqrt(count)
+            s_value = int(pos + condition.min())
+            bins.append(MartingaleBin(s_value, count, mean, margin, abs(mean) <= margin))
+    return MartingaleReport(trials=len(s), increments_ok=increments_ok, bins=tuple(bins))
+
+
+_INVALID_AUDIT = "log contains SIGNALING-INVALID trials; audit refused"
+
+
 def martingale_audit(records: Sequence[TrialRecord]) -> MartingaleReport:
     """Check the defining martingale properties on a trial log.
 
@@ -578,28 +691,16 @@ def martingale_audit(records: Sequence[TrialRecord]) -> MartingaleReport:
     if not records:
         raise ValueError("empty trial log")
     if any(not r.valid for r in records):
-        raise ValueError("log contains SIGNALING-INVALID trials; audit refused")
-
+        raise ValueError(_INVALID_AUDIT)
     s = np.array([r.s for r in records], dtype=np.int64)
-    traj = np.array([r.trajectory for r in records], dtype=np.int64)
-    increments_ok = bool(np.array_equal(np.cumsum(s, axis=1), traj)) and bool(
-        (np.abs(s) == 1).all()
-    )
+    return _martingale(s, np.array([r.trajectory for r in records], dtype=np.int64))
 
-    bins: list[MartingaleBin] = []
-    if records[0].s and len(records[0].s) > 1:
-        condition = traj[:, :-1].ravel()
-        step = s[:, 1:].ravel()
-        offset = condition - condition.min()
-        counts = np.bincount(offset)
-        sums = np.bincount(offset, weights=step.astype(np.float64))
-        for pos in np.nonzero(counts >= MIN_BIN_COUNT)[0]:
-            count = int(counts[pos])
-            mean = float(sums[pos] / count)
-            margin = Z / math.sqrt(count)
-            s_value = int(pos + condition.min())
-            bins.append(MartingaleBin(s_value, count, mean, margin, abs(mean) <= margin))
-    return MartingaleReport(trials=len(records), increments_ok=increments_ok, bins=tuple(bins))
+
+def _block_martingale(block: TrialBlock) -> MartingaleReport:
+    """``martingale_audit`` of a block's trials, from its arrays."""
+    if not block.valid.all():
+        raise ValueError(_INVALID_AUDIT)
+    return _martingale(block.s, np.cumsum(block.s, axis=1, dtype=np.int64))
 
 
 @dataclass(frozen=True)

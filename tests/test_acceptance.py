@@ -20,7 +20,6 @@ from nsgames.experiment import (
     ADVERSARIAL,
     ExperimentConfig,
     invariance_test,
-    martingale_audit,
     run_experiment,
 )
 from nsgames.strategies import build_strategy, exact_table_win_probability
@@ -152,12 +151,9 @@ def test_criterion_4_azuma_exceedance(suite_results, capsys):
 
 
 def test_criterion_5_martingale_audit(suite_results, fns_results, capsys):
-    audits = {
-        label: martingale_audit(result.records)
-        for label, result in suite_results.items()
-    }
+    audits = {label: result.martingale for label, result in suite_results.items()}
     local_ok = all(a.increments_ok and a.passed for a in audits.values())
-    fns_audit = martingale_audit(fns_results[0].records)
+    fns_audit = fns_results[0].martingale
     fns_flagged = fns_audit.increments_ok and not fns_audit.passed
     announce(
         capsys, local_ok and fns_flagged,

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import nsgames.experiment as experiment
 import nsgames.strategies as strategies
 from nsgames.bitstream import BitStream
-from nsgames.experiment import ExperimentConfig, run_experiment
+from nsgames.experiment import ExperimentConfig, martingale_audit, run_experiment
 from nsgames.seeding import GOLDEN, MASK64, child_seed, child_seed_np, mix64, mix64_np
 from nsgames.strategies import (
     STRATEGY_PARAMS,
@@ -129,7 +129,9 @@ class TestBatchEqualsScalar:
             master_seed=seed,
             override_depth=depth,
         )
-        assert_same_bytes(run_experiment(cfg), scalar_reference(cfg))
+        result, reference = run_experiment(cfg), scalar_reference(cfg)
+        assert_same_bytes(result, reference)
+        assert result.martingale == martingale_audit(reference.records)
 
     def test_many_chunks(self, scalar_reference, monkeypatch):
         monkeypatch.setattr(experiment, "CHUNK_CELLS", 100)
@@ -366,6 +368,8 @@ class TestTrialLogWriter:
         )
         assert 0 < result.win.invalid_trials < 20
         assert {doc["valid"] for doc in docs} == {True, False}
+        with pytest.raises(ValueError, match="SIGNALING-INVALID trials; audit refused"):
+            result.martingale
 
     @pytest.mark.parametrize("strategy", [{"name": "cheat"}, SometimesCheat()])
     def test_no_enforce(self, scalar_reference, strategy):

@@ -20,6 +20,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def load_indented(text):
+    """The document in `text`, after checking that `text` is its
+    ``json.dumps(..., sort_keys=True, indent=2)`` rendering and a newline."""
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return doc
+
+
 def write_box(tmp_path, box, name="box.json"):
     path = tmp_path / name
     path.write_text(json.dumps(box.to_json()), encoding="utf-8")
@@ -34,7 +42,7 @@ class TestSimulate:
         )
         assert code == 0
         assert "pooled win rate: 1.000000" in out
-        report = json.loads((tmp_path / "report.json").read_text())
+        report = load_indented((tmp_path / "report.json").read_text())
         assert report["schema_version"] == 2
         assert report["config"]["players"] == 8
         assert set(report["config"]) == {
@@ -271,7 +279,7 @@ class TestVerifyBehavior:
         path = write_box(tmp_path, signaling_box())
         code, out, _ = run(capsys, "verify-behavior", path, "--format", "json")
         assert code == 3
-        doc = json.loads(out)
+        doc = load_indented(out)
         assert doc["no_signaling"] is False
         assert doc["deterministic"] is True
         assert doc["fns"] is False
@@ -443,7 +451,7 @@ class TestInvarianceCommand:
         )
         assert code == 0
         assert "pass" in out
-        doc = json.loads(out_file.read_text())
+        doc = load_indented(out_file.read_text())
         assert doc["passed"] is True
         assert doc["bins"] == 16
 
@@ -487,7 +495,7 @@ class TestEnumerateFns:
     def test_default_binary_counts(self, capsys):
         code, out, _ = run(capsys, "enumerate-fns")
         assert code == 0
-        doc = json.loads(out)
+        doc = load_indented(out)
         assert doc["total"] == 256
         assert doc["fns"] == 16
         assert doc["equal"] is True

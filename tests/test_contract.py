@@ -6,7 +6,9 @@ them byte for byte: the trial log and the win-rate and Azuma report
 blocks are the deterministic outputs of a (config, seed) pair.  The
 CSV, martingale-audit and invariance digests were taken from the
 hand-written serializers before the reports' JSON and CSV were read off
-their dataclass fields.
+their dataclass fields.  The whole-report digests were taken from
+``json.dumps(..., sort_keys=True, indent=2)`` before ``dumps_indented``
+replaced it, so they pin the indented layout as well as the values.
 """
 
 import hashlib
@@ -68,6 +70,13 @@ GOLDEN_TABLES = {
     ),
 }
 
+# The full render_json() text, per GOLDEN config.
+REPORT_DIGESTS = {
+    "local-table": "4d71e14d8a251428e292bd650aa8c870ff96b63ce21b8534856652e2ceb3ebe3",
+    "fns-depth-2-parallel": "9d34e016561c8d75f11ed6e2a51b15011341d853cce98e0db749cf54824f2345",
+    "local-random": "278d1bc5d49f047680cd37367372009a831b72b4a09e838739107b70309ccee1",
+}
+
 INVARIANCE_DIGEST = "53c0823845235f7f655493bd9a85ad0bb0e73788b9061e27c5e60f616532e595"
 
 
@@ -80,7 +89,9 @@ def test_golden_digests(name):
     kwargs, log_digest, win_digest, azuma_digest = GOLDEN[name]
     kwargs = dict(kwargs, strategy=build_strategy(kwargs["strategy"]))
     result = run_experiment(ExperimentConfig(**kwargs))
-    report = json.loads(result.render_json())
+    rendered = result.render_json()
+    report = json.loads(rendered)
+    assert sha256(rendered) == REPORT_DIGESTS[name]
     assert sha256(result.trial_log()) == log_digest
     assert sha256(json.dumps(report["win_rate"], sort_keys=True)) == win_digest
     assert sha256(json.dumps(report["azuma"], sort_keys=True)) == azuma_digest
@@ -94,7 +105,8 @@ def test_golden_table_digests(name):
     win_csv, azuma_csv, audit = GOLDEN_TABLES[name]
     assert sha256(result.win.to_csv()) == win_csv
     assert sha256(result.azuma.to_csv()) == azuma_csv
-    report = martingale_audit(result.records).to_json()
+    assert result.martingale == martingale_audit(result.records)
+    report = result.martingale.to_json()
     assert sha256(json.dumps(report, sort_keys=True)) == audit
 
 

@@ -1,11 +1,14 @@
 """Aggregation, concentration bounds, the martingale audit, invariance."""
 
 import itertools
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nsgames.experiment as experiment
 from nsgames.experiment import (
@@ -14,6 +17,7 @@ from nsgames.experiment import (
     ExperimentConfig,
     azuma_bound,
     azuma_report,
+    dumps_indented,
     invariance_test,
     martingale_audit,
     run_experiment,
@@ -155,6 +159,63 @@ class TestWinRateReport:
         rep = win_rate_report([], players=2)
         assert rep.pooled_freq is None
         assert all(p.freq is None for p in rep.per_player)
+
+    def test_one_interval_per_distinct_count(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            experiment, "wilson_interval",
+            lambda *args: calls.append(args) or wilson_interval(*args),
+        )
+        records = [make_record((1, 1, -1, 1)), make_record((1, -1, -1, 1))]
+        rep = win_rate_report(records, players=4)
+        # Counts 2, 1, 0, 2 and the pooled 5 of 8.
+        assert sorted(calls) == [(0, 2), (1, 2), (2, 2), (5, 8)]
+        assert [(p.lo, p.hi) for p in rep.per_player] == [
+            wilson_interval(p.wins, 2) for p in rep.per_player
+        ]
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, -(2**64) - 1, 10**300]),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16]),
+    st.text(),
+    st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "\u00e9\u2028", "\U0001f600"]),
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(st.text(), children),
+    ),
+    max_leaves=25,
+)
+
+
+class TestDumpsIndented:
+    @settings(max_examples=150, deadline=None)
+    @given(json_trees)
+    def test_matches_json_dumps(self, doc):
+        assert dumps_indented(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], (), {"a": []}, [{}], {"b": 1, "a": {"d": [], "c": -0.0}},
+        [0.0, -0.0, 0.0, -0.0], [0.1, 0.1, -0.1], ["", "", ""],
+    ])
+    def test_edge_cases(self, doc):
+        assert dumps_indented(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("doc", [
+        {1, 2}, b"x", np.int64(3), np.float64(0.5), {1: 2}, {"a": 1, 2: 3}, [{"a": {None: 0}}],
+        [object()],
+    ])
+    def test_other_types_raise(self, doc):
+        with pytest.raises(TypeError):
+            dumps_indented(doc)
 
 
 class TestAzumaReport:
