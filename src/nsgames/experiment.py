@@ -23,6 +23,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -260,6 +261,14 @@ def dumps_indented(doc) -> str:
     (dict, list, tuple, str, int, float, bool, None); any other key or
     value, value subclasses included, raises ``TypeError``.  A report repeats the
     same few keys and floats, so their text is kept for the call.
+
+    A list or tuple is a table when every item is a non-empty dict (exactly
+    ``dict``), all items have the same keys and every cell is a scalar.  A
+    table is spelled one column at a time: its keys are sorted once, each
+    column's types are read once and a single-type column is spelled with
+    one ``map``; each row is then one join of constant key texts and its
+    cells.  Any other list, one that stops being a table partway through
+    included, is written item by item.
     """
     key_text = _TextMemo(_key_text).__getitem__
     # Each scalar type's spelling, looked up by exact type.
@@ -270,6 +279,34 @@ def dumps_indented(doc) -> str:
         bool: _CONSTANT_TEXT,
         type(None): _CONSTANT_TEXT,
     }
+
+    def table(rows, indent: str) -> list[str] | None:
+        """The texts of a table's rows, or None when ``rows`` is not a table."""
+        keys = rows[0].keys()
+        if not keys or not all(type(row) is dict and row.keys() == keys for row in rows):
+            return None
+        names = sorted(keys)
+        columns = []
+        for name in names:
+            column = list(map(itemgetter(name), rows))
+            kinds = set(map(type, column))
+            if not kinds.issubset(scalars):
+                return None
+            if len(kinds) == 1:
+                columns.append(map(scalars[kinds.pop()], column))
+            else:
+                columns.append([scalars[type(cell)](cell) for cell in column])
+        inner = indent + "  "
+        prefixes = ["," + inner + key_text(name) for name in names]
+        prefixes[0] = "{" + inner + key_text(names[0])
+        # parts[0::2] are the prefixes and the closing brace; parts[1::2]
+        # take each row's cells in turn.
+        parts = [text for prefix in prefixes for text in (prefix, "")] + [indent + "}"]
+        texts = []
+        for cells in zip(*columns):
+            parts[1::2] = cells
+            texts.append("".join(parts))
+        return texts
 
     def write(value, indent: str) -> str:
         kind = type(value)
@@ -288,10 +325,12 @@ def dumps_indented(doc) -> str:
         if kind is list or kind is tuple:
             if not value:
                 return "[]"
-            items = []
-            for item in value:
-                text = scalars.get(type(item))
-                items.append(text(item) if text else write(item, inner))
+            items = table(value, inner) if type(value[0]) is dict else None
+            if items is None:
+                items = []
+                for item in value:
+                    text = scalars.get(type(item))
+                    items.append(text(item) if text else write(item, inner))
             return "[" + inner + ("," + inner).join(items) + indent + "]"
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -311,11 +350,14 @@ def _cell(value) -> str:
     return repr(value)
 
 
-def _csv(row_class: type, rows: Iterable) -> str:
-    """A header of the row class's field names, then one line per row."""
-    lines = [",".join(f.name for f in fields(row_class))]
-    lines += [",".join(map(_cell, vars(row).values())) for row in rows]
-    return "\n".join(lines) + "\n"
+def _line(values: Iterable) -> str:
+    """One CSV line of cells."""
+    return ",".join(map(_cell, values))
+
+
+def _csv(row_class: type, lines: Iterable[str]) -> str:
+    """A header of the row class's field names, then the given lines."""
+    return "\n".join([",".join(f.name for f in fields(row_class)), *lines]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -330,25 +372,57 @@ class PlayerRate:
 
 @dataclass(frozen=True)
 class WinRateReport:
+    """Per-player win counts over the scored trials, kept as columns.
+
+    ``wins[k - 1]`` is player k's number of won scored trials, a Python
+    int.  ``intervals`` holds ``(count, lo, hi)``, the Wilson interval of
+    each distinct count, by ascending count: the players of a run share a
+    few counts, so each interval is computed once, when the report is
+    built.  A player's row follows from its count: ``(player, wins,
+    trials, freq, lo, hi)``, with ``trials`` the scored trials and ``freq``
+    their share of wins.  ``to_json`` and ``to_csv`` write the rows from
+    these columns; ``per_player`` builds them as ``PlayerRate`` on each read.
+    """
+
     players: int
     scored_trials: int
     invalid_trials: int
     invalid_raw_success_rate: float | None
-    per_player: tuple[PlayerRate, ...]
+    wins: tuple[int, ...]
+    intervals: tuple[tuple[int, float, float], ...]
     pooled_freq: float | None
     pooled_lo: float
     pooled_hi: float
     threshold_hist: tuple[tuple[int, int], ...]
 
+    def _rates(self) -> dict[int, tuple]:
+        """Each distinct count's ``PlayerRate`` fields after ``player``."""
+        n = self.scored_trials
+        return {w: (w, n, (w / n) if n else None, lo, hi) for w, lo, hi in self.intervals}
+
+    @property
+    def per_player(self) -> tuple[PlayerRate, ...]:
+        rates = self._rates()
+        return tuple(PlayerRate(k, *rates[w]) for k, w in enumerate(self.wins, 1))
+
     def to_json(self) -> dict:
+        _, *names = (f.name for f in fields(PlayerRate))
+        rows = {w: dict(zip(names, rate)) for w, rate in self._rates().items()}
         return {
-            **_row(self),
-            "per_player": [_row(r) for r in self.per_player],
+            "players": self.players,
+            "scored_trials": self.scored_trials,
+            "invalid_trials": self.invalid_trials,
+            "invalid_raw_success_rate": self.invalid_raw_success_rate,
+            "per_player": [{"player": k, **rows[w]} for k, w in enumerate(self.wins, 1)],
+            "pooled_freq": self.pooled_freq,
+            "pooled_lo": self.pooled_lo,
+            "pooled_hi": self.pooled_hi,
             "threshold_hist": [list(pair) for pair in self.threshold_hist],
         }
 
     def to_csv(self) -> str:
-        return _csv(PlayerRate, self.per_player)
+        tails = {w: _line(rate) for w, rate in self._rates().items()}
+        return _csv(PlayerRate, (f"{k},{tails[w]}" for k, w in enumerate(self.wins, 1)))
 
 
 @dataclass(frozen=True)
@@ -375,7 +449,7 @@ class AzumaReport:
         return {"points": [_row(p) for p in self.points], "violations": self.violations}
 
     def to_csv(self) -> str:
-        return _csv(AzumaPoint, self.points)
+        return _csv(AzumaPoint, (_line(vars(p).values()) for p in self.points))
 
 
 @dataclass(frozen=True)
@@ -465,19 +539,7 @@ def _win_rate(
     """The report of per-player win counts over the scored trials."""
     counts = wins.tolist()
     # One interval per distinct count: players of a run share a few counts.
-    intervals = {w: wilson_interval(w, scored) for w in set(counts)}
-    per_player = tuple(
-        PlayerRate(
-            player=k,
-            wins=w,
-            trials=scored,
-            freq=(w / scored) if scored else None,
-            lo=intervals[w][0],
-            hi=intervals[w][1],
-        )
-        for k, w in enumerate(counts, 1)
-    )
-
+    intervals = tuple((w, *wilson_interval(w, scored)) for w in sorted(set(counts)))
     total_wins = sum(counts)
     total = scored * players
     pooled_lo, pooled_hi = wilson_interval(total_wins, total)
@@ -486,7 +548,8 @@ def _win_rate(
         scored_trials=scored,
         invalid_trials=invalid,
         invalid_raw_success_rate=invalid_raw,
-        per_player=per_player,
+        wins=tuple(counts),
+        intervals=intervals,
         pooled_freq=(total_wins / total) if total else None,
         pooled_lo=pooled_lo,
         pooled_hi=pooled_hi,

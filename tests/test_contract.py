@@ -77,6 +77,18 @@ REPORT_DIGESTS = {
     "local-random": "278d1bc5d49f047680cd37367372009a831b72b4a09e838739107b70309ccee1",
 }
 
+# render_json() and win.to_csv() of fns at 1024 players, 10 trials, seed 1
+# and override depth 8: players 1-8 lose every trial and the rest win every
+# one, so the report has only two distinct win counts.  Taken before the
+# win-rate report kept its per-player rows as columns and before
+# dumps_indented wrote tables column by column.
+FNS_1024 = dict(strategy={"name": "fns"}, trials=10, players=1024, master_seed=1,
+                override_depth=8)
+FNS_1024_DIGESTS = (
+    "6e00b579cfed6966d25efeb2ffe58137f7e2834db758b259b4b8e77b05974e61",
+    "74d7f1dc8317cde9b58075a715185d364087c5ce21289f996da65cffb767efa9",
+)
+
 INVARIANCE_DIGEST = "53c0823845235f7f655493bd9a85ad0bb0e73788b9061e27c5e60f616532e595"
 
 
@@ -108,6 +120,12 @@ def test_golden_table_digests(name):
     assert result.martingale == martingale_audit(result.records)
     report = result.martingale.to_json()
     assert sha256(json.dumps(report, sort_keys=True)) == audit
+
+
+def test_fns_1024_report_digests():
+    kwargs = dict(FNS_1024, strategy=build_strategy(FNS_1024["strategy"]))
+    result = run_experiment(ExperimentConfig(**kwargs))
+    assert (sha256(result.render_json()), sha256(result.win.to_csv())) == FNS_1024_DIGESTS
 
 
 def test_invariance_digest():

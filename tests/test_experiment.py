@@ -157,6 +157,7 @@ class TestWinRateReport:
 
     def test_empty_log(self):
         rep = win_rate_report([], players=2)
+        assert rep.wins == (0, 0) and type(rep.wins[0]) is int
         assert rep.pooled_freq is None
         assert all(p.freq is None for p in rep.per_player)
 
@@ -195,6 +196,32 @@ json_trees = st.recursive(
     max_leaves=25,
 )
 
+# The cells of one table column: a single type, or a mix of types.
+table_columns = st.sampled_from([
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.one_of(st.floats(), st.none()),
+    st.one_of(st.booleans(), st.integers()),
+    json_scalars,
+])
+
+
+@st.composite
+def json_tables(draw):
+    """A list (or tuple) of 1-40 dicts with the same keys and scalar cells,
+    each row's keys inserted in an order of its own."""
+    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=5, unique=True))
+    columns = {key: draw(table_columns) for key in keys}
+    rows = [
+        {key: draw(columns[key]) for key in draw(st.permutations(keys))}
+        for _ in range(draw(st.integers(1, 40)))
+    ]
+    return draw(st.sampled_from([list, tuple]))(rows)
+
 
 class TestDumpsIndented:
     @settings(max_examples=150, deadline=None)
@@ -202,9 +229,29 @@ class TestDumpsIndented:
     def test_matches_json_dumps(self, doc):
         assert dumps_indented(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        json_tables(),
+        st.dictionaries(st.text(max_size=3), json_tables(), min_size=1, max_size=3),
+        st.builds(lambda t, n: {"outer": {"table": t, "n": n}}, json_tables(), st.integers()),
+    ))
+    def test_tables_match_json_dumps(self, doc):
+        assert dumps_indented(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
     @pytest.mark.parametrize("doc", [
         {}, [], (), {"a": []}, [{}], {"b": 1, "a": {"d": [], "c": -0.0}},
         [0.0, -0.0, 0.0, -0.0], [0.1, 0.1, -0.1], ["", "", ""],
+        # Tables, and lists that stop being one partway through.
+        [{"b": 1, "a": -0.0}, {"a": 0.0, "b": True}, {"b": None, "a": 0.0}],
+        [{"a": 1, "b": 2}, {"a": 3, "b": 4, "c": 5}],
+        [{"a": 1, "b": 2}, {"a": 3}],
+        [{"a": 1, "b": 2}, {"a": 3, "c": 4}],
+        [{"a": 1}, {"a": [1, {"b": 2}]}],
+        [{"a": 1}, {"a": {}}],
+        [{"a": 1}, 2],
+        [{"a": 1}, [{"a": 1}]],
+        [{"a": 1}, {}],
+        {"t": [{"x": 0.5}, {"x": 0.5}], "u": [{"y": "z"}]},
     ])
     def test_edge_cases(self, doc):
         assert dumps_indented(doc) == json.dumps(doc, sort_keys=True, indent=2)
@@ -212,6 +259,7 @@ class TestDumpsIndented:
     @pytest.mark.parametrize("doc", [
         {1, 2}, b"x", np.int64(3), np.float64(0.5), {1: 2}, {"a": 1, 2: 3}, [{"a": {None: 0}}],
         [object()],
+        [{"a": 1}, {"a": np.int64(3)}], [{"a": np.float64(0.5)}], [{1: 2}, {1: 3}],
     ])
     def test_other_types_raise(self, doc):
         with pytest.raises(TypeError):
@@ -415,6 +463,23 @@ class TestRunExperiment:
             assert result.win == win_rate_report(result.records, cfg.players)
             assert result.azuma == azuma_report(result.records, cfg.azuma_n, cfg.azuma_eps)
         assert calls == [block_win_rate, block_azuma]
+
+    @pytest.mark.parametrize("spec, depth", [
+        ({"name": "fns"}, 3), ({"name": "local-random", "p": 0.5}, 0),
+    ])
+    def test_win_report_columns(self, spec, depth):
+        cfg = ExperimentConfig(
+            strategy=build_strategy(spec), players=24, trials=7, master_seed=5, override_depth=depth
+        )
+        result = run_experiment(cfg)
+        win = result.win
+        rendered, csv = result.render_json(), win.to_csv()
+        assert all(type(w) is int for w in win.wins)
+        assert all(type(w) is int for w, _, _ in win.intervals)
+        # Reading the derived rows leaves nothing behind that a report shows.
+        assert [p.wins for p in win.per_player] == list(win.wins)
+        assert (result.render_json(), win.to_csv()) == (rendered, csv)
+        assert win_rate_report(result.records, cfg.players) == win
 
     def test_local_random_half(self):
         cfg = ExperimentConfig(
