@@ -35,6 +35,9 @@ from .seeding import (
     DOMAIN_INVARIANCE,
     DOMAIN_ROOT,
     DOMAIN_TRIAL,
+    GOLDEN,
+    MASK64,
+    _mix64_inplace,
     child_seed,
     child_seed_np,
     derive,
@@ -785,13 +788,11 @@ class InvarianceReport:
 
 
 def _bit_reversal_table(width: int) -> np.ndarray:
-    size = 1 << width
-    rev = np.zeros(size, dtype=np.int64)
-    for v in range(size):
-        r = 0
-        for t in range(width):
-            r = (r << 1) | ((v >> t) & 1)
-        rev[v] = r
+    """rev[v] is v with its `width` low bits in reverse order."""
+    values = np.arange(1 << width, dtype=np.int64)
+    rev = np.zeros_like(values)
+    for t in range(width):
+        rev |= ((values >> t) & 1) << (width - 1 - t)
     return rev
 
 
@@ -802,6 +803,10 @@ def _sample_seed(seed: int, index: int) -> int:
 # Roots hashed per block of the invariance histogram, so that its arrays
 # stay at a few hundred KiB however many samples are drawn.
 INVARIANCE_BLOCK = 1 << 16
+# Most bins invariance_test accepts.  The counts and the bit-reversal
+# table take 8 bytes a bin each, 128 MiB apiece at this bound, and a run
+# draws at least 100 samples a bin.
+MAX_INVARIANCE_BINS = 1 << 24
 
 
 def _invariance_counts(
@@ -813,24 +818,45 @@ def _invariance_counts(
     reference walks the public stream API and is cross-checked in tests).
     The image bits are root bits iterations+1 .. iterations+width, read from
     the one or two hash words that hold them, INVARIANCE_BLOCK roots at a
-    time.
+    time.  Each block is hashed in three buffers allocated once: root i is
+    ``mix64(base + (i+1)·GOLDEN)``, and its word 2q is ``mix64(root +
+    (2q+1)·GOLDEN)``, so the offsets are summed as Python ints and wrapped
+    once, however large `iterations` is.  The windows are counted least
+    significant bit first, with ``np.add.at`` so that a block costs the same
+    at any bin count, and the bit reversal is applied once to the counts.
     """
     base = child_seed(seed, DOMAIN_INVARIANCE)
     q, r = divmod(iterations, 64)
-    rev = _bit_reversal_table(width)
+    first = np.uint64((2 * q + 1) * GOLDEN & MASK64)
+    second = np.uint64((2 * q + 3) * GOLDEN & MASK64)
+    mask = np.uint64((1 << width) - 1)
+    size = min(samples, INVARIANCE_BLOCK)
+    steps = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+    roots, windows, scratch = (np.empty(size, dtype=np.uint64) for _ in range(3))
     counts = np.zeros(1 << width, dtype=np.int64)
     for start in range(0, samples, INVARIANCE_BLOCK):
-        roots = child_seed_np(base, np.arange(start, min(start + INVARIANCE_BLOCK, samples)))
-        window = child_seed_np(roots, 2 * q) >> np.uint64(r)
+        n = min(size, samples - start)
+        root, window, tmp = roots[:n], windows[:n], scratch[:n]
+        np.add(steps[:n], np.uint64((base + start * GOLDEN) & MASK64), out=root)
+        _mix64_inplace(root, tmp)
+        np.add(root, first, out=window)
+        _mix64_inplace(window, tmp)
+        window >>= np.uint64(r)
         if r + width > 64:
             # r >= 1 here (width < 64), so the shift below stays under 64.
-            window |= child_seed_np(roots, 2 * q + 2) << np.uint64(64 - r)
-        window &= np.uint64((1 << width) - 1)
+            root += second
+            _mix64_inplace(root, tmp)
+            root <<= np.uint64(64 - r)
+            window |= root
+        window &= mask
         if sampler == ADVERSARIAL:
-            low = window & np.uint64(1)
-            window = (window & ~np.uint64(2)) | (low << np.uint64(1))
-        counts += np.bincount(rev[window.astype(np.int64)], minlength=1 << width)
-    return counts
+            # The root's bit iterations+1 is copied onto bit iterations+2.
+            np.bitwise_and(window, np.uint64(1), out=tmp)
+            tmp <<= np.uint64(1)
+            window &= ~np.uint64(2)
+            window |= tmp
+        np.add.at(counts, window.view(np.int64), 1)
+    return counts[_bit_reversal_table(width)]
 
 
 def _invariance_counts_reference(
@@ -873,6 +899,8 @@ def invariance_test(
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     if bins < 2 or bins & (bins - 1):
         raise ValueError(f"bins must be a power of two >= 2, got {bins}")
+    if bins > MAX_INVARIANCE_BINS:
+        raise ValueError(f"bins must be at most {MAX_INVARIANCE_BINS}, got {bins}")
     if samples < 100 * bins:
         raise ValueError(f"need at least {100 * bins} samples for {bins} bins")
     if iterations < 1:

@@ -36,24 +36,40 @@ def child_seed(seed: int, index: int) -> int:
     return mix64((seed + (index + 1) * GOLDEN) & MASK64)
 
 
+def _mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """:func:`mix64` on a uint64 array, overwriting it; returns `z`.
+
+    `scratch` is a uint64 buffer of the same shape that the shifts are
+    written to, so the hash allocates nothing.  Array arithmetic wraps
+    modulo 2**64 silently, as the mask does in the scalar version.
+    """
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+    return z
+
+
 def mix64_np(z: np.ndarray) -> np.ndarray:
     """Elementwise :func:`mix64` on a uint64 array.
 
-    Array arithmetic wraps modulo 2**64 silently, as the mask does in the
-    scalar version; 0-d numpy scalars would warn on the wrap, so inputs are
-    kept as arrays of at least one dimension.
+    Returns a new array of at least one dimension: 0-d numpy scalars would
+    warn on the wrap.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=np.uint64))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z = np.array(z, dtype=np.uint64, ndmin=1)
+    return _mix64_inplace(z, np.empty_like(z))
 
 
 def child_seed_np(seed, index) -> np.ndarray:
     """Elementwise :func:`child_seed` over broadcast seed and index arrays."""
     seed = np.atleast_1d(np.asarray(seed, dtype=np.uint64))
     step = np.atleast_1d(np.asarray(index, dtype=np.uint64)) + np.uint64(1)
-    return mix64_np(seed + step * np.uint64(GOLDEN))
+    z = seed + step * np.uint64(GOLDEN)
+    return _mix64_inplace(z, np.empty_like(z))
 
 
 def derive(seed: int, *indices: int) -> int:

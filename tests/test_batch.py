@@ -111,6 +111,35 @@ class TestArrayHash:
         assert got.tolist() == [child_seed(MASK64, i) for i in range(4)]
         assert child_seed_np(MASK64, 3).tolist() == [child_seed(MASK64, 3)]
 
+    def test_inputs_left_unchanged(self):
+        # The hash runs in place on a fresh array, never on its arguments.
+        words = np.array([0, 1, MASK64, GOLDEN], dtype=np.uint64)
+        seeds = np.array([3, MASK64], dtype=np.uint64)
+        indices = np.array([0, 7], dtype=np.uint64)
+        kept = words.copy(), seeds.copy(), indices.copy()
+        assert mix64_np(words).tolist() == [mix64(int(z)) for z in kept[0]]
+        child_seed_np(seeds, indices)
+        child_seed_np(seeds[:, None], indices)
+        for arg, copy in zip((words, seeds, indices), kept):
+            assert np.array_equal(arg, copy)
+
+    def test_zero_dimensional_inputs(self):
+        word = np.array(MASK64, dtype=np.uint64)
+        assert mix64_np(word).tolist() == [mix64(MASK64)]
+        assert mix64_np(np.uint64(GOLDEN)).tolist() == [mix64(GOLDEN)]
+        got = child_seed_np(np.uint64(MASK64), np.array(5, dtype=np.uint64))
+        assert got.tolist() == [child_seed(MASK64, 5)]
+        assert word == MASK64
+
+    def test_column_by_row_broadcast(self):
+        # The [T, 1] x [W] grid generator_bits hashes: seed t, word 2w.
+        rng = random.Random(7)
+        seeds = [rng.getrandbits(64) for _ in range(50)] + [0, MASK64]
+        words = 2 * np.arange(3)
+        got = child_seed_np(np.array(seeds, dtype=np.uint64)[:, None], words)
+        assert got.shape == (len(seeds), 3)
+        assert got.tolist() == [[child_seed(s, int(w)) for w in words] for s in seeds]
+
 
 class TestBatchEqualsScalar:
     @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nsgames.behavior as behavior_module
+import nsgames.experiment as experiment_module
 from nsgames.behavior import pr_box, signaling_box
 from nsgames.cli import main
 
@@ -489,6 +490,29 @@ class TestInvarianceCommand:
         code, _, err = run(capsys, "invariance-test", "--bins", "10")
         assert code == 1
         assert "config error" in err
+
+    def test_oversized_bins_exit_one_without_allocating(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("histogram allocated")
+
+        monkeypatch.setattr(experiment_module, "_invariance_counts", refuse)
+        monkeypatch.setattr(experiment_module, "_bit_reversal_table", refuse)
+        code, out, err = run(
+            capsys, "invariance-test", "--bins", "1099511627776",
+            "--samples", "109951162777600",
+        )
+        assert code == 1
+        assert out == ""
+        assert "config error: bins must be at most" in err
+
+    def test_iterations_beyond_64_bits(self, capsys):
+        code, out, err = run(
+            capsys, "invariance-test", "--iterations", "100000000000000000000000",
+            "--samples", "1600", "--bins", "16",
+        )
+        assert code == 0
+        assert err == ""
+        assert "iterations=100000000000000000000000" in out
 
 
 class TestEnumerateFns:

@@ -13,16 +13,21 @@ replaced it, so they pin the indented layout as well as the values.
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
 import nsgames
 from nsgames.experiment import (
+    ADVERSARIAL,
+    INVARIANCE_BLOCK,
+    UNIFORM,
     ExperimentConfig,
     azuma_report,
     invariance_test,
     martingale_audit,
     run_experiment,
+    _invariance_counts,
 )
 from nsgames.strategies import build_strategy
 
@@ -91,6 +96,15 @@ FNS_1024_DIGESTS = (
 
 INVARIANCE_DIGEST = "53c0823845235f7f655493bd9a85ad0bb0e73788b9061e27c5e60f616532e595"
 
+# The sorted JSON of criterion 6's three reports, 10^6 samples x 256 bins at
+# its seed 0, keyed by (iterations, sampler).  Taken before the invariance
+# histogram was hashed in place.
+CRITERION_6_DIGESTS = {
+    (1, UNIFORM): "aee2c3ed2cf50715f9342aa0c9cd56bf7f8bb65ca54b50c7cb81860456424de8",
+    (16, UNIFORM): "361a24e7b23812470300a390b8bcf592a41245f1a0964a81fec6cde6c16cecc0",
+    (1, ADVERSARIAL): "07364c69899af20e7c1dc065fcca96783fc36d33f7507d54ad4b34325c1ad6d0",
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -131,6 +145,31 @@ def test_fns_1024_report_digests():
 def test_invariance_digest():
     report = invariance_test(samples=1600, bins=16, seed=7, iterations=3)
     assert sha256(json.dumps(report.to_json(), sort_keys=True)) == INVARIANCE_DIGEST
+
+
+@pytest.mark.parametrize("iterations, sampler", sorted(CRITERION_6_DIGESTS))
+def test_criterion_6_report_digests(iterations, sampler):
+    report = invariance_test(10**6, 256, 0, iterations=iterations, sampler=sampler)
+    digest = sha256(json.dumps(report.to_json(), sort_keys=True))
+    assert digest == CRITERION_6_DIGESTS[iterations, sampler]
+
+
+@pytest.mark.parametrize("sampler", [UNIFORM, ADVERSARIAL])
+def test_invariance_memory_is_flat_in_samples(sampler):
+    # The histogram kernel hashes each block in buffers it allocates once:
+    # its peak is the same at two blocks and at 10^6 samples, and stays
+    # under five blocks' worth of uint64 words.
+    block_bytes = 8 * INVARIANCE_BLOCK
+    peaks = []
+    for samples in (2 * INVARIANCE_BLOCK, 10**6):
+        tracemalloc.start()
+        try:
+            _invariance_counts(samples, 8, 0, 61, sampler)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 4096
+    assert max(peaks) < 5 * block_bytes
 
 
 def test_empty_azuma_grid_csv_is_the_header_alone():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsgames.experiment as experiment
+from nsgames.bitstream import BitStream
 from nsgames.experiment import (
     ADVERSARIAL,
     UNIFORM,
@@ -26,6 +27,7 @@ from nsgames.experiment import (
     win_rate_report,
     _invariance_counts,
     _invariance_counts_reference,
+    _sample_seed,
 )
 from nsgames.game import TrialRecord
 from nsgames.strategies import STRATEGY_PARAMS, Strategy, build_strategy
@@ -380,13 +382,47 @@ class TestInvariance:
         slow = _invariance_counts_reference(512, 4, 77, iterations, sampler)
         assert np.array_equal(fast, slow)
 
-    @pytest.mark.parametrize("sampler", [UNIFORM, ADVERSARIAL])
-    def test_blocks_sum_to_the_reference(self, monkeypatch, sampler):
-        # 512 roots in blocks of 100: five full blocks and a remainder.
+    @pytest.mark.parametrize(
+        "sampler, samples",
+        [
+            # 512 roots in blocks of 100: five full blocks and a remainder.
+            pytest.param(UNIFORM, 512, id=UNIFORM),
+            pytest.param(ADVERSARIAL, 512, id=ADVERSARIAL),
+            pytest.param(UNIFORM, 500, id="exact-multiple"),
+            pytest.param(ADVERSARIAL, 60, id="one-short-block"),
+            pytest.param(UNIFORM, 101, id="block-plus-one"),
+        ],
+    )
+    def test_blocks_sum_to_the_reference(self, monkeypatch, sampler, samples):
         monkeypatch.setattr(experiment, "INVARIANCE_BLOCK", 100)
-        fast = experiment._invariance_counts(512, 4, 77, 61, sampler)
-        slow = _invariance_counts_reference(512, 4, 77, 61, sampler)
+        fast = experiment._invariance_counts(samples, 4, 77, 61, sampler)
+        slow = _invariance_counts_reference(samples, 4, 77, 61, sampler)
         assert np.array_equal(fast, slow)
+
+    @pytest.mark.parametrize("offset", [5, 62])
+    def test_iterations_beyond_64_bits(self, offset):
+        # Hash word 2q with 2q >= 2**64 is still addressed exactly; offset
+        # 62 puts the 4-bit window across two words.  The scalar stream
+        # reads the same bits at shift `iterations` (no shift loop).
+        iterations = 2**70 + offset
+        expected = np.zeros(16, dtype=np.int64)
+        for i in range(300):
+            stream = BitStream.generator(_sample_seed(9, i), shift=iterations)
+            expected[int("".join(map(str, stream.bits(4))), 2)] += 1
+        fast = _invariance_counts(300, 4, 9, iterations, UNIFORM)
+        assert np.array_equal(fast, expected)
+
+    def test_bins_bounded_before_allocation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("histogram allocated")
+
+        monkeypatch.setattr(experiment, "_invariance_counts", refuse)
+        monkeypatch.setattr(experiment, "_bit_reversal_table", refuse)
+        bins = 2 * experiment.MAX_INVARIANCE_BINS
+        with pytest.raises(ValueError, match=f"at most {experiment.MAX_INVARIANCE_BINS}"):
+            invariance_test(samples=100 * bins, bins=bins, seed=0)
+        with pytest.raises(ValueError, match="at most"):
+            invariance_test(samples=100 * 2**40, bins=2**40, seed=0)
 
     @pytest.mark.parametrize("iterations", [61, 64, 200])
     def test_deep_windows_stay_vectorized(self, monkeypatch, iterations):
