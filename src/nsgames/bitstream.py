@@ -167,11 +167,13 @@ def generator_bits(seeds: np.ndarray, width: int) -> np.ndarray:
     The array twin of ``BitStream.generator(seed).bits(width)``: a uint8
     array of shape [len(seeds), width] whose column i - 1 holds bit i, that
     is bit (i-1) % 64 of hash word 2 * ((i-1) // 64), as in ``_base_bit``.
+    The words are unpacked straight from their little-endian bytes, one
+    byte per bit.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     words = child_seed_np(seeds[:, None], 2 * np.arange(-(-width // 64)))
-    bits = (words[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-    return bits.astype(np.uint8).reshape(len(seeds), -1)[:, :width]
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=1, bitorder="little")[:, :width]
 
 
 def _validated_overrides(

@@ -174,6 +174,45 @@ class TestBatchEqualsScalar:
         assert len(experiment._plan(cfg)[0]) == 17
         assert_same_bytes(run_experiment(cfg), scalar_reference(cfg))
 
+    def test_deep_overrides_keep_chunks_bounded(self, monkeypatch):
+        # Override depth beyond the player count widens every row of root
+        # bits; the chunks shrink so that each stays within CHUNK_CELLS.
+        sizes = []
+        generator_bits = experiment.generator_bits
+
+        def recording(seeds, width):
+            bits = generator_bits(seeds, width)
+            sizes.append(bits.size)
+            return bits
+
+        monkeypatch.setattr(experiment, "generator_bits", recording)
+        cfg = ExperimentConfig(
+            strategy=build_strategy({"name": "fns"}),
+            players=4,
+            trials=16384,
+            master_seed=5,
+            override_depth=2048,
+        )
+        result = run_experiment(cfg)
+        assert len(sizes) == len(experiment._plan(cfg)[0]) == 512
+        assert max(sizes) <= experiment.CHUNK_CELLS
+        assert result.block.flips.shape == (16384, 2048)
+        assert result.win.wins == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("spec", [{"name": "fns"}, {"name": "local-table", "table": [1, 0]}])
+    def test_deep_overrides_independent_of_chunk_cells(self, scalar_reference, monkeypatch, spec):
+        cfg = ExperimentConfig(
+            strategy=build_strategy(spec),
+            players=4,
+            trials=40,
+            master_seed=6,
+            override_depth=50,
+        )
+        reference = scalar_reference(cfg)
+        for cells in (experiment.CHUNK_CELLS, 200, 100, 37):
+            monkeypatch.setattr(experiment, "CHUNK_CELLS", cells)
+            assert_same_bytes(run_experiment(cfg), reference)
+
     def test_root_bits_match_trial_root(self):
         cfg = ExperimentConfig(
             strategy=build_strategy({"name": "constant"}),

@@ -1,13 +1,15 @@
 """Stream construction, bit access, shift dynamics, and eventual equality
 as ``oracle.class_of`` decides it."""
 
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsgames.bitstream import BitStream
+from nsgames.bitstream import BitStream, generator_bits
 from nsgames.oracle import class_of, disagreement_bound
 from nsgames.seeding import child_seed
 
@@ -68,6 +70,30 @@ class TestBitAccess:
         first = s.bits(256)
         assert first == BitStream.generator(2024).bits(256)
         assert 0 < sum(first) < 256
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 63, 64, 65, 129])
+    def test_generator_bits_match_the_stream(self, width):
+        seeds = [0, 2**64 - 1]
+        bits = generator_bits(np.array(seeds, dtype=np.uint64), width)
+        assert bits.dtype == np.uint8 and bits.shape == (2, width)
+        assert bits.tolist() == [BitStream.generator(s).bits(width) for s in seeds]
+
+    @pytest.mark.parametrize("width", [64, 1000, 2049])
+    def test_generator_bits_peak_memory(self, width):
+        # One byte per unpacked bit, a whole number of 64-bit words a row,
+        # is under two bytes per returned bit past 32 bits a row; the hash
+        # needs its words and one scratch buffer of the same size.
+        seeds = np.arange(256, dtype=np.uint64)
+        word_bytes = seeds.size * -(-width // 64) * 8
+        generator_bits(seeds, width)
+        tracemalloc.start()
+        try:
+            bits = generator_bits(seeds, width)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bits.shape == (seeds.size, width)
+        assert peak <= 2 * bits.size + 2 * word_bytes
 
     def test_generator_distinct_seeds_differ(self):
         a = BitStream.generator(1).bits(64)

@@ -594,6 +594,45 @@ class TestParser:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    @staticmethod
+    def _scipy_modules_after(code: str) -> list[str]:
+        """The scipy modules loaded once `code` has run in a fresh interpreter."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code += (
+            "\nimport json, sys\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_import_loads_no_scipy(self):
+        assert self._scipy_modules_after("import nsgames, nsgames.cli") == []
+
+    def test_invariance_test_leaves_scipy_stats_unloaded(self):
+        # The p-value comes from scipy.special alone.
+        code = (
+            "from nsgames.experiment import invariance_test\n"
+            "assert invariance_test(samples=1600, bins=16, seed=0).passed\n"
+        )
+        assert "scipy.stats" not in self._scipy_modules_after(code)
+
+    def test_cli_invariance_test_leaves_scipy_stats_unloaded(self):
+        code = (
+            "import runpy, sys\n"
+            "sys.argv = ['nsgames', 'invariance-test', '--samples', '1600', '--bins', '16']\n"
+            "try:\n"
+            "    runpy.run_module('nsgames', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "else:\n"
+            "    raise AssertionError('the CLI did not exit')\n"
+        )
+        assert "scipy.stats" not in self._scipy_modules_after(code)
+
     def test_no_command_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -437,6 +437,38 @@ class TestInvariance:
         fast = experiment._invariance_counts(256, 4, 3, iterations, UNIFORM)
         assert np.array_equal(fast, expected)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 14),
+        st.sampled_from(["uniform", "skewed", "all-equal", "one-bin"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_chi_square_matches_scipy_stats(self, width, shape, rng_seed):
+        # scipy.stats.chisquare is the reference, imported by this test
+        # alone; the library computes the same steps from scipy.special.
+        from scipy import stats
+
+        bins = 1 << width
+        rng = np.random.default_rng(rng_seed)
+        if shape == "uniform":
+            counts = rng.integers(0, 1000, size=bins)
+        elif shape == "skewed":
+            counts = rng.geometric(rng.uniform(0.001, 0.9), size=bins) - 1
+            counts[rng.integers(bins)] += 1
+        elif shape == "all-equal":
+            counts = np.full(bins, rng.integers(1, 10**6))
+        else:
+            counts = np.zeros(bins, dtype=np.int64)
+            counts[rng.integers(bins)] = rng.integers(1, 10**6)
+        counts = counts.astype(np.int64)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiment, "_invariance_counts", lambda *args: counts)
+            rep = invariance_test(samples=100 * bins, bins=bins, seed=0)
+        expected = stats.chisquare(counts)
+        assert rep.statistic.hex() == float(expected.statistic).hex()
+        assert rep.pvalue.hex() == float(expected.pvalue).hex()
+
     def test_uniform_sampler_accepted(self):
         rep = invariance_test(samples=100_000, bins=64, seed=5)
         assert rep.pvalue > 1e-3
