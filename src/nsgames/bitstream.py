@@ -15,7 +15,6 @@ is read, never rounded.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -150,15 +149,6 @@ class BitStream:
         overrides = {int(k): int(v) for k, v in doc.get("overrides", {}).items()}
         stream = cls.generator(doc["seed"], int(doc.get("shift", 0)), overrides)
         return replace(stream, zero_prefix=zero_prefix)
-
-    # -- numeric helpers ---------------------------------------------------
-
-    def truncated_value(self, nbits: int) -> Fraction:
-        """The dyadic rational formed by the first nbits expansion bits."""
-        acc = 0
-        for i in range(1, nbits + 1):
-            acc = (acc << 1) | self.bit_at(i)
-        return Fraction(acc, 1 << nbits)
 
 
 def generator_bits(seeds: np.ndarray, width: int) -> np.ndarray:

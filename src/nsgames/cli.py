@@ -80,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trials", type=int)
     sim.add_argument("--seed", type=int)
     sim.add_argument("--root-override-depth", type=int)
-    sim.add_argument("--parallelism", type=int)
+    sim.add_argument("--parallelism", type=int,
+                     help="accepted and ignored (it must be >= 1): every run "
+                          "plays in the calling process")
     sim.add_argument("--azuma-n", type=_int_list, metavar="N1,N2,...")
     sim.add_argument("--azuma-eps", type=_float_list, metavar="E1,E2,...")
     sim.add_argument("--allow-cheat", action="store_true", default=None,
@@ -165,11 +167,17 @@ def _simulate(args) -> int:
         if isinstance(strategy_arg, dict):
             strategy_arg = json.dumps(strategy_arg)
         strategy = parse_strategy_arg(strategy_arg)
+        # Still accepted from flag and file, so that existing scripts run;
+        # checked, then ignored.
+        parallelism = _resolve(args, "parallelism", file_cfg, 1)
+        if parallelism < 1:
+            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
         # What neither a flag nor the file sets keeps ExperimentConfig's default.
         settings = {}
         for key, field in (
-            ("root-override-depth", "override_depth"), ("azuma-n", "azuma_n"),
-            ("azuma-eps", "azuma_eps"), ("parallelism", "parallelism"),
+            ("root-override-depth", "override_depth"),
+            ("azuma-n", "azuma_n"),
+            ("azuma-eps", "azuma_eps"),
         ):
             value = _resolve(args, key, file_cfg, None)
             if value is not None:

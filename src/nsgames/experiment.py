@@ -2,27 +2,26 @@
 
 Runs batches of independent trials under hierarchical counter-based
 seeding, so any (config, master seed) pair reproduces byte-identical
-reports at every parallelism degree.  Aggregation works on integer
-counts first and converts to floats once, in a fixed order.
+reports at every chunk size.  Aggregation works on integer counts first
+and converts to floats once, in a fixed order.
 
-Trials run in contiguous chunks, and each chunk returns its trials as a
-columnar ``TrialBlock``.  A chunk of a strategy with a batch kernel is one
-array computation over the players' views and the chunk's seeds, scored
-against root bits the kernel is never handed; any other chunk plays each
-trial through ``run_trial``, the scalar reference, and packs the records
-into the same block.  The reports and the trial log are computed from the
-merged block; the record-based builders (``win_rate_report``,
-``azuma_report``, ``TrialRecord.to_json_line``) stay as their reference.
+Trials run in the calling process, in contiguous chunks taken in trial
+order, and each chunk returns its trials as a columnar ``TrialBlock``.  A
+chunk of a strategy with a batch kernel is one array computation over the
+players' views and the chunk's seeds, scored against root bits the kernel
+is never handed; any other chunk plays each trial through ``run_trial``,
+the scalar reference, and packs the records into the same block.  The
+reports and the trial log are computed from the merged block; the
+record-based builders (``win_rate_report``, ``azuma_report``,
+``TrialRecord.to_json_line``) stay as their reference.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -66,7 +65,6 @@ class ExperimentConfig:
     override_depth: int = 0
     azuma_n: tuple[int, ...] | None = None
     azuma_eps: tuple[float, ...] = (4.0, 8.0, 16.0)
-    parallelism: int = 1
     enforce_contracts: bool = True
     enable_backdoor: bool = False
 
@@ -77,8 +75,6 @@ class ExperimentConfig:
             raise ValueError(f"players must be >= 1, got {self.players}")
         if self.override_depth < 0:
             raise ValueError("override depth must be >= 0")
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
         if self.azuma_n is None:
             clipped = tuple(n for n in (16, 32, 64) if n <= self.players)
             object.__setattr__(self, "azuma_n", clipped or (self.players,))
@@ -90,8 +86,6 @@ class ExperimentConfig:
                 raise ValueError(f"azuma epsilon must be finite and > 0, got {eps}")
 
     def to_json(self) -> dict:
-        # parallelism is deliberately absent: it is an execution knob with
-        # no effect on results, and reports must not depend on it.
         return {
             "players": self.players,
             "trials": self.trials,
@@ -193,34 +187,6 @@ def _run_chunk(cfg: ExperimentConfig, start: int, stop: int) -> TrialBlock:
         s = np.where(outputs == bits[:, : cfg.players], 1, -1).astype(np.int8)
         valid = np.ones(stop - start, dtype=bool)
     return TrialBlock(root_seeds, bits[:, : cfg.override_depth], outputs, s, valid)
-
-
-def _cpu_count() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _plan(cfg: ExperimentConfig) -> tuple[list[tuple[int, int]], int]:
-    """The contiguous (start, stop) trial chunks of a run, in trial order,
-    and the number of worker processes to run them on (1: no pool).
-
-    Workers never outnumber the requested parallelism, the usable CPUs or
-    the chunks; the chunks are split evenly over the workers.  A strategy
-    with its own batch kernel gets one worker: its chunks take less time
-    than starting a pool and sending them back.
-    """
-    workers = min(cfg.parallelism, _cpu_count())
-    if type(cfg.strategy).guess_batch is not Strategy.guess_batch:
-        workers = 1
-    # A trial's row of root bits is max(players + view_bits, override_depth)
-    # wide, so an override depth past the player count sets the size.
-    cells = max(cfg.players, cfg.override_depth)
-    size = min(max(1, CHUNK_CELLS // cells), -(-cfg.trials // workers))
-    chunks = [
-        (start, min(start + size, cfg.trials)) for start in range(0, cfg.trials, size)
-    ]
-    return chunks, min(workers, len(chunks))
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -670,22 +636,21 @@ def _block_log(block: TrialBlock) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the full trial ensemble.
+    """Run the full trial ensemble in the calling process.
 
-    The chunks' blocks are merged in trial-index order whatever the
-    parallelism, and every derived quantity is a pure function of the
-    merged block, which is what makes reports and trial logs byte-identical
-    across worker counts.  Only scalar-path runs use worker processes (see
-    ``_plan``).
+    The trials run in contiguous chunks of at most CHUNK_CELLS cells, one
+    after another in trial order.  The chunks' blocks are merged in that
+    order, and every derived quantity is a pure function of the merged
+    block, which is what makes reports and trial logs byte-identical across
+    chunk sizes.
     """
-    chunks, workers = _plan(cfg)
-    worker = partial(_run_chunk, cfg)
-    starts, stops = zip(*chunks)
-    if workers == 1:
-        blocks = list(map(worker, starts, stops))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(worker, starts, stops))
+    # A trial's row of root bits is max(players + view_bits, override_depth)
+    # wide, so an override depth past the player count sets the size.
+    size = max(1, CHUNK_CELLS // max(cfg.players, cfg.override_depth))
+    blocks = [
+        _run_chunk(cfg, start, min(start + size, cfg.trials))
+        for start in range(0, cfg.trials, size)
+    ]
     return ExperimentResult(cfg, TrialBlock.concatenate(blocks))
 
 

@@ -3,8 +3,8 @@
 All randomness in the package is derived by pure integer mixing from a master
 seed: no generator objects are shared, every consumer gets a seed computed
 from its position in the (experiment, trial, player) hierarchy.  This makes
-runs reproducible at any parallelism degree and gives random access to any
-bit of any derived stream.
+runs reproducible at any chunk size and in any trial order, and gives
+random access to any bit of any derived stream.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import nsgames.experiment as experiment
 from nsgames.behavior import (
     check_functional_locality_equivalence,
     check_no_signaling,
@@ -206,31 +207,32 @@ def test_criterion_7_behavior_verifier(capsys):
     assert ok
 
 
-def test_criterion_8_reproducibility(scalar_reference, capsys):
-    def config(spec, parallelism, depth=0):
+def test_criterion_8_reproducibility(scalar_reference, capsys, monkeypatch):
+    def config(spec, depth=0):
         return ExperimentConfig(
             strategy=build_strategy(spec),
             players=16,
             trials=256,
             master_seed=MASTER_SEED,
             override_depth=depth,
-            parallelism=parallelism,
         )
 
     def outputs(result):
         return result.render_json(), result.trial_log()
 
-    table = {"name": "local-table", "table": [0, 1, 1, 0]}
-    serial = outputs(run_experiment(config(table, 1)))
-    parallel = outputs(run_experiment(config(table, 8)))
-    scalar = outputs(scalar_reference(config(table, 1)))
-    fns = config({"name": "fns"}, 1, depth=2)
+    table = config({"name": "local-table", "table": [0, 1, 1, 0]})
+    default = outputs(run_experiment(table))
+    scalar = outputs(scalar_reference(table))
+    fns = config({"name": "fns"}, depth=2)
     fns_same = outputs(run_experiment(fns)) == outputs(scalar_reference(fns))
-    ok = serial == parallel == scalar and fns_same
+    # 100 cells a chunk: 43 chunks of at most 6 trials, against one chunk.
+    monkeypatch.setattr(experiment, "CHUNK_CELLS", 100)
+    small = outputs(run_experiment(table))
+    ok = default == small == scalar and fns_same
     announce(
         capsys, ok,
-        "byte-identical JSON report and trial log at parallelism 1 and 8, "
-        "and from the batch path and the scalar run_trial reference "
-        "(local table, and fns at override depth 2)",
+        "byte-identical JSON report and trial log at the default chunk size "
+        "and at 100-cell chunks, and from the batch path and the scalar "
+        "run_trial reference (local table, and fns at override depth 2)",
     )
     assert ok

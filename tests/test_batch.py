@@ -27,6 +27,8 @@ from nsgames.strategies import (
     build_strategy,
 )
 
+from helpers import record_chunks
+
 tables = st.integers(0, 3).flatmap(
     lambda m: st.lists(st.integers(0, 1), min_size=1 << m, max_size=1 << m)
 )
@@ -171,8 +173,9 @@ class TestBatchEqualsScalar:
             master_seed=4,
             override_depth=2,
         )
-        assert len(experiment._plan(cfg)[0]) == 17
+        chunks = record_chunks(monkeypatch)
         assert_same_bytes(run_experiment(cfg), scalar_reference(cfg))
+        assert len(chunks) == 17
 
     def test_deep_overrides_keep_chunks_bounded(self, monkeypatch):
         # Override depth beyond the player count widens every row of root
@@ -186,6 +189,7 @@ class TestBatchEqualsScalar:
             return bits
 
         monkeypatch.setattr(experiment, "generator_bits", recording)
+        chunks = record_chunks(monkeypatch)
         cfg = ExperimentConfig(
             strategy=build_strategy({"name": "fns"}),
             players=4,
@@ -194,7 +198,7 @@ class TestBatchEqualsScalar:
             override_depth=2048,
         )
         result = run_experiment(cfg)
-        assert len(sizes) == len(experiment._plan(cfg)[0]) == 512
+        assert len(sizes) == len(chunks) == 512
         assert max(sizes) <= experiment.CHUNK_CELLS
         assert result.block.flips.shape == (16384, 2048)
         assert result.win.wins == (0, 0, 0, 0)

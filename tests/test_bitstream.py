@@ -13,6 +13,8 @@ from nsgames.bitstream import BitStream, generator_bits
 from nsgames.oracle import class_of, disagreement_bound
 from nsgames.seeding import child_seed
 
+from helpers import truncated_value
+
 
 def with_prefix(bits, seed=0) -> BitStream:
     """A generator stream whose first len(bits) bits are `bits`."""
@@ -104,19 +106,19 @@ class TestBitAccess:
     def test_first_fraction_bit(self, seed):
         # Bit 1 is the most significant expansion bit: floor(2x).
         s = BitStream.generator(seed)
-        assert s.bit_at(1) == int(2 * s.truncated_value(64))
+        assert s.bit_at(1) == int(2 * truncated_value(s, 64))
 
 
 class TestBakerShift:
     def test_quarter_becomes_half(self):
         quarter = with_prefix([0, 1] + [0] * 15)
-        assert quarter.truncated_value(17) == Fraction(1, 4)
-        assert quarter.baker_shift().truncated_value(16) == Fraction(1, 2)
+        assert truncated_value(quarter, 17) == Fraction(1, 4)
+        assert truncated_value(quarter.baker_shift(), 16) == Fraction(1, 2)
 
     def test_three_quarters_becomes_half(self):
         three_quarters = with_prefix([1, 1] + [0] * 15)
-        assert three_quarters.truncated_value(17) == Fraction(3, 4)
-        assert three_quarters.baker_shift().truncated_value(16) == Fraction(1, 2)
+        assert truncated_value(three_quarters, 17) == Fraction(3, 4)
+        assert truncated_value(three_quarters.baker_shift(), 16) == Fraction(1, 2)
 
     def test_period_two_shift(self):
         s = with_prefix([1, 0] * 4)
@@ -267,7 +269,7 @@ class TestEventualEquality:
 class TestTruncatedValue:
     def test_matches_bits(self):
         s = BitStream.generator(57)
-        assert s.truncated_value(10) == Fraction(
+        assert truncated_value(s, 10) == Fraction(
             sum(b << (10 - i) for i, b in enumerate(s.bits(10), start=1)), 1 << 10
         )
 
@@ -275,5 +277,5 @@ class TestTruncatedValue:
     def test_truncation_error_bound(self, seed, nbits, more):
         # Every longer truncation lies in [t, t + 2^-n), so the value does too.
         s = BitStream.generator(seed)
-        gap = s.truncated_value(nbits + more) - s.truncated_value(nbits)
+        gap = truncated_value(s, nbits + more) - truncated_value(s, nbits)
         assert 0 <= gap < Fraction(1, 1 << nbits)

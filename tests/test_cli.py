@@ -14,6 +14,9 @@ import nsgames.experiment as experiment_module
 from nsgames.behavior import pr_box, signaling_box
 from nsgames.cli import main
 
+# The standard-library packages a process pool is built from.
+POOL_PACKAGES = ("multiprocessing", "concurrent")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -259,6 +262,31 @@ class TestSimulate:
                 (tmp_path / sub / "trials.jsonl").read_bytes(),
             ))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("flags, doc, code", [
+        (["--parallelism", "0"], None, 1),
+        (["--parallelism", "-1"], None, 1),
+        ([], {"parallelism": 0}, 1),
+        (["--parallelism", "2"], None, 0),
+    ], ids=["flag-0", "flag-minus-1", "config-0", "flag-2"])
+    def test_parallelism_checked_then_ignored(self, tmp_path, capsys, flags, doc, code):
+        # --parallelism and the config key are accepted and a count below 1
+        # is rejected, but the value changes nothing.
+        if doc is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            flags = [*flags, "--config", str(cfg)]
+        out_dir = tmp_path / "out"
+        got, _, err = run(
+            capsys, "simulate", "--strategy", "constant:0", "--players", "4",
+            "--trials", "2", *flags, "--out-dir", str(out_dir),
+        )
+        assert got == code
+        if code:
+            assert "config error" in err and "parallelism" in err
+            assert not out_dir.exists()
+        else:
+            assert (out_dir / "report.json").exists()
 
 
 class TestVerifyBehavior:
@@ -595,13 +623,14 @@ class TestParser:
         assert proc.stdout.strip() == "False"
 
     @staticmethod
-    def _scipy_modules_after(code: str) -> list[str]:
-        """The scipy modules loaded once `code` has run in a fresh interpreter."""
+    def _modules_after(code: str, *packages: str) -> list[str]:
+        """The modules of the given top-level packages loaded once `code` has
+        run in a fresh interpreter."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         code += (
             "\nimport json, sys\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+            f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r})))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
@@ -609,21 +638,12 @@ class TestParser:
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.strip().splitlines()[-1])
 
-    def test_import_loads_no_scipy(self):
-        assert self._scipy_modules_after("import nsgames, nsgames.cli") == []
-
-    def test_invariance_test_leaves_scipy_stats_unloaded(self):
-        # The p-value comes from scipy.special alone.
-        code = (
-            "from nsgames.experiment import invariance_test\n"
-            "assert invariance_test(samples=1600, bins=16, seed=0).passed\n"
-        )
-        assert "scipy.stats" not in self._scipy_modules_after(code)
-
-    def test_cli_invariance_test_leaves_scipy_stats_unloaded(self):
-        code = (
+    @staticmethod
+    def _cli_code(*argv: str) -> str:
+        """Code that runs ``python -m nsgames`` on argv and checks it exits 0."""
+        return (
             "import runpy, sys\n"
-            "sys.argv = ['nsgames', 'invariance-test', '--samples', '1600', '--bins', '16']\n"
+            f"sys.argv = ['nsgames', *{list(argv)!r}]\n"
             "try:\n"
             "    runpy.run_module('nsgames', run_name='__main__', alter_sys=True)\n"
             "except SystemExit as exc:\n"
@@ -631,7 +651,34 @@ class TestParser:
             "else:\n"
             "    raise AssertionError('the CLI did not exit')\n"
         )
-        assert "scipy.stats" not in self._scipy_modules_after(code)
+
+    def test_import_loads_no_scipy(self):
+        assert self._modules_after("import nsgames, nsgames.cli", "scipy") == []
+
+    def test_import_loads_no_process_pool(self):
+        assert self._modules_after("import nsgames, nsgames.cli", *POOL_PACKAGES) == []
+
+    def test_cli_simulate_loads_no_process_pool(self, tmp_path):
+        # cheat has no batch kernel, so every trial takes the scalar path.
+        code = self._cli_code(
+            "simulate", "--strategy", "cheat", "--allow-cheat", "--no-enforce",
+            "--players", "4", "--trials", "8", "--parallelism", "2",
+            "--out-dir", str(tmp_path),
+        )
+        assert self._modules_after(code, *POOL_PACKAGES) == []
+        assert (tmp_path / "trials.jsonl").read_text().count("\n") == 8
+
+    def test_invariance_test_leaves_scipy_stats_unloaded(self):
+        # The p-value comes from scipy.special alone.
+        code = (
+            "from nsgames.experiment import invariance_test\n"
+            "assert invariance_test(samples=1600, bins=16, seed=0).passed\n"
+        )
+        assert "scipy.stats" not in self._modules_after(code, "scipy")
+
+    def test_cli_invariance_test_leaves_scipy_stats_unloaded(self):
+        code = self._cli_code("invariance-test", "--samples", "1600", "--bins", "16")
+        assert "scipy.stats" not in self._modules_after(code, "scipy")
 
     def test_no_command_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

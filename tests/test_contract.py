@@ -41,7 +41,7 @@ GOLDEN = {
     ),
     "fns-depth-2-parallel": (
         dict(strategy={"name": "fns"}, trials=16, players=64, master_seed=2,
-             override_depth=2, parallelism=2),
+             override_depth=2),
         "74acd6f5dac4f5cb030d4d835747fa0e1fe9ca727e71ab8176f7ef807aa422a4",
         "6cfb2478aa908ec7a7b4f2f041784ce151d5a5e3092c8f40af4c634eee3e775d",
         "090cf69564b476c28951974e3c9ba3ab70bcfe9a3b96e5023280d280101eec49",

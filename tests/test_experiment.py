@@ -30,7 +30,9 @@ from nsgames.experiment import (
     _sample_seed,
 )
 from nsgames.game import TrialRecord
-from nsgames.strategies import STRATEGY_PARAMS, Strategy, build_strategy
+from nsgames.strategies import Strategy, build_strategy
+
+from helpers import record_chunks
 
 
 def ref_wilson(successes: int, trials: int, z: float) -> tuple[float, float]:
@@ -601,89 +603,68 @@ class TestRunExperiment:
                 azuma_eps=(4.0, eps),
             )
 
-    def test_parallelism_does_not_change_bytes(self):
-        def run(par):
-            cfg = ExperimentConfig(
-                strategy=build_strategy({"name": "local-table", "table": [0, 1, 1, 0]}),
-                players=8,
-                trials=64,
-                master_seed=11,
-                parallelism=par,
-            )
-            result = run_experiment(cfg)
-            return result.render_json(), result.trial_log()
+    def test_chunks_tile_the_run(self, monkeypatch):
+        recorded = record_chunks(monkeypatch)
 
-        assert run(1) == run(2)
-
-    def test_plan_clamps_workers(self, monkeypatch):
-        monkeypatch.setattr(experiment, "_cpu_count", lambda: 4)
-
-        def plan(parallelism, trials, players=64, strategy=GuessOnly()):
-            cfg = ExperimentConfig(
+        def chunks_of(trials, players=64, depth=0, strategy=build_strategy({"name": "constant"})):
+            recorded.clear()
+            run_experiment(ExperimentConfig(
                 strategy=strategy,
                 players=players,
                 trials=trials,
                 master_seed=0,
-                parallelism=parallelism,
-            )
-            return experiment._plan(cfg)
+                override_depth=depth,
+            ))
+            return list(recorded)
 
-        # No pool is started here: the plan is computed, never run.
-        chunks, workers = plan(10**6, 10**4)
-        assert workers == 4
-        assert chunks[0][0] == 0 and chunks[-1][1] == 10**4
-        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-        assert all(64 * (stop - start) <= experiment.CHUNK_CELLS for start, stop in chunks)
-        assert plan(10**6, 3) == ([(0, 1), (1, 2), (2, 3)], 3)
-        assert plan(2, 6000, players=16) == ([(0, 3000), (3000, 6000)], 2)
-        assert plan(1, 5) == ([(0, 5)], 1)
-        assert plan(3, 1, players=10**6) == ([(0, 1)], 1)
-        # A strategy with a batch kernel runs in the calling process.
-        params = {"local-table": {"table": [0, 1]}, "local-random": {"p": 0.5},
-                  "shared-mixture": {"tables": [[0, 1]]}}
-        for name in sorted(set(STRATEGY_PARAMS) - {"cheat"}):
-            strategy = build_strategy({"name": name, **params.get(name, {})})
-            assert plan(10**6, 10**4, strategy=strategy)[1] == 1, name
-            assert plan(2, 6000, players=16, strategy=strategy) == ([(0, 4096), (4096, 6000)], 1)
-        assert plan(2, 6000, players=16, strategy=build_strategy({"name": "cheat"}))[1] == 2
+        # Contiguous chunks from 0 to the trial count, each of at most
+        # CHUNK_CELLS cells; an override depth past the players widens a row.
+        for trials, players, depth in ((10**4, 64, 0), (200, 4, 1000)):
+            chunks = chunks_of(trials, players, depth)
+            assert chunks[0][0] == 0 and chunks[-1][1] == trials
+            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+            width = max(players, depth)
+            assert all(width * (stop - start) <= experiment.CHUNK_CELLS for start, stop in chunks)
+        assert chunks_of(3) == [(0, 3)]
+        assert chunks_of(6000, players=16) == [(0, 4096), (4096, 6000)]
+        assert chunks_of(200, players=4, depth=1000) == [(0, 65), (65, 130), (130, 195), (195, 200)]
+        assert chunks_of(5, strategy=GuessOnly()) == [(0, 5)]
+        assert chunks_of(1, players=10**6) == [(0, 1)]
 
     @pytest.mark.parametrize(
         "spec", [None, {"name": "cheat"}, {"name": "local-table", "table": [1, 0, 0, 1]}]
     )
     def test_outputs_independent_of_chunks_and_workers(self, monkeypatch, spec):
-        """report.json, the CSVs and trials.jsonl, at parallelism 1 and 2 and
-        at two chunk sizes.  Only the scalar-path strategies get 2 workers."""
-        monkeypatch.setattr(experiment, "_cpu_count", lambda: 2)
+        """report.json, the CSVs and trials.jsonl, at two chunk sizes, on
+        the scalar path (GuessOnly, cheat) and on a batch kernel.  Every run
+        plays in the calling process, so no worker count is left to vary."""
         strategy = GuessOnly() if spec is None else build_strategy(spec)
-        pooled = spec is None or spec["name"] == "cheat"
+        chunks = record_chunks(monkeypatch)
 
         def outputs():
-            runs = []
-            for parallelism in (1, 2):
-                cfg = ExperimentConfig(
-                    strategy=strategy,
-                    players=10,
-                    trials=30,
-                    master_seed=12,
-                    override_depth=3,
-                    parallelism=parallelism,
-                    enable_backdoor=True,
-                    enforce_contracts=False,
-                )
-                assert experiment._plan(cfg)[1] == (parallelism if pooled else 1)
-                result = run_experiment(cfg)
-                runs.append((
-                    result.render_json(),
-                    result.win.to_csv(),
-                    result.azuma.to_csv(),
-                    result.trial_log(),
-                ))
-            return runs
+            cfg = ExperimentConfig(
+                strategy=strategy,
+                players=10,
+                trials=30,
+                master_seed=12,
+                override_depth=3,
+                enable_backdoor=True,
+                enforce_contracts=False,
+            )
+            chunks.clear()
+            result = run_experiment(cfg)
+            return len(chunks), (
+                result.render_json(),
+                result.win.to_csv(),
+                result.azuma.to_csv(),
+                result.trial_log(),
+            )
 
         default = outputs()
         monkeypatch.setattr(experiment, "CHUNK_CELLS", 100)
         small = outputs()
-        assert default[0] == default[1] == small[0] == small[1]
+        assert (default[0], small[0]) == (1, 3)
+        assert default[1] == small[1]
 
     def test_quarantine_counted(self):
         cfg = ExperimentConfig(
