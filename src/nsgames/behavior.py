@@ -78,12 +78,13 @@ def _check_keys(doc, keys: frozenset, what: str) -> None:
             raise ValueError(f"{what} has {problem} key " + ", ".join(map(repr, sorted(names))))
 
 
-def _is_int(value) -> bool:
+def is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _int_vector(value, what: str) -> tuple[int, ...]:
-    if not (isinstance(value, (list, tuple)) and all(map(_is_int, value))):
+    if not (isinstance(value, (list, tuple)) and all(map(is_int, value))):
         raise ValueError(f"{what} must be a list of integers, got {value!r}")
     return tuple(value)
 
@@ -158,7 +159,7 @@ class Behavior:
         """Parse the document to_json writes.  Keys are checked in full, and
         sizes and vectors must be JSON integers, not booleans or floats."""
         _check_keys(doc, BEHAVIOR_KEYS, "behavior")
-        if not _is_int(doc["parties"]):
+        if not is_int(doc["parties"]):
             raise ValueError(f"parties must be an integer, got {doc['parties']!r}")
         if not isinstance(doc["table"], (list, tuple)):
             raise ValueError(f"table must be a list of entries, got {doc['table']!r}")

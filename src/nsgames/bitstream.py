@@ -14,7 +14,7 @@ is read, never rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -90,12 +90,11 @@ class BitStream:
 
     def baker_shift(self) -> "BitStream":
         """Drop the most significant bit: bit i of the result is bit i + 1."""
-        remapped = tuple((i - 1, b) for i, b in self.overrides if i >= 2)
-        return replace(
-            self,
-            shift=self.shift + 1,
-            overrides=remapped,
-            zero_prefix=max(self.zero_prefix - 1, 0),
+        return BitStream(
+            self.seed,
+            self.shift + 1,
+            tuple((i - 1, b) for i, b in self.overrides if i >= 2),
+            max(self.zero_prefix - 1, 0),
         )
 
     def pad_prefix_zeros(self, k: int) -> "BitStream":
@@ -111,11 +110,11 @@ class BitStream:
             raise ValueError("pad length must be >= 0")
         if k == 0:
             return self
-        return replace(
-            self,
-            shift=self.shift - k,
-            overrides=tuple((i + k, b) for i, b in self.overrides),
-            zero_prefix=self.zero_prefix + k,
+        return BitStream(
+            self.seed,
+            self.shift - k,
+            tuple((i + k, b) for i, b in self.overrides),
+            self.zero_prefix + k,
         )
 
     # -- structure ---------------------------------------------------------
@@ -147,8 +146,12 @@ class BitStream:
         if zero_prefix < 0:
             raise ValueError(f"zero prefix must be >= 0, got {zero_prefix}")
         overrides = {int(k): int(v) for k, v in doc.get("overrides", {}).items()}
-        stream = cls.generator(doc["seed"], int(doc.get("shift", 0)), overrides)
-        return replace(stream, zero_prefix=zero_prefix)
+        return cls(
+            int(doc["seed"]) & MASK64,
+            int(doc.get("shift", 0)),
+            _validated_overrides(overrides),
+            zero_prefix,
+        )
 
 
 def generator_bits(seeds: np.ndarray, width: int) -> np.ndarray:

@@ -6,14 +6,16 @@ reports at every chunk size.  Aggregation works on integer counts first
 and converts to floats once, in a fixed order.
 
 Trials run in the calling process, in contiguous chunks taken in trial
-order, and each chunk returns its trials as a columnar ``TrialBlock``.  A
-chunk of a strategy with a batch kernel is one array computation over the
-players' views and the chunk's seeds, scored against root bits the kernel
-is never handed; any other chunk plays each trial through ``run_trial``,
-the scalar reference, and packs the records into the same block.  The
-reports and the trial log are computed from the merged block; the
-record-based builders (``win_rate_report``, ``azuma_report``,
-``TrialRecord.to_json_line``) stay as their reference.
+order, and each chunk returns its trials as a columnar ``TrialBlock``: the
+successes and the validity flags, the only parts of a trial its seeds do
+not determine.  A chunk of a strategy with a batch kernel is one array
+computation over the players' views and the chunk's seeds, scored against
+root bits the kernel is never handed; any other chunk plays each trial
+through ``run_trial``, the scalar reference, and packs the records'
+successes and flags into the same block.  The reports are computed from
+the merged block, and the trial log from it and the roots regenerated from
+the seeds; the record-based builders (``win_rate_report``,
+``azuma_report``, ``TrialRecord.to_json_line``) stay as their reference.
 """
 
 from __future__ import annotations
@@ -73,8 +75,10 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.players < 1:
             raise ValueError(f"players must be >= 1, got {self.players}")
-        if self.override_depth < 0:
-            raise ValueError("override depth must be >= 0")
+        if not 0 <= self.override_depth <= MAX_OVERRIDE_DEPTH:
+            raise ValueError(
+                f"override depth must be in 0..{MAX_OVERRIDE_DEPTH}, got {self.override_depth}"
+            )
         if self.azuma_n is None:
             clipped = tuple(n for n in (16, 32, 64) if n <= self.players)
             object.__setattr__(self, "azuma_n", clipped or (self.players,))
@@ -126,35 +130,37 @@ def _run_one(cfg: ExperimentConfig, index: int) -> TrialRecord:
 # Most cells (trials x max(players, override depth)) one chunk holds:
 # bounds the arrays of the batch path whatever the size of the run.
 CHUNK_CELLS = 1 << 16
+# Deepest root override a run accepts.  The trial log builds one table of
+# override keys per run, about 110 bytes an index whatever the trial count.
+MAX_OVERRIDE_DEPTH = 1 << 20
 
 
-def _root_seeds(cfg: ExperimentConfig, start: int, stop: int) -> np.ndarray:
-    """Seeds of the roots of trials start..stop-1, as ``trial_root`` derives
-    them, in a uint64 array."""
-    return child_seed_np(child_seed(cfg.master_seed, DOMAIN_ROOT), np.arange(start, stop))
+def _roots(
+    cfg: ExperimentConfig, start: int, stop: int, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of trials start..stop-1, as ``trial_root`` builds them.
 
-
-def _root_bits(cfg: ExperimentConfig, root_seeds: np.ndarray, width: int) -> np.ndarray:
-    """Root bits 1..width of the trials with these root seeds, override
-    flips applied: row t, column i - 1 holds bit i of the trial's
-    ``trial_root``."""
-    bits = generator_bits(root_seeds, width)
+    Returns their seeds, a uint64 array, and their bits 1..width with the
+    override flips applied, a uint8 array whose row t, column i - 1 holds
+    bit i of the trial's root.
+    """
+    seeds = child_seed_np(child_seed(cfg.master_seed, DOMAIN_ROOT), np.arange(start, stop))
+    bits = generator_bits(seeds, width)
     bits[:, : cfg.override_depth] ^= 1
-    return bits
+    return seeds, bits
 
 
 @dataclass(frozen=True, eq=False)
 class TrialBlock:
     """Consecutive trials of a run as columns, one row per trial.
 
-    ``flips`` holds root bits 1..override_depth, which are the root's
-    overrides (see ``trial_root``).  The trajectories and thresholds
-    follow from ``s`` and ``valid``.
+    The block keeps only what the seeds do not determine.  Everything else
+    is regenerated from the config by ``_roots``: a root's overrides are its
+    bits 1..override_depth, and each output is its player's root bit,
+    flipped where ``s`` is -1, since that is how ``run_trial`` scores it.
+    The trajectories and thresholds follow from ``s`` and ``valid``.
     """
 
-    root_seeds: np.ndarray  # uint64[trials]
-    flips: np.ndarray  # uint8[trials, override_depth]
-    outputs: np.ndarray  # uint8[trials, players]
     s: np.ndarray  # int8[trials, players]
     valid: np.ndarray  # bool[trials]
 
@@ -172,21 +178,18 @@ def _run_chunk(cfg: ExperimentConfig, start: int, stop: int) -> TrialBlock:
     views (see ``Strategy.guess_batch``), not the root bits scored here.
     """
     m = cfg.strategy.view_bits
-    width = max(cfg.players + m, cfg.override_depth)
-    root_seeds = _root_seeds(cfg, start, stop)
-    bits = _root_bits(cfg, root_seeds, width)
+    root_seeds, bits = _roots(cfg, start, stop, max(cfg.players + m, cfg.override_depth))
     views = sliding_window_view(bits[:, 1:], m, axis=1)[:, : cfg.players]
     trial_seeds = child_seed_np(child_seed(cfg.master_seed, DOMAIN_TRIAL), np.arange(start, stop))
     outputs = cfg.strategy.guess_batch(views, trial_seeds, root_seeds)
     if outputs is None:
         records = [_run_one(cfg, t) for t in range(start, stop)]
-        outputs = np.array([r.outputs for r in records], dtype=np.uint8)
         s = np.array([r.s for r in records], dtype=np.int8)
         valid = np.array([r.valid for r in records], dtype=bool)
     else:
         s = np.where(outputs == bits[:, : cfg.players], 1, -1).astype(np.int8)
         valid = np.ones(stop - start, dtype=bool)
-    return TrialBlock(root_seeds, bits[:, : cfg.override_depth], outputs, s, valid)
+    return TrialBlock(s, valid)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -429,9 +432,10 @@ class ExperimentResult:
     """A run's config and its trials as one block, in trial order.
 
     The reports and the martingale audit are computed from the block's
-    arrays on first use, and the trial log on each call.  ``records``
-    rebuilds the per-trial records, as ``run_trial`` returns them, only
-    when it is read.
+    arrays on first use, and the trial log on each call, with the roots
+    and outputs regenerated from the config's seeds.  ``records`` rebuilds
+    the per-trial records, as ``run_trial`` returns them, the same way,
+    only when it is read.
     """
 
     config: ExperimentConfig
@@ -451,12 +455,14 @@ class ExperimentResult:
 
     @cached_property
     def records(self) -> tuple[TrialRecord, ...]:
-        b = self.block
+        cfg, b = self.config, self.block
+        seeds, bits = _roots(cfg, 0, len(b.s), max(cfg.players, cfg.override_depth))
         roots = [
             BitStream(seed=seed, overrides=tuple(enumerate(flips, 1))).to_json()
-            for seed, flips in zip(b.root_seeds.tolist(), b.flips.tolist())
+            for seed, flips in zip(seeds.tolist(), bits[:, : cfg.override_depth].tolist())
         ]
-        return tuple(score_batch(roots, b.outputs, b.s, b.valid))
+        outputs = bits[:, : cfg.players] ^ (b.s < 0)
+        return tuple(score_batch(roots, outputs, b.s, b.valid))
 
     def to_json(self) -> dict:
         return {
@@ -470,7 +476,7 @@ class ExperimentResult:
         return dumps_indented(self.to_json()) + "\n"
 
     def trial_log(self) -> str:
-        return _block_log(self.block)
+        return _block_log(self.config, self.block)
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z) -> tuple[float, float]:
@@ -597,11 +603,13 @@ def _block_azuma(
     return _azuma(np.cumsum(block.s[block.valid], axis=1, dtype=np.int64), grid_n, grid_eps)
 
 
-def _block_log(block: TrialBlock) -> str:
+def _block_log(cfg: ExperimentConfig, block: TrialBlock) -> str:
     """The trial log of a block: each trial's ``TrialRecord.to_json_line``,
     and a newline, written from the arrays with one fixed format, a slice of
-    at most CHUNK_CELLS cells at a time."""
+    at most CHUNK_CELLS cells at a time.  Each slice's roots and outputs are
+    regenerated from the seeds (see ``TrialBlock``)."""
     trials, players = block.s.shape
+    depth = cfg.override_depth
     # token[v + players] is str(v); every output, step and partial sum is
     # in -players..players.
     token = np.array([str(v) for v in range(-players, players + 1)], dtype=object)
@@ -610,24 +618,25 @@ def _block_log(block: TrialBlock) -> str:
         return map(",".join, token[values.astype(np.int64) + players].tolist())
 
     # sort_keys orders the override keys as strings: "1", "10", "2", ...
-    order = np.array(sorted(range(1, block.flips.shape[1] + 1), key=str), dtype=np.intp)
+    order = np.array(sorted(range(1, depth + 1), key=str), dtype=np.intp)
     pairs = np.array([[f'"{i}":0', f'"{i}":1'] for i in order], dtype=object).reshape(-1, 2)
     line = (
         '{{"S":[{}],"outputs":[{}],"root":{{"kind":"' + GENERATOR + '","overrides":{{{}}},'
         '"seed":{},"shift":0}},"s":[{}],"threshold":{},"valid":{}}}\n'
     )
-    step = max(1, CHUNK_CELLS // (players + block.flips.shape[1]))
+    step = max(1, CHUNK_CELLS // (players + depth))
     parts = []
     for start in range(0, trials, step):
-        rows = slice(start, start + step)
-        s, valid = block.s[rows], block.valid[rows].tolist()
+        stop = min(start + step, trials)
+        seeds, bits = _roots(cfg, start, stop, max(players, depth))
+        s, valid = block.s[start:stop], block.valid[start:stop].tolist()
         thresholds = last_losing_index(s).tolist()
         parts.append("".join(map(
             line.format,
             joined(np.cumsum(s, axis=1, dtype=np.int64)),
-            joined(block.outputs[rows]),
-            map(",".join, pairs[np.arange(len(order)), block.flips[rows, order - 1]].tolist()),
-            block.root_seeds[rows].tolist(),
+            joined(bits[:, :players] ^ (s < 0)),
+            map(",".join, pairs[np.arange(depth), bits[:, order - 1]].tolist()),
+            seeds.tolist(),
             joined(s),
             [t if ok else "null" for t, ok in zip(thresholds, valid)],
             ["true" if ok else "false" for ok in valid],

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .behavior import is_int
 from .bitstream import BitStream, generator_bits
 from .oracle import canonical_representative, class_of
 from .seeding import (
@@ -272,11 +273,6 @@ STRATEGY_PARAMS = {
     "local-random": ("p",),
     "shared-mixture": ("tables", "weights"),
 }
-
-
-def is_int(value) -> bool:
-    """A JSON integer: an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def is_number(value) -> bool:

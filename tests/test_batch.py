@@ -200,7 +200,9 @@ class TestBatchEqualsScalar:
         result = run_experiment(cfg)
         assert len(sizes) == len(chunks) == 512
         assert max(sizes) <= experiment.CHUNK_CELLS
-        assert result.block.flips.shape == (16384, 2048)
+        # The block keeps s and valid alone: the 2048 override flips of
+        # each root are regenerated from its seed.
+        assert result.block.s.nbytes + result.block.valid.nbytes == 16384 * 5
         assert result.win.wins == (0, 0, 0, 0)
 
     @pytest.mark.parametrize("spec", [{"name": "fns"}, {"name": "local-table", "table": [1, 0]}])
@@ -225,8 +227,7 @@ class TestBatchEqualsScalar:
             master_seed=8,
             override_depth=3,
         )
-        seeds = experiment._root_seeds(cfg, 2, 5)
-        bits = experiment._root_bits(cfg, seeds, 130)
+        seeds, bits = experiment._roots(cfg, 2, 5, 130)
         for seed, row, t in zip(seeds.tolist(), bits.tolist(), range(2, 5)):
             root = experiment.trial_root(cfg.master_seed, t, cfg.override_depth)
             assert seed == root.seed
@@ -434,19 +435,34 @@ class TestTrialLogWriter:
         assert all('"threshold":null,"valid":false' in line
                    for line in result.trial_log().splitlines())
 
+    # Each case runs at override depths 0 and 20, past the 12 players: the
+    # regenerated outputs and overrides of run_trial-scored trials meet the
+    # scalar reference at both.  A loop, not a parameter, keeps the test ids.
     def test_quarantined_and_scored_trials_mixed(self, scalar_reference):
-        result, docs = self.check(
-            scalar_reference, SometimesCheat(), trials=20, enable_backdoor=True
-        )
-        assert 0 < result.win.invalid_trials < 20
-        assert {doc["valid"] for doc in docs} == {True, False}
-        with pytest.raises(ValueError, match="SIGNALING-INVALID trials; audit refused"):
-            result.martingale
+        for depth in (0, 20):
+            result, docs = self.check(
+                scalar_reference,
+                SometimesCheat(),
+                trials=20,
+                enable_backdoor=True,
+                override_depth=depth,
+            )
+            assert 0 < result.win.invalid_trials < 20
+            assert {doc["valid"] for doc in docs} == {True, False}
+            assert all(len(doc["root"]["overrides"]) == depth for doc in docs)
+            with pytest.raises(ValueError, match="SIGNALING-INVALID trials; audit refused"):
+                result.martingale
 
     @pytest.mark.parametrize("strategy", [{"name": "cheat"}, SometimesCheat()])
     def test_no_enforce(self, scalar_reference, strategy):
-        result, docs = self.check(
-            scalar_reference, strategy, enable_backdoor=True, enforce_contracts=False
-        )
-        assert result.win.invalid_trials == 0
-        assert all(doc["valid"] and doc["threshold"] is not None for doc in docs)
+        for depth in (0, 20):
+            result, docs = self.check(
+                scalar_reference,
+                strategy,
+                enable_backdoor=True,
+                enforce_contracts=False,
+                override_depth=depth,
+            )
+            assert result.win.invalid_trials == 0
+            assert all(doc["valid"] and doc["threshold"] is not None for doc in docs)
+            assert all(len(doc["root"]["overrides"]) == depth for doc in docs)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nsgames.bitstream import BitStream, generator_bits
 from nsgames.oracle import class_of, disagreement_bound
-from nsgames.seeding import child_seed
+from nsgames.seeding import MASK64, child_seed
 
 from helpers import truncated_value
 
@@ -189,6 +189,13 @@ class TestSerialization:
     def test_generator_roundtrip(self, seed, shift):
         s = BitStream.generator(seed, shift, overrides={2: 1, 7: 0})
         assert BitStream.from_json(s.to_json()) == s
+
+    @pytest.mark.parametrize("seed", [2**64 + 5, -1])
+    def test_from_json_reads_a_seed_as_generator_does(self, seed):
+        doc = {"kind": "generator", "seed": seed, "shift": 3, "overrides": {"2": 1}}
+        stream = BitStream.from_json(doc)
+        assert stream == BitStream.generator(seed, 3, {2: 1})
+        assert 0 <= stream.seed <= MASK64
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -248,6 +248,16 @@ class TestSimulate:
         assert "epsilon" in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_override_depth_past_the_bound_exit_one(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            capsys, "simulate", "--strategy", "fns", "--root-override-depth", "100000000",
+            "--trials", "3", "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert "config error" in err and str(experiment_module.MAX_OVERRIDE_DEPTH) in err
+        assert not out_dir.exists()
+
     def test_parallel_matches_serial(self, tmp_path, capsys):
         outs = []
         for par, sub in (("1", "a"), ("2", "b")):

@@ -592,6 +592,23 @@ class TestRunExperiment:
             assert p.freq == (0.0 if p.player <= depth else 1.0)
         assert result.win.threshold_hist == ((depth, 30),)
 
+    def test_config_bounds_override_depth(self):
+        def config(depth):
+            return ExperimentConfig(
+                strategy=build_strategy({"name": "fns"}),
+                players=4,
+                trials=3,
+                master_seed=0,
+                override_depth=depth,
+            )
+
+        # Constructed, not run: a run at the bound builds a large log.
+        assert config(experiment.MAX_OVERRIDE_DEPTH).override_depth == 1 << 20
+        bound = str(experiment.MAX_OVERRIDE_DEPTH)
+        for depth in (experiment.MAX_OVERRIDE_DEPTH + 1, -1):
+            with pytest.raises(ValueError, match=bound):
+                config(depth)
+
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
     def test_config_rejects_bad_epsilon(self, eps):
         with pytest.raises(ValueError):
