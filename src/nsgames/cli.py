@@ -206,11 +206,13 @@ def _simulate(args) -> int:
         outputs = {"report.json": result.render_json()}
     else:
         outputs = {"win.csv": result.win.to_csv(), "azuma.csv": result.azuma.to_csv()}
-    outputs["trials.jsonl"] = result.trial_log()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in outputs.items():
             (out_dir / name).write_text(text, encoding="utf-8")
+        # The log, the bulk of the output, is written as it is built.
+        with open(out_dir / "trials.jsonl", "w", encoding="utf-8") as fh:
+            fh.writelines(result.trial_log_slices())
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,16 +16,19 @@ successes and flags into the same block.  The reports are computed from
 the merged block, and the trial log from it and the roots regenerated from
 the seeds; the record-based builders (``win_rate_report``,
 ``azuma_report``, ``TrialRecord.to_json_line``) stay as their reference.
+The log is built a slice at a time, each slice with one join over a matrix
+of text pieces, so that a writer can stream it to a file.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -476,6 +479,11 @@ class ExperimentResult:
         return dumps_indented(self.to_json()) + "\n"
 
     def trial_log(self) -> str:
+        return "".join(self.trial_log_slices())
+
+    def trial_log_slices(self) -> Iterator[str]:
+        """The trial log in consecutive pieces, each built as it is asked
+        for, so that a writer holds one slice of it at a time."""
         return _block_log(self.config, self.block)
 
 
@@ -551,10 +559,8 @@ def win_rate_report(records: Sequence[TrialRecord], players: int) -> WinRateRepo
     else:
         wins = np.zeros(players, dtype=np.int64)
 
-    hist: dict[int, int] = {}
-    for r in valid:
-        hist[r.threshold] = hist.get(r.threshold, 0) + 1
-    return _win_rate(players, wins, scored, len(invalid), invalid_raw, sorted(hist.items()))
+    hist = sorted(Counter(r.threshold for r in valid).items())
+    return _win_rate(players, wins, scored, len(invalid), invalid_raw, hist)
 
 
 def _block_win_rate(block: TrialBlock, players: int) -> WinRateReport:
@@ -567,16 +573,17 @@ def _block_win_rate(block: TrialBlock, players: int) -> WinRateReport:
 
 
 def _azuma(
-    trajectories: np.ndarray, grid_n: Iterable[int], grid_eps: Iterable[float]
+    grid_n: Sequence[int], sums: Sequence[np.ndarray], grid_eps: Iterable[float]
 ) -> AzumaReport:
-    """The Azuma exceedance report of a [trials, players] trajectory array."""
-    trials = len(trajectories)
+    """The Azuma exceedance report of the scored trials, where ``sums[j]``
+    holds every scored trial's S_n for n = ``grid_n[j]``."""
     points = []
-    for n in grid_n:
+    for n, s_n in zip(grid_n, sums):
+        trials = len(s_n)
         for eps in grid_eps:
             bound = azuma_bound(n, eps)
             if trials:
-                exceed = int((trajectories[:, n - 1] >= eps).sum())
+                exceed = int((s_n >= eps).sum())
                 freq = exceed / trials
                 _, hi = wilson_interval(exceed, trials)
                 margin = hi - freq
@@ -592,56 +599,110 @@ def _azuma(
 def azuma_report(
     records: Sequence[TrialRecord], grid_n: Iterable[int], grid_eps: Iterable[float]
 ) -> AzumaReport:
-    trajectories = np.array([r.trajectory for r in records if r.valid], dtype=np.int64)
-    return _azuma(trajectories, grid_n, grid_eps)
+    grid_n = tuple(grid_n)
+    trajectories = [r.trajectory for r in records if r.valid]
+    sums = [
+        np.fromiter(map(itemgetter(n - 1), trajectories), np.int64, len(trajectories))
+        for n in grid_n
+    ]
+    return _azuma(grid_n, sums, grid_eps)
 
 
 def _block_azuma(
-    block: TrialBlock, grid_n: Iterable[int], grid_eps: Iterable[float]
+    block: TrialBlock, grid_n: Sequence[int], grid_eps: Iterable[float]
 ) -> AzumaReport:
-    """``azuma_report`` of a block's trials, from its arrays."""
-    return _azuma(np.cumsum(block.s[block.valid], axis=1, dtype=np.int64), grid_n, grid_eps)
+    """``azuma_report`` of a block's trials, from the prefixes of its steps
+    that the grid reads."""
+    s = block.s[block.valid, : max(grid_n, default=0)]
+    sums = [s[:, :n].sum(axis=1, dtype=np.int64) for n in grid_n]
+    return _azuma(grid_n, sums, grid_eps)
 
 
-def _block_log(cfg: ExperimentConfig, block: TrialBlock) -> str:
-    """The trial log of a block: each trial's ``TrialRecord.to_json_line``,
-    and a newline, written from the arrays with one fixed format, a slice of
-    at most CHUNK_CELLS cells at a time.  Each slice's roots and outputs are
-    regenerated from the seeds (see ``TrialBlock``)."""
+def _block_log(cfg: ExperimentConfig, block: TrialBlock) -> Iterator[str]:
+    """The trial log of a block, one slice of at most CHUNK_CELLS cells at a
+    time: each trial's ``TrialRecord.to_json_line`` and a newline.
+
+    Each slice's roots and outputs are regenerated from the seeds (see
+    ``TrialBlock``).  Its text is laid out as a matrix with one row per
+    trial, of indices into a table of text pieces, and written with one
+    join.  A row holds, in order: the partial sums, the outputs, the glue
+    up to the overrides, one piece per override (its key and bit), the
+    seed between its glue pieces, the steps, and the threshold and
+    validity.  Every cell after a list's first is its comma and its value,
+    a value in -players..players, whose pieces are made for the range the
+    slice holds.  A list's first cell is -1, 0 or 1, and its piece carries
+    the glue before it.
+    """
     trials, players = block.s.shape
     depth = cfg.override_depth
-    # token[v + players] is str(v); every output, step and partial sum is
-    # in -players..players.
-    token = np.array([str(v) for v in range(-players, players + 1)], dtype=object)
+    pieces: list[str] = []
 
-    def joined(values: np.ndarray) -> Iterable[str]:
-        return map(",".join, token[values.astype(np.int64) + players].tolist())
+    def add(texts: list[str]) -> int:
+        """Appends texts to the pieces; returns the index of the first."""
+        pieces.extend(texts)
+        return len(pieces) - len(texts)
 
+    def heads(glue: str) -> int:
+        """Pieces of glue and then -1, 0 or 1; returns the index of 0's."""
+        return add([glue + str(v) for v in (-1, 0, 1)]) + 1
+
+    S_head = heads('{"S":[')
+    outputs_head = heads('],"outputs":[')
+    s_head = heads(',"shift":0},"s":[')
+    root_glue = add(['],"root":{"kind":"' + GENERATOR + '","overrides":{'])
+    seed_glue = add(['},"seed":'])
     # sort_keys orders the override keys as strings: "1", "10", "2", ...
+    # pairs[r] + bit is the piece of the key ranked r with that bit; every
+    # pair but the first leads with a comma.
     order = np.array(sorted(range(1, depth + 1), key=str), dtype=np.intp)
-    pairs = np.array([[f'"{i}":0', f'"{i}":1'] for i in order], dtype=object).reshape(-1, 2)
-    line = (
-        '{{"S":[{}],"outputs":[{}],"root":{{"kind":"' + GENERATOR + '","overrides":{{{}}},'
-        '"seed":{},"shift":0}},"s":[{}],"threshold":{},"valid":{}}}\n'
-    )
+    pairs = add([
+        f'{"," if rank else ""}"{i}":{bit}'
+        for rank, i in enumerate(order.tolist())
+        for bit in (0, 1)
+    ]) + 2 * np.arange(depth, dtype=np.intp)
+
+    c_outputs, c_root = players, 2 * players
+    c_seed = c_root + 1 + depth
+    c_s = c_seed + 2
     step = max(1, CHUNK_CELLS // (players + depth))
-    parts = []
     for start in range(0, trials, step):
         stop = min(start + step, trials)
         seeds, bits = _roots(cfg, start, stop, max(players, depth))
-        s, valid = block.s[start:stop], block.valid[start:stop].tolist()
-        thresholds = last_losing_index(s).tolist()
-        parts.append("".join(map(
-            line.format,
-            joined(np.cumsum(s, axis=1, dtype=np.int64)),
-            joined(bits[:, :players] ^ (s < 0)),
-            map(",".join, pairs[np.arange(depth), bits[:, order - 1]].tolist()),
-            seeds.tolist(),
-            joined(s),
-            [t if ok else "null" for t, ok in zip(thresholds, valid)],
-            ["true" if ok else "false" for ok in valid],
-        )))
-    return "".join(parts)
+        s = block.s[start:stop]
+        index = np.empty((stop - start, c_s + players + 1), dtype=np.intp)
+        S = np.cumsum(s, axis=1, dtype=np.intp, out=index[:, :c_outputs])
+        outputs = index[:, c_outputs:c_root]
+        np.bitwise_xor(bits[:, :players], s < 0, out=outputs)
+        steps = index[:, c_s:-1]
+        steps[...] = s
+        lo, hi = min(-1, int(S.min())), max(1, int(S.max()))
+        # A threshold of -1 stands for a quarantined trial's null.
+        thresholds = np.where(block.valid[start:stop], last_losing_index(s), -1)
+        tails, tail = np.unique(thresholds, return_inverse=True)
+        # The slice's own pieces: ",v" for v in lo..hi, the seeds, the tails.
+        comma = len(pieces) - lo
+        seed_at = comma + hi + 1
+        tail_at = seed_at + len(seeds)
+        table = np.array(
+            pieces
+            + [f",{v}" for v in range(lo, hi + 1)]
+            + list(map(str, seeds.tolist()))
+            + [
+                f'],"threshold":{t},"valid":true}}\n' if t >= 0
+                else '],"threshold":null,"valid":false}\n'
+                for t in tails.tolist()
+            ],
+            dtype=object,
+        )
+        for values, head in ((S, S_head), (outputs, outputs_head), (steps, s_head)):
+            values[:, 0] += head
+            values[:, 1:] += comma
+        index[:, c_root] = root_glue
+        np.add(bits[:, order - 1], pairs, out=index[:, c_root + 1 : c_seed])
+        index[:, c_seed] = seed_glue
+        index[:, c_seed + 1] = np.arange(seed_at, tail_at)
+        index[:, -1] = tail + tail_at
+        yield "".join(table[index].ravel().tolist())
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,14 +39,18 @@ class GameSpec:
             raise ValueError(f"players must be >= 1, got {self.players}")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+# A trial-log line is parsed with this decoder's raw_decode, which skips
+# the whitespace and trailing-data checks of json.loads.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+class TrialRecord(NamedTuple):
     """Scored outcome of one trial.
 
     trajectory[n-1] holds S_n = sum of the first n success variables.
     threshold is the largest losing player index (0 when everyone won);
     it is None only for quarantined SIGNALING-INVALID trials, which are
-    never scored.
+    never scored.  A record is a tuple of its fields, in this order.
     """
 
     root: dict
@@ -83,7 +87,21 @@ class TrialRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "TrialRecord":
-        return cls.from_json(json.loads(line))
+        """The record of one trial-log line, parsed as ``json.loads(line)``.
+
+        A line that ``raw_decode`` does not read as one document spanning
+        all of it, such as one with surrounding whitespace, bytes or a
+        malformed line, goes through ``json.loads``, for its result or its
+        error.
+        """
+        try:
+            doc, end = _raw_decode(line)
+            whole = end == len(line)
+        except (TypeError, ValueError):
+            whole = False
+        if not whole:
+            doc = json.loads(line)
+        return cls.from_json(doc)
 
 
 def winner_threshold(s: Sequence[int]) -> int:

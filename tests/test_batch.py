@@ -27,7 +27,7 @@ from nsgames.strategies import (
     build_strategy,
 )
 
-from helpers import record_chunks
+from helpers import assert_same_text, record_chunks
 
 tables = st.integers(0, 3).flatmap(
     lambda m: st.lists(st.integers(0, 1), min_size=1 << m, max_size=1 << m)
@@ -52,8 +52,13 @@ batch_specs = st.one_of(
 
 
 def assert_same_bytes(result, reference):
-    assert result.trial_log() == reference.trial_log()
-    assert result.render_json() == reference.render_json()
+    assert_same_text(result.trial_log(), reference.trial_log())
+    assert_same_text(result.render_json(), reference.render_json())
+
+
+def record_lines(result):
+    """The trial log as the records' to_json_line writes it."""
+    return "".join(r.to_json_line() + "\n" for r in result.records)
 
 
 def kernel_args(trials, players, m):
@@ -407,7 +412,7 @@ class TestTrialLogWriter:
         )
         result = run_experiment(cfg)
         log = result.trial_log()
-        assert log == "".join(r.to_json_line() + "\n" for r in result.records)
+        assert_same_text(log, record_lines(result))
         assert_same_bytes(result, scalar_reference(cfg))
         return result, [json.loads(line) for line in log.splitlines()]
 
@@ -424,6 +429,23 @@ class TestTrialLogWriter:
     def test_player_counts(self, scalar_reference, players):
         _, docs = self.check(scalar_reference, {"name": "local-random", "p": 0.5}, players, 3)
         assert all(len(doc["S"]) == players for doc in docs)
+
+    def test_four_digit_partial_sums(self):
+        # fns wins every round at depth 0: each S climbs to 1100, and every
+        # threshold is 0.  The run_trial reference is too slow at this width.
+        cfg = ExperimentConfig(
+            strategy=build_strategy({"name": "fns"}), players=1100, trials=2, master_seed=21
+        )
+        result = run_experiment(cfg)
+        assert_same_text(result.trial_log(), record_lines(result))
+        assert [r.trajectory[-1] for r in result.records] == [1100, 1100]
+        assert {r.threshold for r in result.records} == {0}
+
+    def test_depth_past_the_players(self, scalar_reference):
+        result, docs = self.check(scalar_reference, {"name": "fns"}, 5, override_depth=40)
+        assert all(len(doc["root"]["overrides"]) == 40 for doc in docs)
+        # Every target is flipped away from the representative fns guesses.
+        assert all(doc["S"] == [-1, -2, -3, -4, -5] for doc in docs)
 
     def test_negative_trajectories(self, scalar_reference):
         _, docs = self.check(scalar_reference, {"name": "constant", "value": 1}, 300, 4)

@@ -13,6 +13,7 @@ import nsgames.behavior as behavior_module
 import nsgames.experiment as experiment_module
 from nsgames.behavior import pr_box, signaling_box
 from nsgames.cli import main
+from nsgames.strategies import parse_strategy_arg
 
 # The standard-library packages a process pool is built from.
 POOL_PACKAGES = ("multiprocessing", "concurrent")
@@ -153,6 +154,42 @@ class TestSimulate:
         )
         assert code == 1
         assert err.startswith("output error: ")
+
+    def test_log_written_slice_by_slice(self, tmp_path, capsys, monkeypatch):
+        # 40-cell slices of 4 players and 3 overrides hold 5 trials each.
+        monkeypatch.setattr(experiment_module, "CHUNK_CELLS", 40)
+        slices = []
+        block_log = experiment_module._block_log
+
+        def recording(cfg, block):
+            for text in block_log(cfg, block):
+                slices.append(text)
+                yield text
+
+        monkeypatch.setattr(experiment_module, "_block_log", recording)
+        code, _, _ = run(
+            capsys, "simulate", "--strategy", "local-table:0,1,1,0", "--players", "4",
+            "--trials", "23", "--seed", "5", "--root-override-depth", "3",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert [text.count("\n") for text in slices] == [5, 5, 5, 5, 3]
+        result = experiment_module.run_experiment(experiment_module.ExperimentConfig(
+            strategy=parse_strategy_arg("local-table:0,1,1,0"), players=4, trials=23,
+            master_seed=5, override_depth=3,
+        ))
+        log = "".join(r.to_json_line() + "\n" for r in result.records)
+        assert (tmp_path / "trials.jsonl").read_text(encoding="utf-8") == log
+
+    def test_unwritable_log_exit_one_after_the_report(self, tmp_path, capsys):
+        (tmp_path / "trials.jsonl").mkdir()
+        code, _, err = run(
+            capsys, "simulate", "--strategy", "constant:0", "--players", "4",
+            "--trials", "3", "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert err.startswith("output error: ")
+        assert load_indented((tmp_path / "report.json").read_text())["config"]["trials"] == 3
 
     def test_non_utf8_config_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

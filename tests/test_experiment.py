@@ -534,6 +534,18 @@ class TestRunExperiment:
             assert result.azuma == azuma_report(result.records, cfg.azuma_n, cfg.azuma_eps)
         assert calls == [block_win_rate, block_azuma]
 
+    @pytest.mark.parametrize("azuma_n", [(7,), (24, 3, 10)])
+    @pytest.mark.parametrize("spec", [{"name": "local-random", "p": 0.5}, {"name": "cheat"}])
+    def test_azuma_grid_of_any_length_and_order(self, spec, azuma_n):
+        # cheat's trials are all quarantined, so its grid counts no trial.
+        cfg = ExperimentConfig(
+            strategy=build_strategy(spec), players=24, trials=40, master_seed=3,
+            azuma_n=azuma_n, azuma_eps=(2.0, 4.0), enable_backdoor=True,
+        )
+        result = run_experiment(cfg)
+        assert [p.n for p in result.azuma.points] == [n for n in azuma_n for _ in range(2)]
+        assert azuma_report(result.records, azuma_n, cfg.azuma_eps) == result.azuma
+
     @pytest.mark.parametrize("spec, depth", [
         ({"name": "fns"}, 3), ({"name": "local-random", "p": 0.5}, 0),
     ])

@@ -1,5 +1,6 @@
 """Referee: views, targets, scoring, quarantine."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,43 @@ class TestTrialRecordSerialization:
         rec = run_trial(spec)
         line = rec.to_json_line()
         assert TrialRecord.from_json_line(line) == rec
+
+    def test_a_tuple_of_its_fields(self):
+        spec = GameSpec(6, BitStream.generator(2), LocalTableStrategy([0, 1]))
+        rec = run_trial(spec)
+        assert TrialRecord._fields == ("root", "outputs", "s", "trajectory", "threshold", "valid")
+        root, outputs, s, trajectory, threshold, valid = rec
+        assert rec == (root, outputs, s, trajectory, threshold, valid)
+        assert (threshold, valid) == (winner_threshold(s), True)
+        with pytest.raises(AttributeError):
+            rec.valid = False
+
+    @pytest.mark.parametrize("pad", ["", " ", "\n", " \t", "\r\n  "])
+    def test_padded_lines_read_as_json_loads(self, pad):
+        spec = GameSpec(5, BitStream.generator(3), CheatStrategy(), enable_backdoor=True)
+        rec = run_trial(spec)
+        line = pad + rec.to_json_line() + pad
+        assert TrialRecord.from_json_line(line) == TrialRecord.from_json(json.loads(line)) == rec
+        assert TrialRecord.from_json_line(line.encode()) == rec
+
+    @pytest.mark.parametrize("spoil", [
+        lambda line: "",
+        lambda line: line[:1],
+        lambda line: line[:40],
+        lambda line: line[:-1],
+        lambda line: line + "x",
+        lambda line: line + " {}",
+        lambda line: line + "\n[]",
+        lambda line: "\ufeff" + line,
+    ])
+    def test_malformed_lines_raise_as_json_loads(self, spoil):
+        # Cut short, trailing data, and a byte-order mark.
+        bad = spoil(run_trial(GameSpec(3, BitStream.generator(4), FnsStrategy())).to_json_line())
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(bad)
+        with pytest.raises(json.JSONDecodeError) as got:
+            TrialRecord.from_json_line(bad)
+        assert str(got.value) == str(want.value)
 
     def test_schema_keys(self):
         spec = GameSpec(4, BitStream.generator(1), LocalTableStrategy([0]))
