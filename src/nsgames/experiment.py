@@ -12,10 +12,11 @@ not determine.  A chunk of a strategy with a batch kernel is one array
 computation over the players' views and the chunk's seeds, scored against
 root bits the kernel is never handed; any other chunk plays each trial
 through ``run_trial``, the scalar reference, and packs the records'
-successes and flags into the same block.  The reports are computed from
-the merged block, and the trial log from it and the roots regenerated from
-the seeds; the record-based builders (``win_rate_report``,
-``azuma_report``, ``TrialRecord.to_json_line``) stay as their reference.
+successes and flags into the same block; each chunk is copied into one
+block allocated for the run.  The reports are computed from that block,
+and the trial log from it and the roots regenerated from the seeds; the
+record-based builders (``win_rate_report``, ``azuma_report``,
+``TrialRecord.to_json_line``) stay as their reference.
 The log is built a slice at a time, each slice with one join over a matrix
 of text pieces, so that a writer can stream it to a file.
 """
@@ -76,8 +77,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.players < 1:
-            raise ValueError(f"players must be >= 1, got {self.players}")
+        if not 1 <= self.players <= MAX_PLAYERS:
+            raise ValueError(f"players must be in 1..{MAX_PLAYERS}, got {self.players}")
         if not 0 <= self.override_depth <= MAX_OVERRIDE_DEPTH:
             raise ValueError(
                 f"override depth must be in 0..{MAX_OVERRIDE_DEPTH}, got {self.override_depth}"
@@ -133,9 +134,12 @@ def _run_one(cfg: ExperimentConfig, index: int) -> TrialRecord:
 # Most cells (trials x max(players, override depth)) one chunk holds:
 # bounds the arrays of the batch path whatever the size of the run.
 CHUNK_CELLS = 1 << 16
-# Deepest root override a run accepts.  The trial log builds one table of
-# override keys per run, about 110 bytes an index whatever the trial count.
-MAX_OVERRIDE_DEPTH = 1 << 20
+# Most players and deepest root override a run accepts.  Whatever the
+# chunk size, a run plays its trials at least one at a time, and a trial's
+# row of root bits is as wide as the larger of the two; the trial log also
+# builds one table of override keys per run, about 110 bytes an index
+# whatever the trial count.
+MAX_PLAYERS = MAX_OVERRIDE_DEPTH = 1 << 20
 
 
 def _roots(
@@ -166,11 +170,6 @@ class TrialBlock:
 
     s: np.ndarray  # int8[trials, players]
     valid: np.ndarray  # bool[trials]
-
-    @classmethod
-    def concatenate(cls, blocks: Sequence["TrialBlock"]) -> "TrialBlock":
-        names = [f.name for f in fields(cls)]
-        return cls(*(np.concatenate([getattr(b, name) for b in blocks]) for name in names))
 
 
 def _run_chunk(cfg: ExperimentConfig, start: int, stop: int) -> TrialBlock:
@@ -210,6 +209,16 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
+# Each scalar type's spelling, looked up by exact type.
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: _CONSTANT_TEXT,
+    type(None): _CONSTANT_TEXT,
+}
+
+
 def _key_text(key: str) -> str:
     # encode_basestring_ascii raises TypeError for a key that is not a str.
     return _encode_str(key) + ": "
@@ -238,53 +247,13 @@ def dumps_indented(doc) -> str:
     Keys must be str, and values of exactly the types json writes natively
     (dict, list, tuple, str, int, float, bool, None); any other key or
     value, value subclasses included, raises ``TypeError``.  A report repeats the
-    same few keys and floats, so their text is kept for the call.
-
-    A list or tuple is a table when every item is a non-empty dict (exactly
-    ``dict``), all items have the same keys and every cell is a scalar.  A
-    table is spelled one column at a time: its keys are sorted once, each
-    column's types are read once and a single-type column is spelled with
-    one ``map``; each row is then one join of constant key texts and its
-    cells.  Any other list, one that stops being a table partway through
-    included, is written item by item.
+    same few keys and floats, so their text is kept for the call.  The one
+    other value it writes is private: ``ExperimentResult.render_json``
+    passes a win-rate report's ``per_player`` rows as a ``_PlayerRows``,
+    which spells itself at the indent it is given.
     """
     key_text = _TextMemo(_key_text).__getitem__
-    # Each scalar type's spelling, looked up by exact type.
-    scalars = {
-        str: _encode_str,
-        int: int.__repr__,
-        float: _TextMemo(_float_text).__getitem__,
-        bool: _CONSTANT_TEXT,
-        type(None): _CONSTANT_TEXT,
-    }
-
-    def table(rows, indent: str) -> list[str] | None:
-        """The texts of a table's rows, or None when ``rows`` is not a table."""
-        keys = rows[0].keys()
-        if not keys or not all(type(row) is dict and row.keys() == keys for row in rows):
-            return None
-        names = sorted(keys)
-        columns = []
-        for name in names:
-            column = list(map(itemgetter(name), rows))
-            kinds = set(map(type, column))
-            if not kinds.issubset(scalars):
-                return None
-            if len(kinds) == 1:
-                columns.append(map(scalars[kinds.pop()], column))
-            else:
-                columns.append([scalars[type(cell)](cell) for cell in column])
-        inner = indent + "  "
-        prefixes = ["," + inner + key_text(name) for name in names]
-        prefixes[0] = "{" + inner + key_text(names[0])
-        # parts[0::2] are the prefixes and the closing brace; parts[1::2]
-        # take each row's cells in turn.
-        parts = [text for prefix in prefixes for text in (prefix, "")] + [indent + "}"]
-        texts = []
-        for cells in zip(*columns):
-            parts[1::2] = cells
-            texts.append("".join(parts))
-        return texts
+    scalars = {**_SCALAR_TEXT, float: _TextMemo(_float_text).__getitem__}
 
     def write(value, indent: str) -> str:
         kind = type(value)
@@ -303,13 +272,13 @@ def dumps_indented(doc) -> str:
         if kind is list or kind is tuple:
             if not value:
                 return "[]"
-            items = table(value, inner) if type(value[0]) is dict else None
-            if items is None:
-                items = []
-                for item in value:
-                    text = scalars.get(type(item))
-                    items.append(text(item) if text else write(item, inner))
+            items = []
+            for item in value:
+                text = scalars.get(type(item))
+                items.append(text(item) if text else write(item, inner))
             return "[" + inner + ("," + inner).join(items) + indent + "]"
+        if kind is _PlayerRows:
+            return value.spell(indent)
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
     return write(doc, "\n")
@@ -360,6 +329,8 @@ class WinRateReport:
     trials, freq, lo, hi)``, with ``trials`` the scored trials and ``freq``
     their share of wins.  ``to_json`` and ``to_csv`` write the rows from
     these columns; ``per_player`` builds them as ``PlayerRate`` on each read.
+    ``ExperimentResult.render_json`` spells them without building them (see
+    ``_PlayerRows``).
     """
 
     players: int
@@ -386,12 +357,16 @@ class WinRateReport:
     def to_json(self) -> dict:
         _, *names = (f.name for f in fields(PlayerRate))
         rows = {w: dict(zip(names, rate)) for w, rate in self._rates().items()}
+        return self._document([{"player": k, **rows[w]} for k, w in enumerate(self.wins, 1)])
+
+    def _document(self, per_player) -> dict:
+        """The report's JSON document, with the given ``per_player`` value."""
         return {
             "players": self.players,
             "scored_trials": self.scored_trials,
             "invalid_trials": self.invalid_trials,
             "invalid_raw_success_rate": self.invalid_raw_success_rate,
-            "per_player": [{"player": k, **rows[w]} for k, w in enumerate(self.wins, 1)],
+            "per_player": per_player,
             "pooled_freq": self.pooled_freq,
             "pooled_lo": self.pooled_lo,
             "pooled_hi": self.pooled_hi,
@@ -401,6 +376,39 @@ class WinRateReport:
     def to_csv(self) -> str:
         tails = {w: _line(rate) for w, rate in self._rates().items()}
         return _csv(PlayerRate, (f"{k},{tails[w]}" for k, w in enumerate(self.wins, 1)))
+
+
+class _PlayerRows:
+    """A win-rate report's ``per_player`` list, for ``dumps_indented`` to
+    write straight from the report's columns.
+
+    ``spell`` writes the text ``dumps_indented`` writes for the report's
+    ``to_json()["per_player"]``.  Each distinct count's row is spelled once,
+    with the writer's scalar spellings, as the text before and after the
+    player number; player k's row is then ``heads[w] + str(k) + tails[w]``,
+    the way ``to_csv`` writes it, so no per-player dict is built.
+    """
+
+    __slots__ = ("report",)
+
+    def __init__(self, report: WinRateReport) -> None:
+        self.report = report
+
+    def spell(self, indent: str) -> str:
+        """The list's text, its closing bracket at ``indent``."""
+        report = self.report
+        inner = indent + "  "
+        comma = "," + inner + "  "
+        player, *names = (f.name for f in fields(PlayerRate))
+        # The player's key sorts after this many of the others.
+        at = sum(name < player for name in names)
+        heads, tails = {}, {}
+        for w, rate in report._rates().items():
+            cells = [_key_text(k) + _SCALAR_TEXT[type(v)](v) for k, v in sorted(zip(names, rate))]
+            heads[w] = "{" + comma[1:] + comma.join([*cells[:at], _key_text(player)])
+            tails[w] = "".join(comma + cell for cell in cells[at:]) + inner + "}"
+        rows = [heads[w] + str(k) + tails[w] for k, w in enumerate(report.wins, 1)]
+        return "[" + inner + ("," + inner).join(rows) + indent + "]"
 
 
 @dataclass(frozen=True)
@@ -468,15 +476,22 @@ class ExperimentResult:
         return tuple(score_batch(roots, outputs, b.s, b.valid))
 
     def to_json(self) -> dict:
+        return self._document(self.win.to_json())
+
+    def _document(self, win_rate) -> dict:
+        """The run's JSON document, with the given ``win_rate`` value."""
         return {
             "schema_version": SCHEMA_VERSION,
             "config": self.config.to_json(),
-            "win_rate": self.win.to_json(),
+            "win_rate": win_rate,
             "azuma": self.azuma.to_json(),
         }
 
     def render_json(self) -> str:
-        return dumps_indented(self.to_json()) + "\n"
+        """``dumps_indented(self.to_json()) + "\\n"``, with the per-player
+        rows written once per distinct win count (see ``_PlayerRows``)."""
+        win = self.win
+        return dumps_indented(self._document(win._document(_PlayerRows(win)))) + "\n"
 
     def trial_log(self) -> str:
         return "".join(self.trial_log_slices())
@@ -564,12 +579,20 @@ def win_rate_report(records: Sequence[TrialRecord], players: int) -> WinRateRepo
 
 
 def _block_win_rate(block: TrialBlock, players: int) -> WinRateReport:
-    """``win_rate_report`` of a block's trials, from its arrays."""
-    s, raw = block.s[block.valid], block.s[~block.valid]
+    """``win_rate_report`` of a block's trials, from its arrays.
+
+    The block is read in place when every trial is valid.  Every step is 1
+    or -1, so a player's wins are half of the scored trials plus its sum.
+    """
+    if block.valid.all():
+        s, raw = block.s, block.s[:0]
+    else:
+        s, raw = block.s[block.valid], block.s[~block.valid]
     invalid_raw = float((raw > 0).mean()) if len(raw) else None
     thresholds, counts = np.unique(last_losing_index(s), return_counts=True)
     hist = zip(thresholds.tolist(), counts.tolist())
-    return _win_rate(players, (s > 0).sum(axis=0), len(s), len(raw), invalid_raw, hist)
+    wins = (len(s) + s.sum(axis=0, dtype=np.int64)) // 2
+    return _win_rate(players, wins, len(s), len(raw), invalid_raw, hist)
 
 
 def _azuma(
@@ -709,19 +732,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full trial ensemble in the calling process.
 
     The trials run in contiguous chunks of at most CHUNK_CELLS cells, one
-    after another in trial order.  The chunks' blocks are merged in that
-    order, and every derived quantity is a pure function of the merged
-    block, which is what makes reports and trial logs byte-identical across
-    chunk sizes.
+    after another in trial order.  Each chunk's block is copied into the
+    run's block, allocated once, as the chunk finishes, and every derived
+    quantity is a pure function of the run's block, which is what makes
+    reports and trial logs byte-identical across chunk sizes.
     """
     # A trial's row of root bits is max(players + view_bits, override_depth)
     # wide, so an override depth past the player count sets the size.
     size = max(1, CHUNK_CELLS // max(cfg.players, cfg.override_depth))
-    blocks = [
-        _run_chunk(cfg, start, min(start + size, cfg.trials))
-        for start in range(0, cfg.trials, size)
-    ]
-    return ExperimentResult(cfg, TrialBlock.concatenate(blocks))
+    block = TrialBlock(
+        np.empty((cfg.trials, cfg.players), dtype=np.int8), np.empty(cfg.trials, dtype=bool)
+    )
+    for start in range(0, cfg.trials, size):
+        stop = min(start + size, cfg.trials)
+        chunk = _run_chunk(cfg, start, stop)
+        block.s[start:stop] = chunk.s
+        block.valid[start:stop] = chunk.valid
+    return ExperimentResult(cfg, block)
 
 
 @dataclass(frozen=True)

@@ -156,10 +156,14 @@ def run_trial(spec: GameSpec) -> TrialRecord:
 
 def last_losing_index(s: np.ndarray) -> np.ndarray:
     """``winner_threshold`` of every row of a [trials, players] array of
-    success variables."""
-    losing = s < 0
-    last = s.shape[1] - np.argmax(losing[:, ::-1], axis=1)
-    return np.where(losing.any(axis=1), last, 0)
+    success variables, each of them 1 or -1.
+
+    A row's last losing index is the last place of its minimum, found with
+    one ``argmin`` over the reversed rows, unless that minimum is 1.
+    """
+    last = s.shape[1] - np.argmin(s[:, ::-1], axis=1)
+    lost = s[np.arange(len(s)), last - 1] < 0
+    return np.where(lost, last, 0)
 
 
 def score_batch(

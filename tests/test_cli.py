@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nsgames.behavior as behavior_module
+import nsgames.cli as cli_module
 import nsgames.experiment as experiment_module
 from nsgames.behavior import pr_box, signaling_box
 from nsgames.cli import main
@@ -293,6 +294,21 @@ class TestSimulate:
         )
         assert code == 1
         assert "config error" in err and str(experiment_module.MAX_OVERRIDE_DEPTH) in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("players", [experiment_module.MAX_PLAYERS + 1, 10**10])
+    def test_players_past_the_bound_exit_one(self, tmp_path, capsys, monkeypatch, players):
+        def refuse(cfg):
+            raise AssertionError(f"a run of {cfg.players} players started")
+
+        monkeypatch.setattr(cli_module, "run_experiment", refuse)
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            capsys, "simulate", "--strategy", "constant:0", "--players", str(players),
+            "--trials", "3", "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert "config error" in err and str(experiment_module.MAX_PLAYERS) in err
         assert not out_dir.exists()
 
     def test_parallel_matches_serial(self, tmp_path, capsys):

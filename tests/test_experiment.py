@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from nsgames.experiment import (
     ADVERSARIAL,
     UNIFORM,
     ExperimentConfig,
+    ExperimentResult,
+    TrialBlock,
     azuma_bound,
     azuma_report,
     dumps_indented,
@@ -32,7 +35,7 @@ from nsgames.experiment import (
 from nsgames.game import TrialRecord
 from nsgames.strategies import Strategy, build_strategy
 
-from helpers import record_chunks
+from helpers import assert_same_text, record_chunks
 
 
 def ref_wilson(successes: int, trials: int, z: float) -> tuple[float, float]:
@@ -268,6 +271,66 @@ class TestDumpsIndented:
     def test_other_types_raise(self, doc):
         with pytest.raises(TypeError):
             dumps_indented(doc)
+
+
+@st.composite
+def win_columns(draw):
+    """A run whose scored trials give a drawn win count to each of 1-40
+    players, 0-12 scored trials and 0-3 quarantined ones in a drawn order:
+    ``(wins, scored, result)``."""
+    scored = draw(st.integers(0, 12))
+    wins = draw(st.lists(st.integers(0, scored), min_size=1, max_size=40))
+    rows = scored + draw(st.integers(0 if scored else 1, 3))
+    # Player k wins the first wins[k - 1] of the scored trials.
+    s = np.where(np.arange(rows)[:, None] < np.array(wins), 1, -1).astype(np.int8)
+    s[scored:] = draw(st.sampled_from([1, -1]))
+    order = np.array(draw(st.permutations(range(rows))), dtype=np.intp)
+    block = TrialBlock(s[order], order < scored)
+    cfg = ExperimentConfig(
+        strategy=build_strategy({"name": "constant"}), players=len(wins), trials=rows,
+        master_seed=0,
+    )
+    return wins, scored, ExperimentResult(cfg, block)
+
+
+class TestRenderJson:
+    """``render_json`` spells the per-player rows once per distinct win
+    count; ``dumps_indented(to_json())`` and ``json.dumps`` are its
+    references."""
+
+    @staticmethod
+    def check(result):
+        doc = result.to_json()
+        # No private value leaks into the plain document.
+        reference = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert_same_text(dumps_indented(doc) + "\n", reference)
+        assert_same_text(result.render_json(), reference)
+
+    @pytest.mark.parametrize("spec, players, trials, depth, seed, distinct", [
+        ({"name": "local-random", "p": 0.5}, 1, 5, 0, 0, 1),
+        # Players 1-8 win no trial: their cells are 0 and 0.0.
+        ({"name": "fns"}, 1100, 10, 8, 1, 2),
+        # Every trial quarantined: no scored trial, and freq is null.
+        ({"name": "cheat"}, 6, 4, 0, 2, 1),
+        # Every player has a win count of its own.
+        ({"name": "local-random", "p": 0.5}, 8, 60, 0, 7, 8),
+    ])
+    def test_matches_the_plain_document(self, spec, players, trials, depth, seed, distinct):
+        result = run_experiment(ExperimentConfig(
+            strategy=build_strategy(spec), players=players, trials=trials,
+            master_seed=seed, override_depth=depth, enable_backdoor=True,
+        ))
+        assert len(result.win.intervals) == distinct
+        assert (result.win.scored_trials == 0) == (spec["name"] == "cheat")
+        self.check(result)
+
+    @settings(max_examples=100, deadline=None)
+    @given(win_columns())
+    def test_random_win_columns(self, run):
+        wins, scored, result = run
+        assert result.win.wins == tuple(wins)
+        assert result.win.scored_trials == scored
+        self.check(result)
 
 
 class TestAzumaReport:
@@ -603,6 +666,36 @@ class TestRunExperiment:
         for p in result.win.per_player:
             assert p.freq == (0.0 if p.player <= depth else 1.0)
         assert result.win.threshold_hist == ((depth, 30),)
+
+    def test_config_bounds_players(self):
+        def config(players):
+            return ExperimentConfig(
+                strategy=build_strategy({"name": "constant"}),
+                players=players,
+                trials=3,
+                master_seed=0,
+            )
+
+        # Constructed, not run: a run at the bound holds a 1 MiB row a trial.
+        assert config(experiment.MAX_PLAYERS).players == 1 << 20
+        bound = str(experiment.MAX_PLAYERS)
+        for players in (experiment.MAX_PLAYERS + 1, 10**10, 0):
+            with pytest.raises(ValueError, match=bound):
+                config(players)
+
+    def test_win_rate_report_reads_a_valid_block_in_place(self):
+        # With every trial valid, the one temporary as large as the block is
+        # argmin's contiguous copy of its reversed rows, a byte a cell.
+        s = np.random.default_rng(0).choice(np.array([-1, 1], dtype=np.int8), (4096, 256))
+        block = TrialBlock(s, np.ones(len(s), dtype=bool))
+        tracemalloc.start()
+        try:
+            report = experiment._block_win_rate(block, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * s.nbytes
+        assert report.wins == tuple((s > 0).sum(axis=0).tolist())
 
     def test_config_bounds_override_depth(self):
         def config(depth):
