@@ -17,8 +17,10 @@ block allocated for the run.  The reports are computed from that block,
 and the trial log from it and the roots regenerated from the seeds; the
 record-based builders (``win_rate_report``, ``azuma_report``,
 ``TrialRecord.to_json_line``) stay as their reference.
-The log is built a slice at a time, each slice with one join over a matrix
-of text pieces, so that a writer can stream it to a file.
+The log is built a slice at a time, so that a writer can stream it to a
+file: each slice is one byte matrix, a row per trial, gathered from small
+tables of NUL-padded fixed-width byte strings, and its text is the
+matrix's bytes with the NULs removed.
 """
 
 from __future__ import annotations
@@ -137,8 +139,8 @@ CHUNK_CELLS = 1 << 16
 # Most players and deepest root override a run accepts.  Whatever the
 # chunk size, a run plays its trials at least one at a time, and a trial's
 # row of root bits is as wide as the larger of the two; the trial log also
-# builds one table of override keys per run, about 110 bytes an index
-# whatever the trial count.
+# builds one table of override pairs per run, and holds it with a slice of
+# one trial at about 80 bytes an index, whatever the trial count.
 MAX_PLAYERS = MAX_OVERRIDE_DEPTH = 1 << 20
 
 
@@ -581,15 +583,22 @@ def win_rate_report(records: Sequence[TrialRecord], players: int) -> WinRateRepo
 def _block_win_rate(block: TrialBlock, players: int) -> WinRateReport:
     """``win_rate_report`` of a block's trials, from its arrays.
 
-    The block is read in place when every trial is valid.  Every step is 1
-    or -1, so a player's wins are half of the scored trials plus its sum.
+    The block is read in place when every trial is valid, and the
+    thresholds a slice of at most CHUNK_CELLS cells at a time, since
+    ``last_losing_index`` copies the rows it reads.  Every step is 1 or -1,
+    so a player's wins are half of the scored trials plus its sum.
     """
     if block.valid.all():
         s, raw = block.s, block.s[:0]
     else:
         s, raw = block.s[block.valid], block.s[~block.valid]
     invalid_raw = float((raw > 0).mean()) if len(raw) else None
-    thresholds, counts = np.unique(last_losing_index(s), return_counts=True)
+    rows = max(1, CHUNK_CELLS // players)
+    # At least one slice, so that a block with no scored trial has one too.
+    thresholds = np.concatenate(
+        [last_losing_index(s[i : i + rows]) for i in range(0, max(len(s), 1), rows)]
+    )
+    thresholds, counts = np.unique(thresholds, return_counts=True)
     hist = zip(thresholds.tolist(), counts.tolist())
     wins = (len(s) + s.sum(axis=0, dtype=np.int64)) // 2
     return _win_rate(players, wins, len(s), len(raw), invalid_raw, hist)
@@ -641,91 +650,151 @@ def _block_azuma(
     return _azuma(grid_n, sums, grid_eps)
 
 
+# Place values 10**9 .. 1, for the digits of an integer below 10**10.
+_PLACES = 10.0 ** np.arange(9, -1, -1)
+
+
+def _decimal_cells(values: np.ndarray, before: bytes) -> np.ndarray:
+    """A table of each integer's ``str`` after a glue, as fixed-width byte
+    strings.
+
+    ``values`` is a uint64 array, or an int64 array of magnitudes below
+    2**63.  Entry i is ``before``, then the ASCII of ``str(values[i])``
+    right-aligned in NUL bytes to the width of the longest: with a NUL-free
+    ``before``, ``before + str(values[i])`` once its NULs are removed.  A
+    magnitude of more than ten digits is split at 10**10, so that each
+    half, and its quotients by the place values, are exact in float64.
+    """
+    magnitude = np.abs(values).astype(np.uint64)
+    width = len(str(int(magnitude.max(initial=0))))
+    # Column j ends as digit j, and holds first the half's magnitude
+    # without its digits after j.
+    q = np.empty((len(values), width))
+    h = max(0, width - 10)
+    if h:
+        high, magnitude = np.divmod(magnitude, np.uint64(10**10))
+        np.divide(high[:, None], _PLACES[-h:], out=q[:, :h])
+    np.divide(magnitude[:, None], _PLACES[h - width :], out=q[:, h:])
+    np.floor(q, out=q)
+    # A digit is written once a digit at or before it is not 0; the last
+    # digit always is.
+    shown = q > 0
+    if h:
+        shown[:, h:] |= shown[:, h - 1 : h]
+    shown[:, -1] = True
+    for a, b in ((0, h), (h, width)) if h else ((0, width),):
+        q[:, a + 1 : b] -= 10 * q[:, a : b - 1]
+    q += ord("0")
+    q *= shown
+    # One column for the sign, if any value has one.
+    start = len(before) + int(values.min(initial=0) < 0)
+    cells = np.empty((len(values), start + width), dtype=np.uint8)
+    cells[:, start:] = q
+    cells[:, : len(before)] = np.frombuffer(before, dtype=np.uint8)
+    if start > len(before):
+        cells[:, start - 1] = np.where(values < 0, ord("-"), 0)
+    return cells.view(f"S{cells.shape[1]}").ravel()
+
+
+def _override_pairs(depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The overrides 1..depth of a root, in the order ``sort_keys`` writes
+    their keys: as strings, "1", "10", "2", ...
+
+    Returns ``columns`` and ``pairs``: the key ranked r is ``columns[r] +
+    1``, and ``pairs[2 * r + bit]`` is the text of its pair with that bit,
+    ``,"key":bit``, with no comma at r = 0.
+    """
+    digits = len(str(depth))
+    # A key is NUL-padded on the right, and NUL sorts before every digit,
+    # so the fixed-width texts sort as the keys do.
+    keys = np.arange(1, depth + 1).astype(f"S{digits}")
+    columns = np.argsort(keys)
+    pairs = np.empty((depth, 2, digits + 5), dtype=np.uint8)
+    pairs[:, :, :2] = np.frombuffer(b',"', dtype=np.uint8)
+    pairs[:, :, 2:-3] = keys[columns].view(np.uint8).reshape(depth, 1, digits)
+    pairs[:, :, -3:-1] = np.frombuffer(b'":', dtype=np.uint8)
+    pairs[:, :, -1] = np.frombuffer(b"01", dtype=np.uint8)
+    pairs[:1, :, 0] = 0
+    return columns, pairs.view(f"S{digits + 5}").ravel()
+
+
+def _heads(glue: str, first: Iterable[int]) -> np.ndarray:
+    """A table of the glue before a list, each entry with one first value."""
+    return np.array([f"{glue}{v}".encode() for v in first])
+
+
+# A list's first cell carries the glue before it; each other cell is a
+# comma and a value.  Outputs index their cells by the output, and partial
+# sums and steps their heads, and steps their cells, by the step plus 1.
+_S_HEADS = _heads('{"S":[', (-1, 0, 1))
+_OUTPUT_HEADS = _heads('],"outputs":[', (0, 1))
+_OUTPUT_CELLS = np.array([b",0", b",1"])
+_STEP_HEADS = _heads(',"shift":0},"s":[', (-1, 0, 1))
+_STEP_CELLS = np.array([b",-1", b"", b",1"])
+_ROOT_GLUE = np.array([b'],"root":{"kind":"' + GENERATOR.encode() + b'","overrides":{'])
+
+
 def _block_log(cfg: ExperimentConfig, block: TrialBlock) -> Iterator[str]:
     """The trial log of a block, one slice of at most CHUNK_CELLS cells at a
     time: each trial's ``TrialRecord.to_json_line`` and a newline.
 
     Each slice's roots and outputs are regenerated from the seeds (see
-    ``TrialBlock``).  Its text is laid out as a matrix with one row per
-    trial, of indices into a table of text pieces, and written with one
-    join.  A row holds, in order: the partial sums, the outputs, the glue
-    up to the overrides, one piece per override (its key and bit), the
-    seed between its glue pieces, the steps, and the threshold and
-    validity.  Every cell after a list's first is its comma and its value,
-    a value in -players..players, whose pieces are made for the range the
-    slice holds.  A list's first cell is -1, 0 or 1, and its piece carries
-    the glue before it.
+    ``TrialBlock``).  Its text is one uint8 matrix with a row per trial,
+    made of fixed-width sections in line order: the partial sums, the
+    outputs, the root glue, the override pairs, the seed, the steps, and
+    the threshold and validity.  Each section is gathered with one
+    ``np.take`` from a small table of byte strings, NUL-padded to one
+    width: a list's first cell carries the glue before it, and its others
+    are a comma and a value, the partial sums' made for the range of values
+    the slice holds.  A NUL byte stands for no byte: it pads a text
+    narrower than its cell, and takes the place of the first override
+    pair's comma.  The slice's text is the matrix's bytes with the NULs
+    removed, in one call.
     """
     trials, players = block.s.shape
     depth = cfg.override_depth
-    pieces: list[str] = []
-
-    def add(texts: list[str]) -> int:
-        """Appends texts to the pieces; returns the index of the first."""
-        pieces.extend(texts)
-        return len(pieces) - len(texts)
-
-    def heads(glue: str) -> int:
-        """Pieces of glue and then -1, 0 or 1; returns the index of 0's."""
-        return add([glue + str(v) for v in (-1, 0, 1)]) + 1
-
-    S_head = heads('{"S":[')
-    outputs_head = heads('],"outputs":[')
-    s_head = heads(',"shift":0},"s":[')
-    root_glue = add(['],"root":{"kind":"' + GENERATOR + '","overrides":{'])
-    seed_glue = add(['},"seed":'])
-    # sort_keys orders the override keys as strings: "1", "10", "2", ...
-    # pairs[r] + bit is the piece of the key ranked r with that bit; every
-    # pair but the first leads with a comma.
-    order = np.array(sorted(range(1, depth + 1), key=str), dtype=np.intp)
-    pairs = add([
-        f'{"," if rank else ""}"{i}":{bit}'
-        for rank, i in enumerate(order.tolist())
-        for bit in (0, 1)
-    ]) + 2 * np.arange(depth, dtype=np.intp)
-
-    c_outputs, c_root = players, 2 * players
-    c_seed = c_root + 1 + depth
-    c_s = c_seed + 2
+    columns, pairs = _override_pairs(depth)
+    pair_base = 2 * np.arange(depth)
     step = max(1, CHUNK_CELLS // (players + depth))
     for start in range(0, trials, step):
         stop = min(start + step, trials)
         seeds, bits = _roots(cfg, start, stop, max(players, depth))
         s = block.s[start:stop]
-        index = np.empty((stop - start, c_s + players + 1), dtype=np.intp)
-        S = np.cumsum(s, axis=1, dtype=np.intp, out=index[:, :c_outputs])
-        outputs = index[:, c_outputs:c_root]
-        np.bitwise_xor(bits[:, :players], s < 0, out=outputs)
-        steps = index[:, c_s:-1]
-        steps[...] = s
-        lo, hi = min(-1, int(S.min())), max(1, int(S.max()))
+        steps = np.add(s, 1, dtype=np.intp)
+        outputs = np.bitwise_xor(bits[:, :players], s < 0, dtype=np.intp)
+        S = np.cumsum(s, axis=1, dtype=np.intp)
+        lo = int(S.min())
+        sums = _decimal_cells(np.arange(lo, int(S.max()) + 1), b",")
+        S -= lo
         # A threshold of -1 stands for a quarantined trial's null.
         thresholds = np.where(block.valid[start:stop], last_losing_index(s), -1)
         tails, tail = np.unique(thresholds, return_inverse=True)
-        # The slice's own pieces: ",v" for v in lo..hi, the seeds, the tails.
-        comma = len(pieces) - lo
-        seed_at = comma + hi + 1
-        tail_at = seed_at + len(seeds)
-        table = np.array(
-            pieces
-            + [f",{v}" for v in range(lo, hi + 1)]
-            + list(map(str, seeds.tolist()))
-            + [
-                f'],"threshold":{t},"valid":true}}\n' if t >= 0
-                else '],"threshold":null,"valid":false}\n'
-                for t in tails.tolist()
-            ],
-            dtype=object,
-        )
-        for values, head in ((S, S_head), (outputs, outputs_head), (steps, s_head)):
-            values[:, 0] += head
-            values[:, 1:] += comma
-        index[:, c_root] = root_glue
-        np.add(bits[:, order - 1], pairs, out=index[:, c_root + 1 : c_seed])
-        index[:, c_seed] = seed_glue
-        index[:, c_seed + 1] = np.arange(seed_at, tail_at)
-        index[:, -1] = tail + tail_at
-        yield "".join(table[index].ravel().tolist())
+        sections = [
+            (_S_HEADS, steps[:, :1]),
+            (sums, S[:, 1:]),
+            (_OUTPUT_HEADS, outputs[:, :1]),
+            (_OUTPUT_CELLS, outputs[:, 1:]),
+            (_ROOT_GLUE, np.zeros((stop - start, 1), dtype=np.intp)),
+            (pairs, np.add(bits[:, columns], pair_base, dtype=np.intp)),
+            (_decimal_cells(seeds, b'},"seed":'), np.arange(stop - start)[:, None]),
+            (_STEP_HEADS, steps[:, :1]),
+            (_STEP_CELLS, steps[:, 1:]),
+            (
+                np.array([
+                    f'],"threshold":{t},"valid":true}}\n'.encode() if t >= 0
+                    else b'],"threshold":null,"valid":false}\n'
+                    for t in tails.tolist()
+                ]),
+                tail[:, None],
+            ),
+        ]
+        bounds = [0]
+        for table, index in sections:
+            bounds.append(bounds[-1] + table.itemsize * index.shape[1])
+        out = np.empty((stop - start, bounds[-1]), dtype=np.uint8)
+        for (table, index), a, b in zip(sections, bounds, bounds[1:]):
+            table.take(index, out=out[:, a:b].view(table.dtype))
+        yield out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

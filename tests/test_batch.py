@@ -8,10 +8,11 @@ two must write the same trial log and report, byte for byte.
 import contextlib
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nsgames.experiment as experiment
@@ -440,6 +441,88 @@ class TestTrialLogWriter:
         assert_same_text(result.trial_log(), record_lines(result))
         assert [r.trajectory[-1] for r in result.records] == [1100, 1100]
         assert {r.threshold for r in result.records} == {0}
+
+    @pytest.mark.parametrize("depth", [0, 10010])
+    def test_five_digit_partial_sums_and_thresholds(self, depth):
+        # fns wins every round past the override depth and loses every round
+        # up to it, so at depth 0 each S climbs to 10050 and each threshold is
+        # 0, and at depth 10010 each S falls to -10010 and each threshold is
+        # 10010.
+        cfg = ExperimentConfig(
+            strategy=build_strategy({"name": "fns"}),
+            players=10050,
+            trials=2,
+            master_seed=21,
+            override_depth=depth,
+        )
+        result = run_experiment(cfg)
+        assert_same_text(result.trial_log(), record_lines(result))
+        assert {min(r.trajectory) for r in result.records} == {-depth if depth else 1}
+        assert {r.trajectory[-1] for r in result.records} == {10050 - 2 * depth}
+        assert {r.threshold for r in result.records} == {depth}
+
+    def test_three_digit_negative_sums(self):
+        # constant:1 wins where its target bit is 1: a fair walk, which at
+        # this seed falls past -100 in one of the four trials.
+        cfg = ExperimentConfig(
+            strategy=build_strategy({"name": "constant", "value": 1}),
+            players=2000,
+            trials=4,
+            master_seed=5,
+        )
+        result = run_experiment(cfg)
+        assert_same_text(result.trial_log(), record_lines(result))
+        assert min(min(r.trajectory) for r in result.records) <= -100
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.builds(
+                lambda v: np.array(v, dtype=np.int64),
+                st.lists(st.integers(-experiment.MAX_PLAYERS, experiment.MAX_PLAYERS), min_size=1),
+            ),
+            st.builds(
+                lambda v: np.array(v, dtype=np.uint64),
+                st.lists(st.integers(0, MASK64), min_size=1),
+            ),
+        )
+    )
+    @example(np.array([0, 9, 10, 10**19, MASK64], dtype=np.uint64))
+    @example(np.array([0, 9, 10, -9, -10], dtype=np.int64))
+    def test_decimal_cells_spell_str(self, values):
+        def stripped(cells):
+            return [cell.replace(b"\0", b"").decode() for cell in cells.tolist()]
+
+        texts = [str(v) for v in values.tolist()]
+        assert stripped(experiment._decimal_cells(values, b"")) == texts
+        cells = experiment._decimal_cells(values, b",")
+        assert stripped(cells) == ["," + text for text in texts]
+        # One column for a sign, if any value has one, and one a digit.
+        signed = [v < 0 for v in values.tolist()]
+        digits = max(len(text) - sign for text, sign in zip(texts, signed))
+        assert cells.dtype.itemsize == 1 + any(signed) + digits
+
+    def test_deep_overrides_cost_a_bounded_number_of_bytes_an_index(self):
+        # The override keys and pairs, and the slice of one trial, are held
+        # at once: about 80 bytes an index.  Building every key as a Python
+        # str took about 194.
+        depth = 1 << 17
+        cfg = ExperimentConfig(
+            strategy=build_strategy({"name": "constant", "value": 0}),
+            players=1,
+            trials=1,
+            master_seed=21,
+            override_depth=depth,
+        )
+        result = run_experiment(cfg)
+        tracemalloc.start()
+        try:
+            lengths = [len(text) for text in result.trial_log_slices()]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * depth
+        assert lengths == [len(record_lines(result))]
 
     def test_depth_past_the_players(self, scalar_reference):
         result, docs = self.check(scalar_reference, {"name": "fns"}, 5, override_depth=40)

@@ -182,6 +182,34 @@ class TestSimulate:
         log = "".join(r.to_json_line() + "\n" for r in result.records)
         assert (tmp_path / "trials.jsonl").read_text(encoding="utf-8") == log
 
+    @pytest.mark.slow
+    def test_deepest_overrides_in_a_bounded_peak(self, tmp_path):
+        # Three trials at the deepest override depth write 2^20 pairs a line.
+        # The child's own peak RSS, read with wait4, was about 126 MiB when
+        # the override keys became fixed-width byte strings, and 278 MiB
+        # before.
+        depth = experiment_module.MAX_OVERRIDE_DEPTH
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "nsgames", "simulate", "--strategy", "fns",
+                "--root-override-depth", str(depth), "--players", "4", "--trials", "3",
+                "--out-dir", str(tmp_path),
+            ],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.DEVNULL,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        lines = (tmp_path / "trials.jsonl").read_bytes().splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            overrides = line[line.index(b'"overrides":{') : line.index(b'},"seed":')]
+            assert overrides.count(b",") + 1 == depth
+        # ru_maxrss is in KiB on Linux.
+        assert usage.ru_maxrss < 192 * 1024
+
     def test_unwritable_log_exit_one_after_the_report(self, tmp_path, capsys):
         (tmp_path / "trials.jsonl").mkdir()
         code, _, err = run(

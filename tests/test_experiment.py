@@ -5,6 +5,7 @@ import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from nsgames.experiment import (
     _invariance_counts_reference,
     _sample_seed,
 )
-from nsgames.game import TrialRecord
+from nsgames.game import TrialRecord, last_losing_index
 from nsgames.strategies import Strategy, build_strategy
 
 from helpers import assert_same_text, record_chunks
@@ -696,6 +697,21 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert peak < 1.25 * s.nbytes
         assert report.wins == tuple((s > 0).sum(axis=0).tolist())
+
+    def test_win_rate_report_reads_thresholds_in_slices(self):
+        # last_losing_index copies the rows it reads; read a slice of at most
+        # CHUNK_CELLS cells at a time, that copy stays far below the block.
+        s = np.random.default_rng(1).choice(np.array([-1, 1], dtype=np.int8), (4096, 256))
+        block = TrialBlock(s, np.ones(len(s), dtype=bool))
+        tracemalloc.start()
+        try:
+            report = experiment._block_win_rate(block, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * s.nbytes
+        expected = Counter(last_losing_index(s).tolist())
+        assert report.threshold_hist == tuple(sorted(expected.items()))
 
     def test_config_bounds_override_depth(self):
         def config(depth):
