@@ -200,6 +200,9 @@ def _simulate(args) -> int:
     except BackdoorDisabledError as exc:
         print(f"config error: {exc} (--allow-cheat)", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: --trials x --players: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV, "."))
     if args.format == "json":

@@ -16,8 +16,9 @@ successes and flags into the same block; each chunk is copied into one
 block allocated for the run.  The reports are computed from that block,
 and the trial log from it and the roots regenerated from the seeds; the
 record-based builders (``win_rate_report``, ``azuma_report``,
-``TrialRecord.to_json_line``) stay as their reference.
-The log is built a slice at a time, so that a writer can stream it to a
+``TrialRecord.to_json_line``) stay as their reference.  The win report,
+the martingale audit and the log read the block in the run's chunks, and
+the log is built a chunk at a time, so that a writer can stream it to a
 file: each slice is one byte matrix, a row per trial, gathered from small
 tables of NUL-padded fixed-width byte strings, and its text is the
 matrix's bytes with the NULs removed.
@@ -133,8 +134,8 @@ def _run_one(cfg: ExperimentConfig, index: int) -> TrialRecord:
     return run_trial(spec)
 
 
-# Most cells (trials x max(players, override depth)) one chunk holds:
-# bounds the arrays of the batch path whatever the size of the run.
+# Most cells (trials x max(players, override depth)) one chunk holds; every
+# pass over a run's block walks these chunks (see ``_chunks``).
 CHUNK_CELLS = 1 << 16
 # Most players and deepest root override a run accepts.  Whatever the
 # chunk size, a run plays its trials at least one at a time, and a trial's
@@ -144,16 +145,24 @@ CHUNK_CELLS = 1 << 16
 MAX_PLAYERS = MAX_OVERRIDE_DEPTH = 1 << 20
 
 
-def _roots(
-    cfg: ExperimentConfig, start: int, stop: int, width: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _chunks(cfg: ExperimentConfig) -> Iterator[tuple[int, int]]:
+    """The (start, stop) trials of each chunk of a run, in trial order: at
+    most CHUNK_CELLS cells of max(players, override_depth) a row, and at
+    least one trial."""
+    size = max(1, CHUNK_CELLS // max(cfg.players, cfg.override_depth))
+    for start in range(0, cfg.trials, size):
+        yield start, min(start + size, cfg.trials)
+
+
+def _roots(cfg: ExperimentConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """The roots of trials start..stop-1, as ``trial_root`` builds them.
 
     Returns their seeds, a uint64 array, and their bits 1..width with the
     override flips applied, a uint8 array whose row t, column i - 1 holds
-    bit i of the trial's root.
+    bit i of the trial's root: every target, view bit and override.
     """
     seeds = child_seed_np(child_seed(cfg.master_seed, DOMAIN_ROOT), np.arange(start, stop))
+    width = max(cfg.players + cfg.strategy.view_bits, cfg.override_depth)
     bits = generator_bits(seeds, width)
     bits[:, : cfg.override_depth] ^= 1
     return seeds, bits
@@ -182,7 +191,7 @@ def _run_chunk(cfg: ExperimentConfig, start: int, stop: int) -> TrialBlock:
     views (see ``Strategy.guess_batch``), not the root bits scored here.
     """
     m = cfg.strategy.view_bits
-    root_seeds, bits = _roots(cfg, start, stop, max(cfg.players + m, cfg.override_depth))
+    root_seeds, bits = _roots(cfg, start, stop)
     views = sliding_window_view(bits[:, 1:], m, axis=1)[:, : cfg.players]
     trial_seeds = child_seed_np(child_seed(cfg.master_seed, DOMAIN_TRIAL), np.arange(start, stop))
     outputs = cfg.strategy.guess_batch(views, trial_seeds, root_seeds)
@@ -226,21 +235,6 @@ def _key_text(key: str) -> str:
     return _encode_str(key) + ": "
 
 
-class _TextMemo(dict):
-    """``spell(value)``, computed once per distinct value.  Falsy values
-    are spelled every time: ``-0.0 == 0.0``, but the two print differently."""
-
-    def __init__(self, spell) -> None:
-        super().__init__()
-        self.spell = spell
-
-    def __missing__(self, value) -> str:
-        text = self.spell(value)
-        if value:
-            self[value] = text
-        return text
-
-
 def dumps_indented(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte.
 
@@ -248,18 +242,15 @@ def dumps_indented(doc) -> str:
     is set; this writer joins each container's items at once instead.
     Keys must be str, and values of exactly the types json writes natively
     (dict, list, tuple, str, int, float, bool, None); any other key or
-    value, value subclasses included, raises ``TypeError``.  A report repeats the
-    same few keys and floats, so their text is kept for the call.  The one
+    value, value subclasses included, raises ``TypeError``.  The one
     other value it writes is private: ``ExperimentResult.render_json``
     passes a win-rate report's ``per_player`` rows as a ``_PlayerRows``,
     which spells itself at the indent it is given.
     """
-    key_text = _TextMemo(_key_text).__getitem__
-    scalars = {**_SCALAR_TEXT, float: _TextMemo(_float_text).__getitem__}
 
     def write(value, indent: str) -> str:
         kind = type(value)
-        text = scalars.get(kind)
+        text = _SCALAR_TEXT.get(kind)
         if text is not None:
             return text(value)
         inner = indent + "  "
@@ -268,15 +259,15 @@ def dumps_indented(doc) -> str:
                 return "{}"
             items = []
             for key, item in sorted(value.items()):
-                text = scalars.get(type(item))
-                items.append(key_text(key) + (text(item) if text else write(item, inner)))
+                text = _SCALAR_TEXT.get(type(item))
+                items.append(_key_text(key) + (text(item) if text else write(item, inner)))
             return "{" + inner + ("," + inner).join(items) + indent + "}"
         if kind is list or kind is tuple:
             if not value:
                 return "[]"
             items = []
             for item in value:
-                text = scalars.get(type(item))
+                text = _SCALAR_TEXT.get(type(item))
                 items.append(text(item) if text else write(item, inner))
             return "[" + inner + ("," + inner).join(items) + indent + "]"
         if kind is _PlayerRows:
@@ -456,7 +447,7 @@ class ExperimentResult:
 
     @cached_property
     def win(self) -> WinRateReport:
-        return _block_win_rate(self.block, self.config.players)
+        return _block_win_rate(self.config, self.block)
 
     @cached_property
     def azuma(self) -> AzumaReport:
@@ -464,12 +455,15 @@ class ExperimentResult:
 
     @cached_property
     def martingale(self) -> MartingaleReport:
-        return _block_martingale(self.block)
+        cfg, b = self.config, self.block
+        if not b.valid.all():
+            raise ValueError(_INVALID_AUDIT)
+        return _martingale((b.s[i:j] for i, j in _chunks(cfg)), cfg.trials, cfg.players)
 
     @cached_property
     def records(self) -> tuple[TrialRecord, ...]:
         cfg, b = self.config, self.block
-        seeds, bits = _roots(cfg, 0, len(b.s), max(cfg.players, cfg.override_depth))
+        seeds, bits = _roots(cfg, 0, cfg.trials)
         roots = [
             BitStream(seed=seed, overrides=tuple(enumerate(flips, 1))).to_json()
             for seed, flips in zip(seeds.tolist(), bits[:, : cfg.override_depth].tolist())
@@ -580,28 +574,27 @@ def win_rate_report(records: Sequence[TrialRecord], players: int) -> WinRateRepo
     return _win_rate(players, wins, scored, len(invalid), invalid_raw, hist)
 
 
-def _block_win_rate(block: TrialBlock, players: int) -> WinRateReport:
-    """``win_rate_report`` of a block's trials, from its arrays.
-
-    The block is read in place when every trial is valid, and the
-    thresholds a slice of at most CHUNK_CELLS cells at a time, since
+def _block_win_rate(cfg: ExperimentConfig, block: TrialBlock) -> WinRateReport:
+    """``win_rate_report`` of a run's block, read a chunk at a time (see
+    ``_chunks``), and in place where all its trials are valid, since
     ``last_losing_index`` copies the rows it reads.  Every step is 1 or -1,
     so a player's wins are half of the scored trials plus its sum.
     """
-    if block.valid.all():
-        s, raw = block.s, block.s[:0]
-    else:
-        s, raw = block.s[block.valid], block.s[~block.valid]
-    invalid_raw = float((raw > 0).mean()) if len(raw) else None
-    rows = max(1, CHUNK_CELLS // players)
-    # At least one slice, so that a block with no scored trial has one too.
-    thresholds = np.concatenate(
-        [last_losing_index(s[i : i + rows]) for i in range(0, max(len(s), 1), rows)]
-    )
-    thresholds, counts = np.unique(thresholds, return_counts=True)
+    players, raw_wins, thresholds = cfg.players, 0, []
+    sums = np.zeros(players, dtype=np.int64)
+    for start, stop in _chunks(cfg):
+        s, valid = block.s[start:stop], block.valid[start:stop]
+        if not valid.all():
+            raw_wins += int((s[~valid] > 0).sum())
+            s = s[valid]
+        sums += s.sum(axis=0, dtype=np.int64)
+        thresholds.append(last_losing_index(s))
+    thresholds, counts = np.unique(np.concatenate(thresholds), return_counts=True)
+    scored = int(counts.sum())
+    invalid = cfg.trials - scored
+    invalid_raw = raw_wins / (invalid * players) if invalid else None
     hist = zip(thresholds.tolist(), counts.tolist())
-    wins = (len(s) + s.sum(axis=0, dtype=np.int64)) // 2
-    return _win_rate(players, wins, len(s), len(raw), invalid_raw, hist)
+    return _win_rate(players, (scored + sums) // 2, scored, invalid, invalid_raw, hist)
 
 
 def _azuma(
@@ -735,8 +728,8 @@ _ROOT_GLUE = np.array([b'],"root":{"kind":"' + GENERATOR.encode() + b'","overrid
 
 
 def _block_log(cfg: ExperimentConfig, block: TrialBlock) -> Iterator[str]:
-    """The trial log of a block, one slice of at most CHUNK_CELLS cells at a
-    time: each trial's ``TrialRecord.to_json_line`` and a newline.
+    """The trial log of a run's block, one slice a chunk (see ``_chunks``):
+    each trial's ``TrialRecord.to_json_line`` and a newline.
 
     Each slice's roots and outputs are regenerated from the seeds (see
     ``TrialBlock``).  Its text is one uint8 matrix with a row per trial,
@@ -751,14 +744,11 @@ def _block_log(cfg: ExperimentConfig, block: TrialBlock) -> Iterator[str]:
     pair's comma.  The slice's text is the matrix's bytes with the NULs
     removed, in one call.
     """
-    trials, players = block.s.shape
-    depth = cfg.override_depth
+    players, depth = cfg.players, cfg.override_depth
     columns, pairs = _override_pairs(depth)
     pair_base = 2 * np.arange(depth)
-    step = max(1, CHUNK_CELLS // (players + depth))
-    for start in range(0, trials, step):
-        stop = min(start + step, trials)
-        seeds, bits = _roots(cfg, start, stop, max(players, depth))
+    for start, stop in _chunks(cfg):
+        seeds, bits = _roots(cfg, start, stop)
         s = block.s[start:stop]
         steps = np.add(s, 1, dtype=np.intp)
         outputs = np.bitwise_xor(bits[:, :players], s < 0, dtype=np.intp)
@@ -800,20 +790,16 @@ def _block_log(cfg: ExperimentConfig, block: TrialBlock) -> Iterator[str]:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full trial ensemble in the calling process.
 
-    The trials run in contiguous chunks of at most CHUNK_CELLS cells, one
-    after another in trial order.  Each chunk's block is copied into the
-    run's block, allocated once, as the chunk finishes, and every derived
-    quantity is a pure function of the run's block, which is what makes
-    reports and trial logs byte-identical across chunk sizes.
+    The trials run in the chunks of ``_chunks``, one after another in trial
+    order.  Each chunk's block is copied into the run's block, allocated
+    once, as the chunk finishes, and every derived quantity is a pure
+    function of the run's block, which is what makes reports and trial logs
+    byte-identical across chunk sizes.
     """
-    # A trial's row of root bits is max(players + view_bits, override_depth)
-    # wide, so an override depth past the player count sets the size.
-    size = max(1, CHUNK_CELLS // max(cfg.players, cfg.override_depth))
     block = TrialBlock(
         np.empty((cfg.trials, cfg.players), dtype=np.int8), np.empty(cfg.trials, dtype=bool)
     )
-    for start in range(0, cfg.trials, size):
-        stop = min(start + size, cfg.trials)
+    for start, stop in _chunks(cfg):
         chunk = _run_chunk(cfg, start, stop)
         block.s[start:stop] = chunk.s
         block.valid[start:stop] = chunk.valid
@@ -852,27 +838,38 @@ class MartingaleReport:
         }
 
 
-def _martingale(s: np.ndarray, trajectories: np.ndarray) -> MartingaleReport:
-    """The martingale report of [trials, players] steps and their partial
-    sums (see ``martingale_audit``)."""
-    increments_ok = bool(np.array_equal(np.cumsum(s, axis=1), trajectories)) and bool(
-        (np.abs(s) == 1).all()
-    )
+def _martingale(steps: Iterable[np.ndarray], trials: int, players: int) -> MartingaleReport:
+    """The martingale report of trials' steps, given as consecutive
+    [trials, players] integer arrays (see ``martingale_audit``).
 
-    bins: list[MartingaleBin] = []
-    if s.shape[1] > 1:
-        condition = trajectories[:, :-1].ravel()
-        step = s[:, 1:].ravel()
-        offset = condition - condition.min()
-        counts = np.bincount(offset)
-        sums = np.bincount(offset, weights=step.astype(np.float64))
-        for pos in np.nonzero(counts >= MIN_BIN_COUNT)[0]:
-            count = int(counts[pos])
-            mean = float(sums[pos] / count)
-            margin = Z / math.sqrt(count)
-            s_value = int(pos + condition.min())
-            bins.append(MartingaleBin(s_value, count, mean, margin, abs(mean) <= margin))
-    return MartingaleReport(trials=len(s), increments_ok=increments_ok, bins=tuple(bins))
+    Each step but a trial's first is counted, in integers, at the place
+    S + players - 1 of the partial sum S before it, and among the up-steps
+    there if it is 1.  Only steps of 1 and -1 have a place, so a log with
+    any other has no bins.
+    """
+    # moves[2 * place + up], up to 4 players - 3: the steps out of each place.
+    moves = np.zeros(4 * players, dtype=np.int64)
+    code_type = np.int16 if players <= 8192 else np.int32
+    for s in steps:
+        if not (np.abs(s) == 1).all():
+            return MartingaleReport(trials=trials, increments_ok=False, bins=())
+        code = s[:, :-1].astype(code_type)
+        np.cumsum(code, axis=1, out=code)
+        code += players - 1
+        code *= 2
+        code += s[:, 1:] > 0
+        # Unlike bincount, add.at reads a small index type in place.
+        np.add.at(moves, code, 1)
+        del code  # before the next chunk's
+    ups = moves[1::2]
+    counts = moves[::2] + ups
+    bins = []
+    for place in np.flatnonzero(counts >= MIN_BIN_COUNT).tolist():
+        count, up = int(counts[place]), int(ups[place])
+        mean = (2 * up - count) / count
+        margin = Z / math.sqrt(count)
+        bins.append(MartingaleBin(place - players + 1, count, mean, margin, abs(mean) <= margin))
+    return MartingaleReport(trials=trials, increments_ok=True, bins=tuple(bins))
 
 
 _INVALID_AUDIT = "log contains SIGNALING-INVALID trials; audit refused"
@@ -893,14 +890,10 @@ def martingale_audit(records: Sequence[TrialRecord]) -> MartingaleReport:
     if any(not r.valid for r in records):
         raise ValueError(_INVALID_AUDIT)
     s = np.array([r.s for r in records], dtype=np.int64)
-    return _martingale(s, np.array([r.trajectory for r in records], dtype=np.int64))
-
-
-def _block_martingale(block: TrialBlock) -> MartingaleReport:
-    """``martingale_audit`` of a block's trials, from its arrays."""
-    if not block.valid.all():
-        raise ValueError(_INVALID_AUDIT)
-    return _martingale(block.s, np.cumsum(block.s, axis=1, dtype=np.int64))
+    report = _martingale([s], len(s), s.shape[1])
+    if np.array_equal(np.cumsum(s, axis=1), [r.trajectory for r in records]):
+        return report
+    return MartingaleReport(report.trials, False, report.bins)
 
 
 @dataclass(frozen=True)

@@ -226,14 +226,17 @@ class TestBatchEqualsScalar:
             assert_same_bytes(run_experiment(cfg), reference)
 
     def test_root_bits_match_trial_root(self):
+        # A row of 130 bits, max(players + view_bits, override_depth), spans
+        # three 64-bit hash words.
         cfg = ExperimentConfig(
             strategy=build_strategy({"name": "constant"}),
-            players=4,
+            players=130,
             trials=5,
             master_seed=8,
             override_depth=3,
         )
-        seeds, bits = experiment._roots(cfg, 2, 5, 130)
+        seeds, bits = experiment._roots(cfg, 2, 5)
+        assert bits.shape == (3, 130)
         for seed, row, t in zip(seeds.tolist(), bits.tolist(), range(2, 5)):
             root = experiment.trial_root(cfg.master_seed, t, cfg.override_depth)
             assert seed == root.seed

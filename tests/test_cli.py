@@ -16,6 +16,8 @@ from nsgames.behavior import pr_box, signaling_box
 from nsgames.cli import main
 from nsgames.strategies import parse_strategy_arg
 
+from helpers import record_chunks
+
 # The standard-library packages a process pool is built from.
 POOL_PACKAGES = ("multiprocessing", "concurrent")
 
@@ -97,6 +99,18 @@ class TestSimulate:
         assert report["config"]["trials"] == 7
         assert report["config"]["master_seed"] == 9
 
+    def test_block_past_memory_exit_one(self, tmp_path, capsys):
+        # 10^13 trials of 64 players is a 582 TiB block: numpy refuses to
+        # allocate it at once, before any trial runs.
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            capsys, "simulate", "--strategy", "constant:0", "--players", "64",
+            "--trials", str(10**13), "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert err.startswith("config error: ") and "582. TiB" in err
+        assert not out_dir.exists()
+
     def test_cheat_quarantined_exit_two(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "simulate", "--strategy", "cheat", "--allow-cheat",
@@ -157,8 +171,9 @@ class TestSimulate:
         assert err.startswith("output error: ")
 
     def test_log_written_slice_by_slice(self, tmp_path, capsys, monkeypatch):
-        # 40-cell slices of 4 players and 3 overrides hold 5 trials each.
+        # One slice a chunk of the run: 40 cells of 4 players hold 10 trials.
         monkeypatch.setattr(experiment_module, "CHUNK_CELLS", 40)
+        chunks = record_chunks(monkeypatch)
         slices = []
         block_log = experiment_module._block_log
 
@@ -174,7 +189,7 @@ class TestSimulate:
             "--out-dir", str(tmp_path),
         )
         assert code == 0
-        assert [text.count("\n") for text in slices] == [5, 5, 5, 5, 3]
+        assert [text.count("\n") for text in slices] == [b - a for a, b in chunks] == [10, 10, 3]
         result = experiment_module.run_experiment(experiment_module.ExperimentConfig(
             strategy=parse_strategy_arg("local-table:0,1,1,0"), players=4, trials=23,
             master_seed=5, override_depth=3,

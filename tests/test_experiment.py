@@ -16,9 +16,12 @@ import nsgames.experiment as experiment
 from nsgames.bitstream import BitStream
 from nsgames.experiment import (
     ADVERSARIAL,
+    MIN_BIN_COUNT,
     UNIFORM,
+    Z,
     ExperimentConfig,
     ExperimentResult,
+    MartingaleBin,
     TrialBlock,
     azuma_bound,
     azuma_report,
@@ -56,6 +59,38 @@ class GuessOnly(Strategy):
 
     def guess(self, ctx):
         return ctx.view.bit_at(1)
+
+
+def config_of(block: TrialBlock) -> ExperimentConfig:
+    """A run's config of the block's shape, for the reports read from it."""
+    trials, players = block.s.shape
+    return ExperimentConfig(
+        strategy=build_strategy({"name": "constant"}),
+        players=players,
+        trials=trials,
+        master_seed=0,
+    )
+
+
+def tally_bins(s: np.ndarray) -> tuple[MartingaleBin, ...]:
+    """The martingale bins of a block's steps, tallied in plain Python: each
+    step but a trial's first, and whether it goes up, by the partial sum
+    before it."""
+    steps, ups = Counter(), Counter()
+    for row in s.tolist():
+        total = 0
+        for step, following in zip(row, row[1:]):
+            total += step
+            steps[total] += 1
+            ups[total] += following == 1
+    bins = []
+    for value in sorted(steps):
+        count = steps[value]
+        if count >= MIN_BIN_COUNT:
+            mean = (ups[value] - (count - ups[value])) / count
+            margin = Z / math.sqrt(count)
+            bins.append(MartingaleBin(value, count, mean, margin, abs(mean) <= margin))
+    return tuple(bins)
 
 
 def make_record(s, valid=True):
@@ -411,6 +446,11 @@ class TestMartingaleAudit:
         rep = martingale_audit([bad] * 200)
         assert not rep.increments_ok
         assert not rep.passed
+        # Steps other than +-1, with trajectories that are their sums: a
+        # partial sum past the players has no bin, so none is reported.
+        jump = make_record((1, 5, -1))
+        rep = martingale_audit([jump] * 200)
+        assert (rep.increments_ok, rep.passed, rep.bins) == (False, False, ())
 
     def test_single_player_log(self):
         records = [make_record((1,)) for _ in range(150)]
@@ -433,6 +473,74 @@ class TestMartingaleAudit:
         full = [make_record((1, 1))] * 100
         assert martingale_audit(full).bins_tested == 1
         assert martingale_audit(full[1:]).bins_tested == 0
+
+    @pytest.mark.parametrize(
+        "table, players, trials, bins, passed",
+        [
+            (None, 1, 150, 0, True),  # no step follows another
+            ([0, 1, 1, 0], 2, 300, 2, True),
+            (None, 64, 100, 63, False),  # fns: every bin at the gate, every mean 1
+            ([0, 1, 1, 0], 256, 120, 51, True),  # one bin at the gate, one of 95 below
+        ],
+    )
+    def test_run_matches_a_plain_tally(self, table, players, trials, bins, passed):
+        spec = {"name": "fns"} if table is None else {"name": "local-table", "table": table}
+        cfg = ExperimentConfig(
+            strategy=build_strategy(spec), players=players, trials=trials, master_seed=3
+        )
+        result = run_experiment(cfg)
+        report = result.martingale
+        assert report.bins == tally_bins(result.block.s)
+        assert (report.bins_tested, report.passed) == (bins, passed)
+        assert report.increments_ok and report.trials == trials
+
+    def test_audit_reads_the_block_a_chunk_at_a_time(self):
+        # The partial sums are counted a chunk at a time, two bytes a step:
+        # the whole block's int64 cumsum and float64 weights are never built.
+        s = np.random.default_rng(2).choice(np.array([-1, 1], dtype=np.int8), (4096, 256))
+        block = TrialBlock(s, np.ones(len(s), dtype=bool))
+        result = ExperimentResult(config_of(block), block)
+        tracemalloc.start()
+        try:
+            report = result.martingale
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * s.nbytes
+        assert report.trials == 4096 and report.increments_ok
+
+    @pytest.mark.slow
+    def test_large_run_audited_in_a_small_peak(self):
+        # 10^5 trials of 256 players: the audit's tracemalloc peak was
+        # 803 MiB above the 24.4 MiB block while it built whole-block arrays.
+        cfg = ExperimentConfig(
+            strategy=build_strategy({"name": "local-table", "table": [0, 1, 1, 0]}),
+            players=256,
+            trials=10**5,
+            master_seed=1,
+        )
+        result = run_experiment(cfg)
+        tracemalloc.start()
+        try:
+            report = result.martingale
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        # The oracle: float64 bincounts of the steps by the partial sum
+        # before them, 1000 trials at a time.
+        counts = np.zeros(2 * 256 - 1, dtype=np.int64)
+        sums = np.zeros(2 * 256 - 1)
+        for start in range(0, cfg.trials, 1000):
+            s = result.block.s[start : start + 1000]
+            before = np.cumsum(s, axis=1, dtype=np.int64)[:, :-1].ravel() + 255
+            counts += np.bincount(before, minlength=len(counts))
+            sums += np.bincount(before, s[:, 1:].ravel().astype(np.float64), len(sums))
+        tested = np.flatnonzero(counts >= MIN_BIN_COUNT)
+        assert [b.s_value for b in report.bins] == (tested - 255).tolist()
+        assert [b.count for b in report.bins] == counts[tested].tolist()
+        assert [b.mean for b in report.bins] == (sums[tested] / counts[tested]).tolist()
+        assert (len(report.bins), sum(not b.ok for b in report.bins)) == (116, 1)
 
 
 class TestInvariance:
@@ -691,7 +799,7 @@ class TestRunExperiment:
         block = TrialBlock(s, np.ones(len(s), dtype=bool))
         tracemalloc.start()
         try:
-            report = experiment._block_win_rate(block, 256)
+            report = experiment._block_win_rate(config_of(block), block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -705,7 +813,7 @@ class TestRunExperiment:
         block = TrialBlock(s, np.ones(len(s), dtype=bool))
         tracemalloc.start()
         try:
-            report = experiment._block_win_rate(block, 256)
+            report = experiment._block_win_rate(config_of(block), block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -768,6 +876,42 @@ class TestRunExperiment:
         assert chunks_of(200, players=4, depth=1000) == [(0, 65), (65, 130), (130, 195), (195, 200)]
         assert chunks_of(5, strategy=GuessOnly()) == [(0, 5)]
         assert chunks_of(1, players=10**6) == [(0, 1)]
+
+    @pytest.mark.parametrize("depth, chunks", [(3, 5), (30, 16)])
+    def test_every_pass_walks_the_run_chunks(self, monkeypatch, depth, chunks):
+        # The win report, the martingale audit and the trial log read the
+        # block in the chunks the run played, whether the 10 players or an
+        # override depth past them set a row's width.
+        monkeypatch.setattr(experiment, "CHUNK_CELLS", 100)
+        played = record_chunks(monkeypatch)
+        read = []
+        lose, martingale = experiment.last_losing_index, experiment._martingale
+
+        def losing(s):
+            read.append(len(s))
+            return lose(s)
+
+        def audit(steps, trials, players):
+            steps = list(steps)
+            read.extend(len(s) for s in steps)
+            return martingale(steps, trials, players)
+
+        monkeypatch.setattr(experiment, "last_losing_index", losing)
+        monkeypatch.setattr(experiment, "_martingale", audit)
+        result = run_experiment(ExperimentConfig(
+            strategy=build_strategy({"name": "local-table", "table": [0, 1, 1, 0]}),
+            players=10,
+            trials=47,
+            master_seed=2,
+            override_depth=depth,
+        ))
+        sizes = [stop - start for start, stop in played]
+        assert len(sizes) == chunks
+        for report in ("win", "martingale"):
+            read.clear()
+            getattr(result, report)
+            assert read == sizes
+        assert [text.count("\n") for text in result.trial_log_slices()] == sizes
 
     @pytest.mark.parametrize(
         "spec", [None, {"name": "cheat"}, {"name": "local-table", "table": [1, 0, 0, 1]}]
