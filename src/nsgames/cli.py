@@ -28,7 +28,6 @@ from .behavior import (
 from .experiment import (
     SCHEMA_VERSION,
     ExperimentConfig,
-    dumps_indented,
     invariance_test,
     run_experiment,
 )
@@ -266,14 +265,14 @@ def _verify_behavior(args) -> int:
     fns = None if ft is None else check_fns(ft)
 
     if args.format == "json":
-        print(dumps_indented({
+        print(json.dumps({
             "schema_version": SCHEMA_VERSION,
             "no_signaling": ns.passed,
             "violations": [str(v) for v in ns.violations],
             "deterministic": deterministic,
             "fns": None if fns is None else fns.passed,
             "fns_violations": [] if fns is None else [str(v) for v in fns.violations],
-        }))
+        }, sort_keys=True, indent=2))
     else:
         print(f"NS: {'pass' if ns.passed else 'FAIL'}")
         for v in ns.violations:
@@ -302,7 +301,9 @@ def _invariance(args) -> int:
     doc = {"schema_version": SCHEMA_VERSION, **report.to_json()}
     if args.out:
         try:
-            Path(args.out).write_text(dumps_indented(doc) + "\n", encoding="utf-8")
+            Path(args.out).write_text(
+                json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+            )
         except OSError as exc:
             print(f"output error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
@@ -329,13 +330,13 @@ def _enumerate_fns(args) -> int:
     doc = {"schema_version": SCHEMA_VERSION, **report.to_json()}
     # The budget bounds the counts' digits, but not below Python's limit on
     # int-to-str conversion (4300 digits by default, from 3.10.7), which
-    # the writer's int.__repr__ enforces: 15000 parties of one input and
+    # json.dumps meets through int.__repr__: 15000 parties of one input and
     # two outputs have a 4516-digit total.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        print(dumps_indented(doc))
+        print(json.dumps(doc, sort_keys=True, indent=2))
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

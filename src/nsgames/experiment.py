@@ -38,7 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bitstream import GENERATOR, BitStream, generator_bits
-from .game import GameSpec, TrialRecord, last_losing_index, run_trial, score_batch
+from .game import GameSpec, TrialRecord, last_losing_index, run_trial
 from .seeding import (
     DOMAIN_INVARIANCE,
     DOMAIN_ROOT,
@@ -205,78 +205,6 @@ def _run_chunk(cfg: ExperimentConfig, start: int, stop: int) -> TrialBlock:
     return TrialBlock(s, valid)
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-_CONSTANT_TEXT = {True: "true", False: "false", None: "null"}.__getitem__
-
-
-def _float_text(value: float) -> str:
-    """A float as ``json.dumps`` spells it."""
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-# Each scalar type's spelling, looked up by exact type.
-_SCALAR_TEXT = {
-    str: _encode_str,
-    int: int.__repr__,
-    float: _float_text,
-    bool: _CONSTANT_TEXT,
-    type(None): _CONSTANT_TEXT,
-}
-
-
-def _key_text(key: str) -> str:
-    # encode_basestring_ascii raises TypeError for a key that is not a str.
-    return _encode_str(key) + ": "
-
-
-def dumps_indented(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte.
-
-    ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
-    is set; this writer joins each container's items at once instead.
-    Keys must be str, and values of exactly the types json writes natively
-    (dict, list, tuple, str, int, float, bool, None); any other key or
-    value, value subclasses included, raises ``TypeError``.  The one
-    other value it writes is private: ``ExperimentResult.render_json``
-    passes a win-rate report's ``per_player`` rows as a ``_PlayerRows``,
-    which spells itself at the indent it is given.
-    """
-
-    def write(value, indent: str) -> str:
-        kind = type(value)
-        text = _SCALAR_TEXT.get(kind)
-        if text is not None:
-            return text(value)
-        inner = indent + "  "
-        if kind is dict:
-            if not value:
-                return "{}"
-            items = []
-            for key, item in sorted(value.items()):
-                text = _SCALAR_TEXT.get(type(item))
-                items.append(_key_text(key) + (text(item) if text else write(item, inner)))
-            return "{" + inner + ("," + inner).join(items) + indent + "}"
-        if kind is list or kind is tuple:
-            if not value:
-                return "[]"
-            items = []
-            for item in value:
-                text = _SCALAR_TEXT.get(type(item))
-                items.append(text(item) if text else write(item, inner))
-            return "[" + inner + ("," + inner).join(items) + indent + "]"
-        if kind is _PlayerRows:
-            return value.spell(indent)
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-    return write(doc, "\n")
-
-
 def _row(report) -> dict:
     """A report's fields by name, in declaration order."""
     return vars(report).copy()
@@ -323,7 +251,7 @@ class WinRateReport:
     their share of wins.  ``to_json`` and ``to_csv`` write the rows from
     these columns; ``per_player`` builds them as ``PlayerRate`` on each read.
     ``ExperimentResult.render_json`` spells them without building them (see
-    ``_PlayerRows``).
+    ``_player_rows``).
     """
 
     players: int
@@ -371,37 +299,34 @@ class WinRateReport:
         return _csv(PlayerRate, (f"{k},{tails[w]}" for k, w in enumerate(self.wins, 1)))
 
 
-class _PlayerRows:
-    """A win-rate report's ``per_player`` list, for ``dumps_indented`` to
-    write straight from the report's columns.
+# render_json's stand-in for the per-player rows: json writes its NUL as
+# \u0000, which no other string of a report holds.
+_PER_PLAYER = "\0per_player"
 
-    ``spell`` writes the text ``dumps_indented`` writes for the report's
-    ``to_json()["per_player"]``.  Each distinct count's row is spelled once,
-    with the writer's scalar spellings, as the text before and after the
-    player number; player k's row is then ``heads[w] + str(k) + tails[w]``,
-    the way ``to_csv`` writes it, so no per-player dict is built.
+
+def _player_rows(report: WinRateReport, indent: str) -> str:
+    """``json.dumps(..., sort_keys=True, indent=2)`` of a report's
+    ``to_json()["per_player"]``, its closing bracket at ``indent``.
+
+    Each distinct count's row is spelled once, as the text before and after
+    the player number, so player k's row is ``heads[w] + str(k) + tails[w]``.
+    A value is spelled ``repr(v)`` or ``null``, as json spells a
+    ``PlayerRate``'s ints, finite floats and None.
     """
-
-    __slots__ = ("report",)
-
-    def __init__(self, report: WinRateReport) -> None:
-        self.report = report
-
-    def spell(self, indent: str) -> str:
-        """The list's text, its closing bracket at ``indent``."""
-        report = self.report
-        inner = indent + "  "
-        comma = "," + inner + "  "
-        player, *names = (f.name for f in fields(PlayerRate))
-        # The player's key sorts after this many of the others.
-        at = sum(name < player for name in names)
-        heads, tails = {}, {}
-        for w, rate in report._rates().items():
-            cells = [_key_text(k) + _SCALAR_TEXT[type(v)](v) for k, v in sorted(zip(names, rate))]
-            heads[w] = "{" + comma[1:] + comma.join([*cells[:at], _key_text(player)])
-            tails[w] = "".join(comma + cell for cell in cells[at:]) + inner + "}"
-        rows = [heads[w] + str(k) + tails[w] for k, w in enumerate(report.wins, 1)]
-        return "[" + inner + ("," + inner).join(rows) + indent + "]"
+    inner = indent + "  "
+    comma = "," + inner + "  "
+    player, *names = (f.name for f in fields(PlayerRate))
+    # The player's key sorts after this many of the others.
+    at = sum(name < player for name in names)
+    heads, tails = {}, {}
+    for w, rate in report._rates().items():
+        cells = [
+            f'"{k}": ' + ("null" if v is None else repr(v)) for k, v in sorted(zip(names, rate))
+        ]
+        heads[w] = "{" + comma[1:] + comma.join([*cells[:at], f'"{player}": '])
+        tails[w] = "".join(comma + cell for cell in cells[at:]) + inner + "}"
+    rows = [heads[w] + str(k) + tails[w] for k, w in enumerate(report.wins, 1)]
+    return "[" + inner + ("," + inner).join(rows) + indent + "]"
 
 
 @dataclass(frozen=True)
@@ -462,14 +387,23 @@ class ExperimentResult:
 
     @cached_property
     def records(self) -> tuple[TrialRecord, ...]:
-        cfg, b = self.config, self.block
-        seeds, bits = _roots(cfg, 0, cfg.trials)
-        roots = [
-            BitStream(seed=seed, overrides=tuple(enumerate(flips, 1))).to_json()
-            for seed, flips in zip(seeds.tolist(), bits[:, : cfg.override_depth].tolist())
-        ]
-        outputs = bits[:, : cfg.players] ^ (b.s < 0)
-        return tuple(score_batch(roots, outputs, b.s, b.valid))
+        cfg, b, records = self.config, self.block, []
+        for start, stop in _chunks(cfg):
+            seeds, bits = _roots(cfg, start, stop)
+            s = b.s[start:stop]
+            columns = (
+                seeds, bits[:, : cfg.override_depth], bits[:, : cfg.players] ^ (s < 0), s,
+                np.cumsum(s, axis=1, dtype=np.int64), last_losing_index(s), b.valid[start:stop],
+            )
+            # Positional, in field order (see TrialRecord.from_json).
+            records += [
+                TrialRecord(
+                    BitStream(seed=seed, overrides=tuple(enumerate(flips, 1))).to_json(),
+                    tuple(o), tuple(sk), tuple(traj), threshold if ok else None, ok,
+                )
+                for seed, flips, o, sk, traj, threshold, ok in zip(*(c.tolist() for c in columns))
+            ]
+        return tuple(records)
 
     def to_json(self) -> dict:
         return self._document(self.win.to_json())
@@ -484,10 +418,12 @@ class ExperimentResult:
         }
 
     def render_json(self) -> str:
-        """``dumps_indented(self.to_json()) + "\\n"``, with the per-player
-        rows written once per distinct win count (see ``_PlayerRows``)."""
+        """``json.dumps(self.to_json(), sort_keys=True, indent=2) + "\\n"``,
+        with the per-player rows spelled by ``_player_rows`` in the place of
+        a placeholder."""
         win = self.win
-        return dumps_indented(self._document(win._document(_PlayerRows(win)))) + "\n"
+        text = json.dumps(self._document(win._document(_PER_PLAYER)), sort_keys=True, indent=2)
+        return text.replace(json.dumps(_PER_PLAYER), _player_rows(win, "\n    "), 1) + "\n"
 
     def trial_log(self) -> str:
         return "".join(self.trial_log_slices())
@@ -651,32 +587,22 @@ def _decimal_cells(values: np.ndarray, before: bytes) -> np.ndarray:
     """A table of each integer's ``str`` after a glue, as fixed-width byte
     strings.
 
-    ``values`` is a uint64 array, or an int64 array of magnitudes below
-    2**63.  Entry i is ``before``, then the ASCII of ``str(values[i])``
-    right-aligned in NUL bytes to the width of the longest: with a NUL-free
-    ``before``, ``before + str(values[i])`` once its NULs are removed.  A
-    magnitude of more than ten digits is split at 10**10, so that each
-    half, and its quotients by the place values, are exact in float64.
+    ``values`` is an int64 array of magnitudes below 10**10, so that each
+    magnitude's quotients by the place values are exact in float64.  Entry
+    i is ``before``, then the ASCII of ``str(values[i])`` right-aligned in
+    NUL bytes to the width of the longest: with a NUL-free ``before``,
+    ``before + str(values[i])`` once its NULs are removed.
     """
-    magnitude = np.abs(values).astype(np.uint64)
+    magnitude = np.abs(values)
     width = len(str(int(magnitude.max(initial=0))))
-    # Column j ends as digit j, and holds first the half's magnitude
-    # without its digits after j.
-    q = np.empty((len(values), width))
-    h = max(0, width - 10)
-    if h:
-        high, magnitude = np.divmod(magnitude, np.uint64(10**10))
-        np.divide(high[:, None], _PLACES[-h:], out=q[:, :h])
-    np.divide(magnitude[:, None], _PLACES[h - width :], out=q[:, h:])
-    np.floor(q, out=q)
+    # Column j ends as digit j, and holds first the magnitude without its
+    # digits after j.
+    q = np.floor(magnitude[:, None] / _PLACES[-width:])
     # A digit is written once a digit at or before it is not 0; the last
     # digit always is.
     shown = q > 0
-    if h:
-        shown[:, h:] |= shown[:, h - 1 : h]
     shown[:, -1] = True
-    for a, b in ((0, h), (h, width)) if h else ((0, width),):
-        q[:, a + 1 : b] -= 10 * q[:, a : b - 1]
+    q[:, 1:] -= 10 * q[:, :-1]
     q += ord("0")
     q *= shown
     # One column for the sign, if any value has one.
@@ -725,6 +651,7 @@ _OUTPUT_CELLS = np.array([b",0", b",1"])
 _STEP_HEADS = _heads(',"shift":0},"s":[', (-1, 0, 1))
 _STEP_CELLS = np.array([b",-1", b"", b",1"])
 _ROOT_GLUE = np.array([b'],"root":{"kind":"' + GENERATOR.encode() + b'","overrides":{'])
+_SEED_GLUE = np.array([b'},"seed":'])
 
 
 def _block_log(cfg: ExperimentConfig, block: TrialBlock) -> Iterator[str]:
@@ -734,15 +661,15 @@ def _block_log(cfg: ExperimentConfig, block: TrialBlock) -> Iterator[str]:
     Each slice's roots and outputs are regenerated from the seeds (see
     ``TrialBlock``).  Its text is one uint8 matrix with a row per trial,
     made of fixed-width sections in line order: the partial sums, the
-    outputs, the root glue, the override pairs, the seed, the steps, and
-    the threshold and validity.  Each section is gathered with one
-    ``np.take`` from a small table of byte strings, NUL-padded to one
-    width: a list's first cell carries the glue before it, and its others
-    are a comma and a value, the partial sums' made for the range of values
-    the slice holds.  A NUL byte stands for no byte: it pads a text
-    narrower than its cell, and takes the place of the first override
-    pair's comma.  The slice's text is the matrix's bytes with the NULs
-    removed, in one call.
+    outputs, the root glue, the override pairs, the seed glue, the seed,
+    the steps, and the threshold and validity.  Each section is gathered
+    with one ``np.take`` from a small table of byte strings, NUL-padded to
+    one width: a list's first cell carries the glue before it, and its
+    others are a comma and a value, the partial sums' made for the range
+    of values the slice holds; a seed is numpy's cast of it to ``S20``.  A
+    NUL byte stands for no byte: it pads a text narrower than its cell,
+    and takes the place of the first override pair's comma.  The slice's
+    text is the matrix's bytes with the NULs removed, in one call.
     """
     players, depth = cfg.players, cfg.override_depth
     columns, pairs = _override_pairs(depth)
@@ -759,14 +686,16 @@ def _block_log(cfg: ExperimentConfig, block: TrialBlock) -> Iterator[str]:
         # A threshold of -1 stands for a quarantined trial's null.
         thresholds = np.where(block.valid[start:stop], last_losing_index(s), -1)
         tails, tail = np.unique(thresholds, return_inverse=True)
+        glue = np.zeros((stop - start, 1), dtype=np.intp)
         sections = [
             (_S_HEADS, steps[:, :1]),
             (sums, S[:, 1:]),
             (_OUTPUT_HEADS, outputs[:, :1]),
             (_OUTPUT_CELLS, outputs[:, 1:]),
-            (_ROOT_GLUE, np.zeros((stop - start, 1), dtype=np.intp)),
+            (_ROOT_GLUE, glue),
             (pairs, np.add(bits[:, columns], pair_base, dtype=np.intp)),
-            (_decimal_cells(seeds, b'},"seed":'), np.arange(stop - start)[:, None]),
+            (_SEED_GLUE, glue),
+            (np.array(seeds.tolist(), dtype="S20"), np.arange(stop - start)[:, None]),
             (_STEP_HEADS, steps[:, :1]),
             (_STEP_CELLS, steps[:, 1:]),
             (

@@ -165,28 +165,3 @@ def last_losing_index(s: np.ndarray) -> np.ndarray:
     lost = s[np.arange(len(s)), last - 1] < 0
     return np.where(lost, last, 0)
 
-
-def score_batch(
-    roots: Sequence[dict], outputs: np.ndarray, s: np.ndarray, valid: np.ndarray
-) -> list[TrialRecord]:
-    """The records of a block of scored trials, as run_trial builds them.
-
-    ``outputs`` and ``s`` are [trials, players] arrays and ``valid`` a
-    [trials] array; row t belongs to the root whose JSON is ``roots[t]``.
-    """
-    trajectory = np.cumsum(s, axis=1, dtype=np.int64)
-    thresholds = last_losing_index(s)
-    # Positional, in field order (see TrialRecord.from_json).
-    return [
-        TrialRecord(
-            root, tuple(o), tuple(sk), tuple(traj), threshold if ok else None, ok
-        )
-        for root, o, sk, traj, threshold, ok in zip(
-            roots,
-            outputs.tolist(),
-            s.tolist(),
-            trajectory.tolist(),
-            thresholds.tolist(),
-            valid.tolist(),
-        )
-    ]

@@ -479,19 +479,13 @@ class TestTrialLogWriter:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.one_of(
-            st.builds(
-                lambda v: np.array(v, dtype=np.int64),
-                st.lists(st.integers(-experiment.MAX_PLAYERS, experiment.MAX_PLAYERS), min_size=1),
-            ),
-            st.builds(
-                lambda v: np.array(v, dtype=np.uint64),
-                st.lists(st.integers(0, MASK64), min_size=1),
-            ),
+        st.builds(
+            lambda v: np.array(v, dtype=np.int64),
+            st.lists(st.integers(-experiment.MAX_PLAYERS, experiment.MAX_PLAYERS), min_size=1),
         )
     )
-    @example(np.array([0, 9, 10, 10**19, MASK64], dtype=np.uint64))
     @example(np.array([0, 9, 10, -9, -10], dtype=np.int64))
+    @example(np.array([0, 10**10 - 1, 1 - 10**10], dtype=np.int64))
     def test_decimal_cells_spell_str(self, values):
         def stripped(cells):
             return [cell.replace(b"\0", b"").decode() for cell in cells.tolist()]

@@ -7,8 +7,9 @@ blocks are the deterministic outputs of a (config, seed) pair.  The
 CSV, martingale-audit and invariance digests were taken from the
 hand-written serializers before the reports' JSON and CSV were read off
 their dataclass fields.  The whole-report digests were taken from
-``json.dumps(..., sort_keys=True, indent=2)`` before ``dumps_indented``
-replaced it, so they pin the indented layout as well as the values.
+``json.dumps(..., sort_keys=True, indent=2)`` of the whole document, so
+they pin the indented layout as well as the values, including the
+per-player rows that ``render_json`` now spells itself.
 """
 
 import hashlib
@@ -86,7 +87,7 @@ REPORT_DIGESTS = {
 # and override depth 8: players 1-8 lose every trial and the rest win every
 # one, so the report has only two distinct win counts.  Taken before the
 # win-rate report kept its per-player rows as columns and before
-# dumps_indented wrote tables column by column.
+# render_json spelled the rows once per distinct win count.
 FNS_1024 = dict(strategy={"name": "fns"}, trials=10, players=1024, master_seed=1,
                 override_depth=8)
 FNS_1024_DIGESTS = (

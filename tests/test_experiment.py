@@ -25,7 +25,6 @@ from nsgames.experiment import (
     TrialBlock,
     azuma_bound,
     azuma_report,
-    dumps_indented,
     invariance_test,
     martingale_audit,
     run_experiment,
@@ -219,96 +218,6 @@ class TestWinRateReport:
         ]
 
 
-json_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.sampled_from([2**63, -(2**64) - 1, 10**300]),
-    st.floats(),
-    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16]),
-    st.text(),
-    st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "\u00e9\u2028", "\U0001f600"]),
-)
-json_trees = st.recursive(
-    json_scalars,
-    lambda children: st.one_of(
-        st.lists(children),
-        st.lists(children).map(tuple),
-        st.dictionaries(st.text(), children),
-    ),
-    max_leaves=25,
-)
-
-# The cells of one table column: a single type, or a mix of types.
-table_columns = st.sampled_from([
-    st.floats(),
-    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf]),
-    st.integers(),
-    st.booleans(),
-    st.none(),
-    st.text(max_size=4),
-    st.one_of(st.floats(), st.none()),
-    st.one_of(st.booleans(), st.integers()),
-    json_scalars,
-])
-
-
-@st.composite
-def json_tables(draw):
-    """A list (or tuple) of 1-40 dicts with the same keys and scalar cells,
-    each row's keys inserted in an order of its own."""
-    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=5, unique=True))
-    columns = {key: draw(table_columns) for key in keys}
-    rows = [
-        {key: draw(columns[key]) for key in draw(st.permutations(keys))}
-        for _ in range(draw(st.integers(1, 40)))
-    ]
-    return draw(st.sampled_from([list, tuple]))(rows)
-
-
-class TestDumpsIndented:
-    @settings(max_examples=150, deadline=None)
-    @given(json_trees)
-    def test_matches_json_dumps(self, doc):
-        assert dumps_indented(doc) == json.dumps(doc, sort_keys=True, indent=2)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.one_of(
-        json_tables(),
-        st.dictionaries(st.text(max_size=3), json_tables(), min_size=1, max_size=3),
-        st.builds(lambda t, n: {"outer": {"table": t, "n": n}}, json_tables(), st.integers()),
-    ))
-    def test_tables_match_json_dumps(self, doc):
-        assert dumps_indented(doc) == json.dumps(doc, sort_keys=True, indent=2)
-
-    @pytest.mark.parametrize("doc", [
-        {}, [], (), {"a": []}, [{}], {"b": 1, "a": {"d": [], "c": -0.0}},
-        [0.0, -0.0, 0.0, -0.0], [0.1, 0.1, -0.1], ["", "", ""],
-        # Tables, and lists that stop being one partway through.
-        [{"b": 1, "a": -0.0}, {"a": 0.0, "b": True}, {"b": None, "a": 0.0}],
-        [{"a": 1, "b": 2}, {"a": 3, "b": 4, "c": 5}],
-        [{"a": 1, "b": 2}, {"a": 3}],
-        [{"a": 1, "b": 2}, {"a": 3, "c": 4}],
-        [{"a": 1}, {"a": [1, {"b": 2}]}],
-        [{"a": 1}, {"a": {}}],
-        [{"a": 1}, 2],
-        [{"a": 1}, [{"a": 1}]],
-        [{"a": 1}, {}],
-        {"t": [{"x": 0.5}, {"x": 0.5}], "u": [{"y": "z"}]},
-    ])
-    def test_edge_cases(self, doc):
-        assert dumps_indented(doc) == json.dumps(doc, sort_keys=True, indent=2)
-
-    @pytest.mark.parametrize("doc", [
-        {1, 2}, b"x", np.int64(3), np.float64(0.5), {1: 2}, {"a": 1, 2: 3}, [{"a": {None: 0}}],
-        [object()],
-        [{"a": 1}, {"a": np.int64(3)}], [{"a": np.float64(0.5)}], [{1: 2}, {1: 3}],
-    ])
-    def test_other_types_raise(self, doc):
-        with pytest.raises(TypeError):
-            dumps_indented(doc)
-
-
 @st.composite
 def win_columns(draw):
     """A run whose scored trials give a drawn win count to each of 1-40
@@ -331,15 +240,11 @@ def win_columns(draw):
 
 class TestRenderJson:
     """``render_json`` spells the per-player rows once per distinct win
-    count; ``dumps_indented(to_json())`` and ``json.dumps`` are its
-    references."""
+    count; ``json.dumps`` of ``to_json()`` is its reference."""
 
     @staticmethod
     def check(result):
-        doc = result.to_json()
-        # No private value leaks into the plain document.
-        reference = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        assert_same_text(dumps_indented(doc) + "\n", reference)
+        reference = json.dumps(result.to_json(), sort_keys=True, indent=2) + "\n"
         assert_same_text(result.render_json(), reference)
 
     @pytest.mark.parametrize("spec, players, trials, depth, seed, distinct", [
