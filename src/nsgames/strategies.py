@@ -211,10 +211,11 @@ class SharedMixtureStrategy(Strategy):
         if weights is None:
             weights = [1.0] * len(self.components)
         if len(weights) != len(self.components) or not all(
-            math.isfinite(w) and w >= 0 for w in weights
+            is_finite_number(w) and w >= 0 for w in weights
         ):
             raise ValueError("weights must be finite and nonnegative, one per component")
-        total = float(sum(weights))
+        # Summed as floats: ints each in the float range may sum past it.
+        total = sum(map(float, weights))
         if not 0 < total < math.inf:
             raise ValueError(f"weights must have a positive, finite sum, got {total}")
         self.weights = tuple(float(w) / total for w in weights)
@@ -278,6 +279,16 @@ STRATEGY_PARAMS = {
 def is_number(value) -> bool:
     """A JSON number: an int or a float that is not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A JSON number that converts to a finite float: not NaN, not an
+    infinity, and not an int past the float range, on which
+    ``math.isfinite`` raises ``OverflowError``."""
+    try:
+        return is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _list_of(ok):

@@ -329,6 +329,25 @@ class TestSimulate:
         assert "epsilon" in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"azuma-eps": [10**400]}, "epsilon"),
+        ({"strategy": {"name": "shared-mixture", "tables": [[0], [1]], "weights": [10**400, 1]}},
+         "weights"),
+        ({"strategy": {"name": "shared-mixture", "tables": [[0], [1]],
+                       "weights": [10**308, 10**308]}}, "finite sum"),
+    ], ids=["azuma-eps", "weights", "weights-sum"])
+    def test_number_past_float_range_exit_one(self, tmp_path, capsys, doc, message):
+        # A JSON integer has no bound; one past the float range is not a
+        # finite number, and math.isfinite raises OverflowError on it.  Two
+        # weights inside the range may still sum past it.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"strategy": "constant:0", "players": 4, "trials": 2, **doc}))
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 1
+        assert err.startswith("config error: ") and message in err
+        assert not out_dir.exists()
+
     def test_override_depth_past_the_bound_exit_one(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         code, _, err = run(
@@ -717,8 +736,7 @@ class TestParser:
         assert "simulate" in proc.stdout
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats is most of the import time and serves only the
-        # invariance test, which imports it when it runs.
+        # The package uses no scipy; only the tests take it as a reference.
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         code = "import sys, nsgames, nsgames.cli; print('scipy.stats' in sys.modules)"
@@ -774,17 +792,29 @@ class TestParser:
         assert self._modules_after(code, *POOL_PACKAGES) == []
         assert (tmp_path / "trials.jsonl").read_text().count("\n") == 8
 
+    _INVARIANCE_CALL = (
+        "from nsgames.experiment import invariance_test\n"
+        "assert invariance_test(samples=1600, bins=16, seed=0).passed\n"
+    )
+
     def test_invariance_test_leaves_scipy_stats_unloaded(self):
-        # The p-value comes from scipy.special alone.
-        code = (
-            "from nsgames.experiment import invariance_test\n"
-            "assert invariance_test(samples=1600, bins=16, seed=0).passed\n"
-        )
-        assert "scipy.stats" not in self._modules_after(code, "scipy")
+        # The p-value's tail is computed without scipy: no scipy module loads.
+        assert self._modules_after(self._INVARIANCE_CALL, "scipy") == []
 
     def test_cli_invariance_test_leaves_scipy_stats_unloaded(self):
         code = self._cli_code("invariance-test", "--samples", "1600", "--bins", "16")
-        assert "scipy.stats" not in self._modules_after(code, "scipy")
+        assert self._modules_after(code, "scipy") == []
+
+    @pytest.mark.parametrize("call", ["library", "cli"])
+    def test_invariance_test_runs_with_scipy_blocked(self, call):
+        # With sys.modules["scipy"] set to None, every import of scipy raises
+        # ImportError; that None is the one scipy entry left at the end.
+        if call == "library":
+            code = self._INVARIANCE_CALL
+        else:
+            code = self._cli_code("invariance-test", "--samples", "1600", "--bins", "16")
+        code = "import sys\nsys.modules['scipy'] = None\n" + code
+        assert self._modules_after(code, "scipy") == ["scipy"]
 
     def test_no_command_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -524,7 +525,12 @@ class TestInvariance:
     )
     def test_chi_square_matches_scipy_stats(self, width, shape, rng_seed):
         # scipy.stats.chisquare is the reference, imported by this test
-        # alone; the library computes the same steps from scipy.special.
+        # alone.  The library computes the statistic by the same steps, so it
+        # is equal bit for bit; its tail is _chi2_sf, not scipy's chdtrc.
+        # At these bin counts, against a 45-digit reference, chdtrc's own
+        # relative error reaches 1e-12 where the tail is above 1e-30 and
+        # 1.7e-11 below, where _chi2_sf's stays under 7e-14 and 6e-13; so
+        # the two differ by up to 1.2e-12 and 1.8e-11 there.
         from scipy import stats
 
         bins = 1 << width
@@ -546,7 +552,32 @@ class TestInvariance:
             rep = invariance_test(samples=100 * bins, bins=bins, seed=0)
         expected = stats.chisquare(counts)
         assert rep.statistic.hex() == float(expected.statistic).hex()
-        assert rep.pvalue.hex() == float(expected.pvalue).hex()
+        ref = float(expected.pvalue)
+        rel = 2e-12 if ref >= 1e-30 else 3e-11
+        assert abs(rep.pvalue - ref) <= rel * ref + 1e-300
+
+    @pytest.mark.parametrize("width", range(1, 25))
+    def test_chi2_sf_matches_chdtrc_on_a_grid(self, width):
+        # Statistics from 6 standard deviations below df to 12 above, and
+        # 0, 1e-12, 1e-3 and 50·df.  Against a 45-digit reference, _chi2_sf is
+        # within 6e-14 on this whole grid.  chdtrc is within 1e-12 except
+        # below df at 2^21..2^24 bins, where its own relative error reaches
+        # 2.6e-8 (its tail there is near 1); so the bound there is 3e-8.
+        from scipy.special import chdtrc
+
+        df = (1 << width) - 1
+        sigma = math.sqrt(2 * df)
+        points = [df + k * sigma for k in np.arange(-6, 12.25, 0.5)]
+        points = sorted([x for x in points if x >= 0] + [0.0, 1e-12, 1e-3, 50.0 * df])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [experiment._chi2_sf(df, x) for x in points]
+        assert got[0] == 1.0  # at statistic 0
+        assert all(1 >= p >= q >= 0 for p, q in zip(got, got[1:]))
+        for x, p in zip(points, got):
+            ref = float(chdtrc(df, x))
+            rel = 3e-8 if width > 20 and x < df else 1e-12
+            assert abs(p - ref) <= rel * ref + 1e-300, (x, p, ref)
 
     def test_uniform_sampler_accepted(self):
         rep = invariance_test(samples=100_000, bins=64, seed=5)
@@ -725,6 +756,26 @@ class TestRunExperiment:
         assert peak < 0.25 * s.nbytes
         expected = Counter(last_losing_index(s).tolist())
         assert report.threshold_hist == tuple(sorted(expected.items()))
+
+    def test_azuma_report_reads_the_block_a_chunk_at_a_time(self):
+        # Each scored trial's S_n is summed from a chunk's rows in place, with
+        # no copy of the block's valid rows or of the prefix the grid reads:
+        # the peak is the sums and a chunk, 0.21x the block here (0.37x when
+        # the block's valid prefix was copied).
+        s = np.random.default_rng(2).choice(np.array([-1, 1], dtype=np.int8), (4096, 256))
+        valid = np.random.default_rng(3).random(len(s)) < 0.9
+        block = TrialBlock(s, valid)
+        cfg = config_of(block)
+        tracemalloc.start()
+        try:
+            report = experiment._block_azuma(cfg, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * s.nbytes
+        sums = [s[valid, :n].sum(axis=1) for n in cfg.azuma_n]
+        assert report == experiment._azuma(cfg.azuma_n, sums, cfg.azuma_eps)
+        assert sum(p.exceed for p in report.points) > 0
 
     def test_config_bounds_override_depth(self):
         def config(depth):
