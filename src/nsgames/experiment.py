@@ -16,12 +16,13 @@ successes and flags into the same block; each chunk is copied into one
 block allocated for the run.  The reports are computed from that block,
 and the trial log from it and the roots regenerated from the seeds; the
 record-based builders (``win_rate_report``, ``azuma_report``,
-``TrialRecord.to_json_line``) stay as their reference.  The win and Azuma
-reports, the martingale audit and the log read the block in the run's
-chunks, and the log is built a chunk at a time, so that a writer can
-stream it to a file: each slice is one byte matrix, a row per trial,
-gathered from small tables of NUL-padded fixed-width byte strings, and its
-text is the matrix's bytes with the NULs removed.
+``TrialRecord.to_json_line``) stay as their reference.  Every pass reads
+the block in the run's chunks: the win and Azuma reports in one walk that
+keeps only integer totals, the martingale audit in another, and the log
+is built a chunk at a time, so that a writer can stream it to a file:
+each slice is one byte matrix, a row per trial, gathered from small
+tables of NUL-padded fixed-width byte strings, and its text is the
+matrix's bytes with the NULs removed.
 """
 
 from __future__ import annotations
@@ -248,8 +249,8 @@ class WinRateReport:
     few counts, so each interval is computed once, when the report is
     built.  A player's row follows from its count: ``(player, wins,
     trials, freq, lo, hi)``, with ``trials`` the scored trials and ``freq``
-    their share of wins.  ``to_json`` and ``to_csv`` write the rows from
-    these columns; ``per_player`` builds them as ``PlayerRate`` on each read.
+    their share of wins, as ``PlayerRate`` names them.  ``to_json`` and
+    ``to_csv`` write the rows from these columns, and
     ``ExperimentResult.render_json`` spells them without building them (see
     ``_player_rows``).
     """
@@ -269,11 +270,6 @@ class WinRateReport:
         """Each distinct count's ``PlayerRate`` fields after ``player``."""
         n = self.scored_trials
         return {w: (w, n, (w / n) if n else None, lo, hi) for w, lo, hi in self.intervals}
-
-    @property
-    def per_player(self) -> tuple[PlayerRate, ...]:
-        rates = self._rates()
-        return tuple(PlayerRate(k, *rates[w]) for k, w in enumerate(self.wins, 1))
 
     def to_json(self) -> dict:
         _, *names = (f.name for f in fields(PlayerRate))
@@ -360,23 +356,27 @@ class AzumaReport:
 class ExperimentResult:
     """A run's config and its trials as one block, in trial order.
 
-    The reports and the martingale audit are computed from the block's
-    arrays on first use, and the trial log on each call, with the roots
-    and outputs regenerated from the config's seeds.  ``records`` rebuilds
-    the per-trial records, as ``run_trial`` returns them, the same way,
-    only when it is read.
+    The win and Azuma reports are computed in one walk of the block when
+    either is first read, the martingale audit when it is read, and the
+    trial log on each call, with the roots and outputs regenerated from the
+    config's seeds.  ``records`` rebuilds the per-trial records, as
+    ``run_trial`` returns them, the same way, only when it is read.
     """
 
     config: ExperimentConfig
     block: TrialBlock
 
     @cached_property
-    def win(self) -> WinRateReport:
-        return _block_win_rate(self.config, self.block)
+    def _reports(self) -> tuple[WinRateReport, AzumaReport]:
+        return _block_reports(self.config, self.block)
 
-    @cached_property
+    @property
+    def win(self) -> WinRateReport:
+        return self._reports[0]
+
+    @property
     def azuma(self) -> AzumaReport:
-        return _block_azuma(self.config, self.block)
+        return self._reports[1]
 
     @cached_property
     def martingale(self) -> MartingaleReport:
@@ -510,49 +510,25 @@ def win_rate_report(records: Sequence[TrialRecord], players: int) -> WinRateRepo
     return _win_rate(players, wins, scored, len(invalid), invalid_raw, hist)
 
 
-def _block_win_rate(cfg: ExperimentConfig, block: TrialBlock) -> WinRateReport:
-    """``win_rate_report`` of a run's block, read a chunk at a time (see
-    ``_chunks``), and in place where all its trials are valid, since
-    ``last_losing_index`` copies the rows it reads.  Every step is 1 or -1,
-    so a player's wins are half of the scored trials plus its sum.
-    """
-    players, raw_wins, thresholds = cfg.players, 0, []
-    sums = np.zeros(players, dtype=np.int64)
-    for start, stop in _chunks(cfg):
-        s, valid = block.s[start:stop], block.valid[start:stop]
-        if not valid.all():
-            raw_wins += int((s[~valid] > 0).sum())
-            s = s[valid]
-        sums += s.sum(axis=0, dtype=np.int64)
-        thresholds.append(last_losing_index(s))
-    thresholds, counts = np.unique(np.concatenate(thresholds), return_counts=True)
-    scored = int(counts.sum())
-    invalid = cfg.trials - scored
-    invalid_raw = raw_wins / (invalid * players) if invalid else None
-    hist = zip(thresholds.tolist(), counts.tolist())
-    return _win_rate(players, (scored + sums) // 2, scored, invalid, invalid_raw, hist)
-
-
 def _azuma(
-    grid_n: Sequence[int], sums: Sequence[np.ndarray], grid_eps: Iterable[float]
+    grid_n: Sequence[int], grid_eps: Sequence[float], exceed: Sequence[Sequence[int]], trials: int
 ) -> AzumaReport:
-    """The Azuma exceedance report of the scored trials, where ``sums[j]``
-    holds every scored trial's S_n for n = ``grid_n[j]``."""
+    """The Azuma exceedance report of ``trials`` scored trials, of which
+    ``exceed[j][i]``, a Python int, have S_n >= eps for n = ``grid_n[j]`` and
+    eps = ``grid_eps[i]``."""
     points = []
-    for n, s_n in zip(grid_n, sums):
-        trials = len(s_n)
-        for eps in grid_eps:
+    for n, row in zip(grid_n, exceed):
+        for eps, count in zip(grid_eps, row):
             bound = azuma_bound(n, eps)
             if trials:
-                exceed = int((s_n >= eps).sum())
-                freq = exceed / trials
-                _, hi = wilson_interval(exceed, trials)
+                freq = count / trials
+                _, hi = wilson_interval(count, trials)
                 margin = hi - freq
                 violation = freq > bound + margin
             else:
-                exceed, freq, margin, violation = 0, None, 1.0, False
+                freq, margin, violation = None, 1.0, False
             points.append(
-                AzumaPoint(n, float(eps), exceed, trials, freq, bound, margin, violation)
+                AzumaPoint(n, float(eps), count, trials, freq, bound, margin, violation)
             )
     return AzumaReport(points=tuple(points))
 
@@ -560,29 +536,47 @@ def _azuma(
 def azuma_report(
     records: Sequence[TrialRecord], grid_n: Iterable[int], grid_eps: Iterable[float]
 ) -> AzumaReport:
-    grid_n = tuple(grid_n)
+    grid_n, grid_eps = tuple(grid_n), tuple(grid_eps)
     trajectories = [r.trajectory for r in records if r.valid]
-    sums = [
-        np.fromiter(map(itemgetter(n - 1), trajectories), np.int64, len(trajectories))
-        for n in grid_n
-    ]
-    return _azuma(grid_n, sums, grid_eps)
+    exceed = []
+    for n in grid_n:
+        s_n = np.fromiter(map(itemgetter(n - 1), trajectories), np.int64, len(trajectories))
+        exceed.append([int((s_n >= eps).sum()) for eps in grid_eps])
+    return _azuma(grid_n, grid_eps, exceed, len(trajectories))
 
 
-def _block_azuma(cfg: ExperimentConfig, block: TrialBlock) -> AzumaReport:
-    """``azuma_report`` of a run's block, read a chunk at a time (see
-    ``_chunks``) and in place: each scored trial's S_n, for each n of the
-    grid, is summed straight into one int64 row an n."""
-    sums = np.empty((len(cfg.azuma_n), int(block.valid.sum())), dtype=np.int64)
-    done = 0
+def _block_reports(
+    cfg: ExperimentConfig, block: TrialBlock
+) -> tuple[WinRateReport, AzumaReport]:
+    """``win_rate_report`` and ``azuma_report`` of a run's block, from
+    integer totals taken in one walk of its chunks (see ``_chunks``): each
+    player's sum of steps, the threshold histogram and, for each (n, eps) of
+    the Azuma grid, the scored trials with S_n >= eps.  Every step is 1 or
+    -1, so a player's wins are half of the scored trials plus its sum.
+    """
+    players, scored, raw_wins = cfg.players, 0, 0
+    sums = np.zeros(players, dtype=np.int64)
+    hist = Counter()
+    exceed = [[0] * len(cfg.azuma_eps) for _ in cfg.azuma_n]
     for start, stop in _chunks(cfg):
         s, valid = block.s[start:stop], block.valid[start:stop]
         if not valid.all():
+            raw_wins += int((s[~valid] > 0).sum())
             s = s[valid]
-        for row, n in zip(sums, cfg.azuma_n):
-            s[:, :n].sum(axis=1, dtype=np.int64, out=row[done : done + len(s)])
-        done += len(s)
-    return _azuma(cfg.azuma_n, sums, cfg.azuma_eps)
+        scored += len(s)
+        sums += s.sum(axis=0, dtype=np.int64)
+        thresholds, counts = np.unique(last_losing_index(s), return_counts=True)
+        hist.update(dict(zip(thresholds.tolist(), counts.tolist())))
+        for row, n in zip(exceed, cfg.azuma_n):
+            s_n = s[:, :n].sum(axis=1, dtype=np.int64)
+            for i, eps in enumerate(cfg.azuma_eps):
+                row[i] += int(np.count_nonzero(s_n >= eps))
+    invalid = cfg.trials - scored
+    invalid_raw = raw_wins / (invalid * players) if invalid else None
+    win = _win_rate(
+        players, (scored + sums) // 2, scored, invalid, invalid_raw, sorted(hist.items())
+    )
+    return win, _azuma(cfg.azuma_n, cfg.azuma_eps, exceed, scored)
 
 
 # Place values 10**9 .. 1, for the digits of an integer below 10**10.
@@ -731,9 +725,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     function of the run's block, which is what makes reports and trial logs
     byte-identical across chunk sizes.
     """
-    block = TrialBlock(
-        np.empty((cfg.trials, cfg.players), dtype=np.int8), np.empty(cfg.trials, dtype=bool)
-    )
+    try:
+        s = np.empty((cfg.trials, cfg.players), dtype=np.int8)
+    except ValueError as exc:  # a size past numpy's index type
+        raise MemoryError(f"{cfg.trials} x {cfg.players} cells: {exc}") from None
+    block = TrialBlock(s, np.empty(cfg.trials, dtype=bool))
     for start, stop in _chunks(cfg):
         chunk = _run_chunk(cfg, start, stop)
         block.s[start:stop] = chunk.s

@@ -1,13 +1,19 @@
 """End-to-end command line coverage: exit codes, files, formats."""
 
+import contextlib
 import decimal
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nsgames.behavior as behavior_module
 import nsgames.cli as cli_module
@@ -109,6 +115,22 @@ class TestSimulate:
         )
         assert code == 1
         assert err.startswith("config error: ") and "582. TiB" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_block_past_the_index_range_exit_one(self, tmp_path, capsys, source):
+        # 10^20 trials is past numpy's index type, so numpy refuses the
+        # block's shape with a ValueError, not a MemoryError.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"strategy": "constant:0", "players": 1, "trials": 10**20}))
+        argv = (
+            ["--strategy", "constant:0", "--players", "1", "--trials", str(10**20)]
+            if source == "flag" else ["--config", str(cfg)]
+        )
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "simulate", *argv, "--out-dir", str(out_dir))
+        assert code == 1
+        assert err.startswith("config error: ") and str(10**20) in err
         assert not out_dir.exists()
 
     def test_cheat_quarantined_exit_two(self, tmp_path, capsys):
@@ -412,6 +434,93 @@ class TestSimulate:
             assert not out_dir.exists()
         else:
             assert (out_dir / "report.json").exists()
+
+
+# Each config key's in-range values: at most 8 players, 20 trials and an
+# override depth of 4, so that every run that starts is short.
+IN_RANGE = {
+    "strategy": st.sampled_from([
+        "constant:0", "local-table:0,1,1,0", "fns", "cheat", "no-such-strategy",
+        {"name": "local-random", "p": 0.5}, {"name": "shared-mixture", "tables": [[0, 1]]},
+    ]),
+    "players": st.integers(1, 8),
+    "trials": st.integers(1, 20),
+    "seed": st.integers(-(2**70), 2**70),
+    "root-override-depth": st.integers(0, 4),
+    "parallelism": st.integers(1, 4),
+    "azuma-n": st.lists(st.integers(1, 8), max_size=3),
+    "azuma-eps": st.lists(st.floats(0.5, 40.0), max_size=3),
+    "allow-cheat": st.booleans(),
+    "no-enforce": st.booleans(),
+}
+# Values no key accepts, or accepts only at its edge.
+ODD_VALUES = st.sampled_from(
+    [2**63, 10**400, 1e308, -0.0, math.nan, math.inf, True, False, "8", "", [[1]], [1, [2]], None]
+)
+
+
+def odd_value(key):
+    """An out-of-range or odd value of the key, or a list of them."""
+    # A trial count past the range starts at 2^62, so that no example plays
+    # a mid-size run.
+    past = st.integers(min_value=2**62)
+    if key != "trials":
+        past |= st.just(experiment_module.MAX_PLAYERS + 1)
+    odd = ODD_VALUES | st.integers(max_value=0) | past
+    return odd | st.lists(odd, max_size=2)
+
+
+@st.composite
+def config_documents(draw):
+    """A simulate --config document: some of CONFIG_KEYS, mostly with the
+    strategy, each with an in-range value but for at most two odd ones, and
+    at times one key it does not know."""
+    any_keys = st.sampled_from(sorted(cli_module.CONFIG_KEYS))
+    keys = draw(st.lists(any_keys, unique=True))
+    if draw(st.integers(0, 3)) and "strategy" not in keys:
+        keys.append("strategy")
+    odd = draw(st.sets(any_keys, max_size=2))
+    doc = {key: draw(odd_value(key) if key in odd else IN_RANGE[key]) for key in keys}
+    if draw(st.integers(0, 9)) == 0:
+        doc["no-such-key"] = 1
+    return doc
+
+
+def run_config_document(doc):
+    """Exit code and stderr of simulate --config on ``doc``, run in this
+    process with the output in a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")])
+    return code, err.getvalue()
+
+
+class TestConfigDocuments:
+    """Every simulate --config document ends in a documented exit code: 0,
+    1 with a one-line ``config error`` or ``output error`` message, or 2."""
+
+    @staticmethod
+    def check(doc):
+        code, err = run_config_document(doc)
+        assert code in (0, 1, 2), (code, err)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith(("config error: ", "output error: ")), err
+
+    @settings(max_examples=60, deadline=None)
+    @given(config_documents())
+    @example({"strategy": "constant:0", "players": 1, "trials": 10**20})
+    def test_any_document_exits_cleanly(self, doc):
+        self.check(doc)
+
+    @pytest.mark.slow
+    @settings(max_examples=500, deadline=None)
+    @given(config_documents())
+    def test_many_documents_exit_cleanly(self, doc):
+        self.check(doc)
 
 
 class TestVerifyBehavior:

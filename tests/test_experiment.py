@@ -164,7 +164,7 @@ class TestWinRateReport:
         rep = win_rate_report(records, players=3)
         assert rep.scored_trials == 4
         assert rep.invalid_trials == 0
-        assert [p.wins for p in rep.per_player] == [3, 3, 3]
+        assert rep.wins == (3, 3, 3)
         assert rep.pooled_freq == pytest.approx(9 / 12)
         assert rep.threshold_hist == ((0, 1), (1, 1), (2, 1), (3, 1))
 
@@ -176,7 +176,7 @@ class TestWinRateReport:
         ]
         rep = win_rate_report(records, players=5)
         assert rep.pooled_freq == pytest.approx(
-            sum(p.freq for p in rep.per_player) / 5
+            sum(p["freq"] for p in rep.to_json()["per_player"]) / 5
         )
 
     def test_invalid_trials_segregated(self):
@@ -189,7 +189,7 @@ class TestWinRateReport:
         assert rep.scored_trials == 1
         assert rep.invalid_trials == 2
         assert rep.invalid_raw_success_rate == pytest.approx(3 / 4)
-        assert all(p.trials == 1 for p in rep.per_player)
+        assert all(p["trials"] == 1 for p in rep.to_json()["per_player"])
         assert rep.threshold_hist == ((0, 1),)
 
     def test_csv_shape(self):
@@ -202,7 +202,7 @@ class TestWinRateReport:
         rep = win_rate_report([], players=2)
         assert rep.wins == (0, 0) and type(rep.wins[0]) is int
         assert rep.pooled_freq is None
-        assert all(p.freq is None for p in rep.per_player)
+        assert all(p["freq"] is None for p in rep.to_json()["per_player"])
 
     def test_one_interval_per_distinct_count(self, monkeypatch):
         calls = []
@@ -214,16 +214,20 @@ class TestWinRateReport:
         rep = win_rate_report(records, players=4)
         # Counts 2, 1, 0, 2 and the pooled 5 of 8.
         assert sorted(calls) == [(0, 2), (1, 2), (2, 2), (5, 8)]
-        assert [(p.lo, p.hi) for p in rep.per_player] == [
-            wilson_interval(p.wins, 2) for p in rep.per_player
+        assert [(p["lo"], p["hi"]) for p in rep.to_json()["per_player"]] == [
+            wilson_interval(w, 2) for w in rep.wins
         ]
 
 
 @st.composite
 def win_columns(draw):
     """A run whose scored trials give a drawn win count to each of 1-40
-    players, 0-12 scored trials and 0-3 quarantined ones in a drawn order:
-    ``(wins, scored, result)``."""
+    players, 0-12 scored trials and 0-3 quarantined ones in a drawn order,
+    with a drawn Azuma grid and chunk size: ``(wins, scored, cells,
+    result)``, where ``cells`` is the ``CHUNK_CELLS`` to read it at.
+
+    Some of the grid's epsilons, as ints or floats, equal an S_n that a
+    scored trial reaches, so that a count of S_n > eps would differ."""
     scored = draw(st.integers(0, 12))
     wins = draw(st.lists(st.integers(0, scored), min_size=1, max_size=40))
     rows = scored + draw(st.integers(0 if scored else 1, 3))
@@ -232,11 +236,18 @@ def win_columns(draw):
     s[scored:] = draw(st.sampled_from([1, -1]))
     order = np.array(draw(st.permutations(range(rows))), dtype=np.intp)
     block = TrialBlock(s[order], order < scored)
+    grid_n = draw(st.lists(st.integers(1, len(wins)), min_size=1, max_size=3))
+    S = np.cumsum(s[:scored], axis=1)
+    reached = sorted({v for n in grid_n for v in S[:, n - 1].tolist() if v > 0})
+    eps = st.floats(0.25, 41.0)
+    if reached:
+        eps |= st.sampled_from(reached) | st.sampled_from(reached).map(float)
     cfg = ExperimentConfig(
         strategy=build_strategy({"name": "constant"}), players=len(wins), trials=rows,
-        master_seed=0,
+        master_seed=0, azuma_n=tuple(grid_n),
+        azuma_eps=tuple(draw(st.lists(eps, min_size=1, max_size=4))),
     )
-    return wins, scored, ExperimentResult(cfg, block)
+    return wins, scored, draw(st.integers(1, 120)), ExperimentResult(cfg, block)
 
 
 class TestRenderJson:
@@ -269,9 +280,14 @@ class TestRenderJson:
     @settings(max_examples=100, deadline=None)
     @given(win_columns())
     def test_random_win_columns(self, run):
-        wins, scored, result = run
-        assert result.win.wins == tuple(wins)
-        assert result.win.scored_trials == scored
+        wins, scored, cells, result = run
+        cfg = result.config
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiment, "CHUNK_CELLS", cells)
+            assert result.win.wins == tuple(wins)
+            assert result.win.scored_trials == scored
+            assert result.win == win_rate_report(result.records, cfg.players)
+            assert result.azuma == azuma_report(result.records, cfg.azuma_n, cfg.azuma_eps)
         self.check(result)
 
 
@@ -626,21 +642,18 @@ class TestTrialRoot:
 class TestRunExperiment:
     def test_reports_computed_once_from_the_records(self, monkeypatch):
         calls = []
-
-        def counted(builder):
-            return lambda *args: calls.append(builder) or builder(*args)
-
-        block_win_rate, block_azuma = experiment._block_win_rate, experiment._block_azuma
-        monkeypatch.setattr(experiment, "_block_win_rate", counted(block_win_rate))
-        monkeypatch.setattr(experiment, "_block_azuma", counted(block_azuma))
+        block_reports = experiment._block_reports
+        monkeypatch.setattr(
+            experiment, "_block_reports", lambda *args: calls.append(args) or block_reports(*args)
+        )
         cfg = ExperimentConfig(
             strategy=build_strategy({"name": "constant"}), players=4, trials=3, master_seed=1
         )
         result = run_experiment(cfg)
         for _ in range(2):
-            assert result.win == win_rate_report(result.records, cfg.players)
             assert result.azuma == azuma_report(result.records, cfg.azuma_n, cfg.azuma_eps)
-        assert calls == [block_win_rate, block_azuma]
+            assert result.win == win_rate_report(result.records, cfg.players)
+        assert calls == [(cfg, result.block)]
 
     @pytest.mark.parametrize("azuma_n", [(7,), (24, 3, 10)])
     @pytest.mark.parametrize("spec", [{"name": "local-random", "p": 0.5}, {"name": "cheat"}])
@@ -653,6 +666,20 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert [p.n for p in result.azuma.points] == [n for n in azuma_n for _ in range(2)]
         assert azuma_report(result.records, azuma_n, cfg.azuma_eps) == result.azuma
+
+    @pytest.mark.parametrize("azuma_n, azuma_eps", [((24, 3), ()), ((), (2.0,)), ((5,), (4.0, 2))])
+    def test_azuma_grid_empty_or_of_int_epsilons(self, azuma_n, azuma_eps):
+        # The CLI accepts an empty list for either axis, and integer epsilons.
+        cfg = ExperimentConfig(
+            strategy=build_strategy({"name": "local-random", "p": 0.5}), players=24, trials=40,
+            master_seed=3, azuma_n=azuma_n, azuma_eps=azuma_eps,
+        )
+        result = run_experiment(cfg)
+        points = result.azuma.points
+        assert [(p.n, p.epsilon) for p in points] == [(n, e) for n in azuma_n for e in azuma_eps]
+        assert all(type(p.exceed) is int for p in points)
+        assert azuma_report(result.records, azuma_n, azuma_eps) == result.azuma
+        assert json.loads(result.render_json())["azuma"] == result.azuma.to_json()
 
     @pytest.mark.parametrize("spec, depth", [
         ({"name": "fns"}, 3), ({"name": "local-random", "p": 0.5}, 0),
@@ -667,7 +694,7 @@ class TestRunExperiment:
         assert all(type(w) is int for w in win.wins)
         assert all(type(w) is int for w, _, _ in win.intervals)
         # Reading the derived rows leaves nothing behind that a report shows.
-        assert [p.wins for p in win.per_player] == list(win.wins)
+        assert [p["wins"] for p in win.to_json()["per_player"]] == list(win.wins)
         assert (result.render_json(), win.to_csv()) == (rendered, csv)
         assert win_rate_report(result.records, cfg.players) == win
 
@@ -708,8 +735,8 @@ class TestRunExperiment:
             override_depth=depth,
         )
         result = run_experiment(cfg)
-        for p in result.win.per_player:
-            assert p.freq == (0.0 if p.player <= depth else 1.0)
+        for p in result.win.to_json()["per_player"]:
+            assert p["freq"] == (0.0 if p["player"] <= depth else 1.0)
         assert result.win.threshold_hist == ((depth, 30),)
 
     def test_config_bounds_players(self):
@@ -728,54 +755,56 @@ class TestRunExperiment:
             with pytest.raises(ValueError, match=bound):
                 config(players)
 
-    def test_win_rate_report_reads_a_valid_block_in_place(self):
-        # With every trial valid, the one temporary as large as the block is
-        # argmin's contiguous copy of its reversed rows, a byte a cell.
-        s = np.random.default_rng(0).choice(np.array([-1, 1], dtype=np.int8), (4096, 256))
-        block = TrialBlock(s, np.ones(len(s), dtype=bool))
+    @pytest.mark.parametrize("trials, players", [(4096, 256), (10**5, 256), (10**5, 16)])
+    def test_reports_held_in_a_flat_peak(self, trials, players):
+        # The walk keeps integer totals and one chunk's temporaries, so its
+        # tracemalloc peak stays put as the trials grow: about 0.13 MiB here,
+        # where whole-run arrays of thresholds and S_n took 2.3 MiB at 10^5
+        # trials.  A tenth of the trials are quarantined.
+        rng = np.random.default_rng(2)
+        s = (2 * rng.integers(0, 2, (trials, players), dtype=np.int8) - 1).astype(np.int8)
+        valid = rng.random(trials) < 0.9
+        cfg = ExperimentConfig(
+            strategy=build_strategy({"name": "constant"}), players=players, trials=trials,
+            master_seed=0, azuma_eps=(4.0, 8, 16.0),
+        )
+        result = ExperimentResult(cfg, TrialBlock(s, valid))
         tracemalloc.start()
         try:
-            report = experiment._block_win_rate(config_of(block), block)
+            win, report = result.win, result.azuma
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * s.nbytes
-        assert report.wins == tuple((s > 0).sum(axis=0).tolist())
-
-    def test_win_rate_report_reads_thresholds_in_slices(self):
-        # last_losing_index copies the rows it reads; read a slice of at most
-        # CHUNK_CELLS cells at a time, that copy stays far below the block.
-        s = np.random.default_rng(1).choice(np.array([-1, 1], dtype=np.int8), (4096, 256))
-        block = TrialBlock(s, np.ones(len(s), dtype=bool))
-        tracemalloc.start()
-        try:
-            report = experiment._block_win_rate(config_of(block), block)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.25 * s.nbytes
-        expected = Counter(last_losing_index(s).tolist())
-        assert report.threshold_hist == tuple(sorted(expected.items()))
-
-    def test_azuma_report_reads_the_block_a_chunk_at_a_time(self):
-        # Each scored trial's S_n is summed from a chunk's rows in place, with
-        # no copy of the block's valid rows or of the prefix the grid reads:
-        # the peak is the sums and a chunk, 0.21x the block here (0.37x when
-        # the block's valid prefix was copied).
-        s = np.random.default_rng(2).choice(np.array([-1, 1], dtype=np.int8), (4096, 256))
-        valid = np.random.default_rng(3).random(len(s)) < 0.9
-        block = TrialBlock(s, valid)
-        cfg = config_of(block)
-        tracemalloc.start()
-        try:
-            report = experiment._block_azuma(cfg, block)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.25 * s.nbytes
-        sums = [s[valid, :n].sum(axis=1) for n in cfg.azuma_n]
-        assert report == experiment._azuma(cfg.azuma_n, sums, cfg.azuma_eps)
+        assert peak < 0.25 * 2**20
+        scored = s[valid]
+        assert win.wins == tuple((scored > 0).sum(axis=0).tolist())
+        assert win.invalid_raw_success_rate == float((s[~valid] > 0).mean())
+        expected = Counter(last_losing_index(scored).tolist())
+        assert win.threshold_hist == tuple(sorted(expected.items()))
+        exceed = [
+            [int((scored[:, :n].sum(axis=1) >= eps).sum()) for eps in cfg.azuma_eps]
+            for n in cfg.azuma_n
+        ]
+        assert report == experiment._azuma(cfg.azuma_n, cfg.azuma_eps, exceed, len(scored))
         assert sum(p.exceed for p in report.points) > 0
+
+    def test_one_wide_trial_reported_in_its_columns(self):
+        # One trial of 2^20 players is one chunk.  The peak, 32 MiB, is the
+        # per-player int64 sums and wins, as it was with whole-run arrays.
+        s = np.ones((1, experiment.MAX_PLAYERS), dtype=np.int8)
+        s[0, 5] = -1
+        block = TrialBlock(s, np.ones(1, dtype=bool))
+        result = ExperimentResult(config_of(block), block)
+        tracemalloc.start()
+        try:
+            win, report = result.win, result.azuma
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 33 * 2**20
+        assert win.threshold_hist == ((6, 1),) and win.wins.count(0) == 1
+        # S_16 = 14 falls short of epsilon 16 alone.
+        assert [p.exceed for p in report.points] == [1, 1, 0, 1, 1, 1, 1, 1, 1]
 
     def test_config_bounds_override_depth(self):
         def config(depth):
@@ -835,24 +864,26 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("depth, chunks", [(3, 5), (30, 16)])
     def test_every_pass_walks_the_run_chunks(self, monkeypatch, depth, chunks):
-        # The win report, the martingale audit and the trial log read the
-        # block in the chunks the run played, whether the 10 players or an
-        # override depth past them set a row's width.
+        # The win and Azuma reports walk the chunks the run played once
+        # between them, and the martingale audit and the trial log read the
+        # block in those chunks too, whether the 10 players or an override
+        # depth past them set a row's width.
         monkeypatch.setattr(experiment, "CHUNK_CELLS", 100)
         played = record_chunks(monkeypatch)
-        read = []
-        lose, martingale = experiment.last_losing_index, experiment._martingale
+        walked, read = [], []
+        cut, martingale = experiment._chunks, experiment._martingale
 
-        def losing(s):
-            read.append(len(s))
-            return lose(s)
+        def walk(cfg):
+            for chunk in cut(cfg):
+                walked.append(chunk)
+                yield chunk
 
         def audit(steps, trials, players):
             steps = list(steps)
             read.extend(len(s) for s in steps)
             return martingale(steps, trials, players)
 
-        monkeypatch.setattr(experiment, "last_losing_index", losing)
+        monkeypatch.setattr(experiment, "_chunks", walk)
         monkeypatch.setattr(experiment, "_martingale", audit)
         result = run_experiment(ExperimentConfig(
             strategy=build_strategy({"name": "local-table", "table": [0, 1, 1, 0]}),
@@ -861,13 +892,13 @@ class TestRunExperiment:
             master_seed=2,
             override_depth=depth,
         ))
-        sizes = [stop - start for start, stop in played]
-        assert len(sizes) == chunks
-        for report in ("win", "martingale"):
-            read.clear()
-            getattr(result, report)
-            assert read == sizes
-        assert [text.count("\n") for text in result.trial_log_slices()] == sizes
+        assert len(played) == chunks
+        walked.clear()
+        result.win, result.azuma, result.win
+        assert walked == played
+        result.martingale
+        assert read == [stop - start for start, stop in played]
+        assert [text.count("\n") for text in result.trial_log_slices()] == read
 
     @pytest.mark.parametrize(
         "spec", [None, {"name": "cheat"}, {"name": "local-table", "table": [1, 0, 0, 1]}]
