@@ -143,10 +143,9 @@ class Behavior:
             if isinstance(p, Fraction):
                 if p == 0:
                     continue
-                rendered = f"{p.numerator}/{p.denominator}" if p.denominator != 1 else str(p.numerator)
-            else:
-                rendered = p
-            entries.append({"x": list(x), "a": list(a), "p": rendered})
+                # "p/q", or "p" for a whole number.
+                p = str(p)
+            entries.append({"x": list(x), "a": list(a), "p": p})
         return {
             "parties": self.parties,
             "inputs": list(self.inputs),

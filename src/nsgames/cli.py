@@ -150,7 +150,9 @@ def _simulate(args) -> int:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # A ValueError is also bytes that are not UTF-8, or an integer past
+        # Python's limit on int digits; a RecursionError is deep nesting.
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"config error: --config: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         problem = _config_problem(file_cfg)
@@ -238,14 +240,16 @@ def _verify_behavior(args) -> int:
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except UnicodeDecodeError as exc:
-        print(f"input error: {args.path}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except json.JSONDecodeError as exc:
         print(
             f"input error: {args.path}: line {exc.lineno} column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
+        return EXIT_CONFIG
+    # Bytes that are not UTF-8, an integer past Python's limit on int
+    # digits, or nesting deeper than the decoder's recursion limit.
+    except (ValueError, RecursionError) as exc:
+        print(f"input error: {args.path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:

@@ -22,13 +22,16 @@ keeps only integer totals, the martingale audit in another, and the log
 is built a chunk at a time, so that a writer can stream it to a file:
 each slice is one byte matrix, a row per trial, gathered from small
 tables of NUL-padded fixed-width byte strings, and its text is the
-matrix's bytes with the NULs removed.
+matrix's bytes with the NULs removed.  No number is spelled by hand:
+numpy casts the log's ints to byte strings, and json writes every
+document, a report's per-player rows once for each distinct win count.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -64,6 +67,18 @@ Z = 3.0
 MIN_BIN_COUNT = 100
 
 
+def _require_int(name: str, value) -> None:
+    """Raise a ``ValueError`` naming the field unless the value is an
+    integer: one that ``operator.index`` takes, and not a bool."""
+    try:
+        if not isinstance(value, bool):
+            operator.index(value)
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to replay an experiment bit-for-bit."""
@@ -79,6 +94,10 @@ class ExperimentConfig:
     enable_backdoor: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("players", "trials", "master_seed", "override_depth"):
+            _require_int(name, getattr(self, name))
+        for n in self.azuma_n or ():
+            _require_int("azuma_n entry", n)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 1 <= self.players <= MAX_PLAYERS:
@@ -251,8 +270,8 @@ class WinRateReport:
     trials, freq, lo, hi)``, with ``trials`` the scored trials and ``freq``
     their share of wins, as ``PlayerRate`` names them.  ``to_json`` and
     ``to_csv`` write the rows from these columns, and
-    ``ExperimentResult.render_json`` spells them without building them (see
-    ``_player_rows``).
+    ``ExperimentResult.render_json`` has json write one row a distinct
+    count (see ``_player_rows``).
     """
 
     players: int
@@ -304,23 +323,22 @@ def _player_rows(report: WinRateReport, indent: str) -> str:
     """``json.dumps(..., sort_keys=True, indent=2)`` of a report's
     ``to_json()["per_player"]``, its closing bracket at ``indent``.
 
-    Each distinct count's row is spelled once, as the text before and after
-    the player number, so player k's row is ``heads[w] + str(k) + tails[w]``.
-    A value is spelled ``repr(v)`` or ``null``, as json spells a
-    ``PlayerRate``'s ints, finite floats and None.
+    json writes each distinct count's row once, as player 0's, and the row
+    is split at that player number, so player k's row is ``heads[w] +
+    str(k) + tails[w]``.
     """
     inner = indent + "  "
     comma = "," + inner + "  "
+    # With no indent, json's C encoder writes the row on one line; the item
+    # separator breaks it as indent=2 would.
+    encode = json.JSONEncoder(sort_keys=True, separators=(comma, ": ")).encode
     player, *names = (f.name for f in fields(PlayerRate))
-    # The player's key sorts after this many of the others.
-    at = sum(name < player for name in names)
+    key = f'"{player}": '
     heads, tails = {}, {}
     for w, rate in report._rates().items():
-        cells = [
-            f'"{k}": ' + ("null" if v is None else repr(v)) for k, v in sorted(zip(names, rate))
-        ]
-        heads[w] = "{" + comma[1:] + comma.join([*cells[:at], f'"{player}": '])
-        tails[w] = "".join(comma + cell for cell in cells[at:]) + inner + "}"
+        head, tail = encode({player: 0, **dict(zip(names, rate))})[1:-1].split(key + "0")
+        heads[w] = "{" + comma[1:] + head + key
+        tails[w] = tail + inner + "}"
     rows = [heads[w] + str(k) + tails[w] for k, w in enumerate(report.wins, 1)]
     return "[" + inner + ("," + inner).join(rows) + indent + "]"
 
@@ -573,46 +591,20 @@ def _block_reports(
                 row[i] += int(np.count_nonzero(s_n >= eps))
     invalid = cfg.trials - scored
     invalid_raw = raw_wins / (invalid * players) if invalid else None
-    win = _win_rate(
-        players, (scored + sums) // 2, scored, invalid, invalid_raw, sorted(hist.items())
-    )
+    sums += scored
+    sums //= 2
+    win = _win_rate(players, sums, scored, invalid, invalid_raw, sorted(hist.items()))
     return win, _azuma(cfg.azuma_n, cfg.azuma_eps, exceed, scored)
-
-
-# Place values 10**9 .. 1, for the digits of an integer below 10**10.
-_PLACES = 10.0 ** np.arange(9, -1, -1)
 
 
 def _decimal_cells(values: np.ndarray, before: bytes) -> np.ndarray:
     """A table of each integer's ``str`` after a glue, as fixed-width byte
-    strings.
-
-    ``values`` is an int64 array of magnitudes below 10**10, so that each
-    magnitude's quotients by the place values are exact in float64.  Entry
-    i is ``before``, then the ASCII of ``str(values[i])`` right-aligned in
-    NUL bytes to the width of the longest: with a NUL-free ``before``,
-    ``before + str(values[i])`` once its NULs are removed.
+    strings: entry i is ``before`` joined to numpy's cast of ``values[i]``
+    to a byte string, NUL-padded on the right to the width of the longest.
+    With a NUL-free ``before``, it is ``before + str(values[i])`` once its
+    NULs are removed.
     """
-    magnitude = np.abs(values)
-    width = len(str(int(magnitude.max(initial=0))))
-    # Column j ends as digit j, and holds first the magnitude without its
-    # digits after j.
-    q = np.floor(magnitude[:, None] / _PLACES[-width:])
-    # A digit is written once a digit at or before it is not 0; the last
-    # digit always is.
-    shown = q > 0
-    shown[:, -1] = True
-    q[:, 1:] -= 10 * q[:, :-1]
-    q += ord("0")
-    q *= shown
-    # One column for the sign, if any value has one.
-    start = len(before) + int(values.min(initial=0) < 0)
-    cells = np.empty((len(values), start + width), dtype=np.uint8)
-    cells[:, start:] = q
-    cells[:, : len(before)] = np.frombuffer(before, dtype=np.uint8)
-    if start > len(before):
-        cells[:, start - 1] = np.where(values < 0, ord("-"), 0)
-    return cells.view(f"S{cells.shape[1]}").ravel()
+    return np.char.add(before, np.array(values.tolist(), dtype="S"))
 
 
 def _override_pairs(depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -666,7 +658,9 @@ def _block_log(cfg: ExperimentConfig, block: TrialBlock) -> Iterator[str]:
     with one ``np.take`` from a small table of byte strings, NUL-padded to
     one width: a list's first cell carries the glue before it, and its
     others are a comma and a value, the partial sums' made for the range
-    of values the slice holds; a seed is numpy's cast of it to ``S20``.  A
+    of values the slice holds (see ``_decimal_cells``).  numpy spells each
+    number: a partial sum is its cast of the Python int to bytes, a seed
+    its cast of the int to ``S20``.  A
     NUL byte stands for no byte: it pads a text narrower than its cell,
     and takes the place of the first override pair's comma.  The slice's
     text is the matrix's bytes with the NULs removed, in one call.

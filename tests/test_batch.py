@@ -494,10 +494,8 @@ class TestTrialLogWriter:
         assert stripped(experiment._decimal_cells(values, b"")) == texts
         cells = experiment._decimal_cells(values, b",")
         assert stripped(cells) == ["," + text for text in texts]
-        # One column for a sign, if any value has one, and one a digit.
-        signed = [v < 0 for v in values.tolist()]
-        digits = max(len(text) - sign for text, sign in zip(texts, signed))
-        assert cells.dtype.itemsize == 1 + any(signed) + digits
+        # The glue, then as many columns as the longest text has characters.
+        assert cells.dtype.itemsize == 1 + max(map(len, texts))
 
     def test_deep_overrides_cost_a_bounded_number_of_bytes_an_index(self):
         # The override keys and pairs, and the slice of one trial, are held

@@ -1,6 +1,7 @@
 """End-to-end command line coverage: exit codes, files, formats."""
 
 import contextlib
+import copy
 import decimal
 import io
 import json
@@ -267,6 +268,19 @@ class TestSimulate:
         assert err.startswith("config error: --config: ")
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("literal", ["digits", "nested"])
+    def test_config_past_the_decoder_exit_one(self, tmp_path, capsys, literal):
+        # json.load raises a plain ValueError for an integer past Python's
+        # limit on int digits, and a RecursionError for deep nesting.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(dump_document({"strategy": "constant:0", "players": f"\0{literal}"}))
+        code, _, err = run(
+            capsys, "simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert err.startswith("config error: --config: ")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_json_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -434,6 +448,22 @@ class TestSimulate:
             assert not out_dir.exists()
         else:
             assert (out_dir / "report.json").exists()
+
+
+# JSON literals json.dumps cannot write, each put in the place of its
+# stand-in string: an integer past Python's default limit of 4300 digits on
+# int-from-str conversion, and arrays nested past the decoder's recursion
+# limit.
+RAW_LITERALS = {"\0digits": "9" * 5000, "\0nested": "[" * 10**4 + "]" * 10**4}
+
+
+def dump_document(doc):
+    """``json.dumps(doc)``, with each stand-in of RAW_LITERALS replaced by
+    its literal."""
+    text = json.dumps(doc)
+    for stand_in, literal in RAW_LITERALS.items():
+        text = text.replace(json.dumps(stand_in), literal)
+    return text
 
 
 # Each config key's in-range values: at most 8 players, 20 trials and an
@@ -703,6 +733,104 @@ class TestVerifyBehavior:
         assert code == 1
         assert out == ""
         assert "input error: two certain outcomes" in err
+
+
+# Values odd in any place of a behavior document.
+ODD_JSON = st.sampled_from([
+    -1, 0, 40, 2**63, 10**400, 1e308, -0.0, math.nan, math.inf, True, False, "2", "", None,
+    [], [[1]], {"p": 1}, *RAW_LITERALS,
+])
+# Probabilities of a table entry: exact and float ones in [0, 1], and ones
+# outside it, past float range, with a zero denominator or malformed.
+PROBABILITIES = ODD_JSON | st.fractions(0, 1, max_denominator=12).map(str) | st.sampled_from([
+    1, "1/2", 0.5, 1.0, 1e-320, "0.25", "1e-3", "1e999", "1/0", "0/0", "-1/2", "3/2", "nan",
+    "inf",
+])
+# Documents the drawn ones start from: exact and float, no-signaling and
+# signaling, and a header whose table is past the budget.
+BEHAVIOR_BOXES = [
+    pr_box().to_json(),
+    signaling_box().to_json(),
+    {**pr_box().to_json(), "table": [
+        {**entry, "p": 0.5} for entry in pr_box().to_json()["table"]
+    ]},
+    {"parties": 1, "inputs": [1], "outputs": [2], "table": [
+        {"x": [0], "a": [0], "p": "1/3"}, {"x": [0], "a": [1], "p": "2/3"},
+    ]},
+    {"parties": 40, "inputs": [2] * 40, "outputs": [2] * 40, "table": []},
+]
+# verify-behavior's options, each with a value argparse takes.
+BEHAVIOR_OPTIONS = st.sampled_from([
+    [], ["--strict"], ["--format", "json"], ["--tol", "0"], ["--tol", "1e-9"],
+    ["--tol", "0.6"], ["--tol", "1e308"], ["--tol", "-1"], ["--tol", "nan"],
+])
+
+
+def behavior_value(key):
+    """A value for a behavior document's key: odd, or of the key's type
+    but at times out of range or of the wrong arity."""
+    if key == "p":
+        return PROBABILITIES
+    small = st.integers(-1, 3)
+    if key == "parties":
+        return small | ODD_JSON
+    if key == "table":
+        return ODD_JSON | st.lists(ODD_JSON, max_size=2)
+    return ODD_JSON | st.lists(small | ODD_JSON, max_size=3)
+
+
+@st.composite
+def behavior_documents(draw):
+    """A verify-behavior document: one of BEHAVIOR_BOXES, then at most three
+    changes, each to the document or to one of its entries: a key dropped,
+    an unknown key added, or a key's value replaced (see behavior_value)."""
+    doc = copy.deepcopy(draw(st.sampled_from(BEHAVIOR_BOXES)))
+    for _ in range(draw(st.integers(0, 3))):
+        table = doc.get("table")
+        entries = [e for e in table if isinstance(e, dict)] if isinstance(table, list) else []
+        where = draw(st.sampled_from([doc, *entries]))
+        change = draw(st.sampled_from(["drop", "unknown", "replace"]))
+        if change == "unknown":
+            where["extra"] = 1
+        elif where:
+            key = draw(st.sampled_from(sorted(where)))
+            if change == "drop":
+                del where[key]
+            else:
+                where[key] = draw(behavior_value(key))
+    return doc
+
+
+class TestBehaviorDocuments:
+    """Every verify-behavior document ends in a documented exit code: 0, 1
+    with a one-line ``input error`` or ``budget error`` message, or 3."""
+
+    @staticmethod
+    def check(doc, options):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "box.json"
+            path.write_text(dump_document(doc), encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["verify-behavior", str(path), *options])
+        err = err.getvalue()
+        assert code in (0, 1, 3), (code, err)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith(("input error: ", "budget error: ")), err
+
+    @settings(max_examples=60, deadline=None)
+    @given(behavior_documents(), BEHAVIOR_OPTIONS)
+    @example({**pr_box().to_json(), "parties": "\0digits"}, [])
+    @example({**pr_box().to_json(), "table": "\0nested"}, [])
+    def test_any_document_exits_cleanly(self, doc, options):
+        self.check(doc, options)
+
+    @pytest.mark.slow
+    @settings(max_examples=500, deadline=None)
+    @given(behavior_documents(), BEHAVIOR_OPTIONS)
+    def test_many_documents_exit_cleanly(self, doc, options):
+        self.check(doc, options)
 
 
 class TestInvarianceCommand:

@@ -789,8 +789,9 @@ class TestRunExperiment:
         assert sum(p.exceed for p in report.points) > 0
 
     def test_one_wide_trial_reported_in_its_columns(self):
-        # One trial of 2^20 players is one chunk.  The peak, 32 MiB, is the
-        # per-player int64 sums and wins, as it was with whole-run arrays.
+        # One trial of 2^20 players is one chunk.  The peak, 24 MiB, is the
+        # per-player int64 sums, halved in place into the wins, and the list
+        # and tuple of the wins as Python ints.
         s = np.ones((1, experiment.MAX_PLAYERS), dtype=np.int8)
         s[0, 5] = -1
         block = TrialBlock(s, np.ones(1, dtype=bool))
@@ -801,7 +802,7 @@ class TestRunExperiment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 33 * 2**20
+        assert peak < 25 * 2**20
         assert win.threshold_hist == ((6, 1),) and win.wins.count(0) == 1
         # S_16 = 14 falls short of epsilon 16 alone.
         assert [p.exceed for p in report.points] == [1, 1, 0, 1, 1, 1, 1, 1, 1]
@@ -822,6 +823,35 @@ class TestRunExperiment:
         for depth in (experiment.MAX_OVERRIDE_DEPTH + 1, -1):
             with pytest.raises(ValueError, match=bound):
                 config(depth)
+
+    @pytest.mark.parametrize("field, value", [
+        ("players", 2.0),
+        ("players", True),
+        ("trials", 2.5),
+        ("trials", "3"),
+        ("master_seed", 1.5),
+        ("master_seed", False),
+        ("override_depth", 1.0),
+        ("azuma_n", (1.0,)),
+        ("azuma_n", (2, True)),
+    ])
+    def test_config_rejects_a_non_integer(self, field, value):
+        # Refused when built: a run would fail late, with a TypeError from
+        # numpy or from the seed hash.
+        settings = {"players": 4, "trials": 2, "master_seed": 0, field: value}
+        name = "azuma_n entry" if field == "azuma_n" else field
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            ExperimentConfig(strategy=build_strategy({"name": "constant"}), **settings)
+
+    def test_config_takes_numpy_integers(self):
+        cfg = ExperimentConfig(
+            strategy=build_strategy({"name": "constant"}),
+            players=np.int64(4),
+            trials=np.int32(2),
+            master_seed=np.uint64(7),
+            azuma_n=(np.int8(2),),
+        )
+        assert cfg.players == 4 and cfg.azuma_n == (2,)
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
     def test_config_rejects_bad_epsilon(self, eps):
