@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,6 +44,13 @@ _MAX_DIMS = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 BEHAVIOR_KEYS = frozenset({"parties", "inputs", "outputs", "table"})
 ENTRY_KEYS = frozenset({"x", "a", "p"})
 
+# The decimal exponent that ends a string probability, as Fraction reads it:
+# "e" or "E", then a signed integer that may hold underscores.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+# Python's default limit on the digits of an int read from a string; the
+# exponent bound where that limit is lifted, or absent (before 3.10.7).
+_DEFAULT_INT_DIGITS = 4300
+
 
 class BudgetExceededError(ValueError):
     """Enumeration would exceed the allowed budget.
@@ -64,6 +73,13 @@ def _parse_prob(value) -> Fraction | float:
         raise ValueError(f"probability must be numeric, got {value!r}")
     if isinstance(value, float):
         return value
+    if isinstance(value, str):
+        # Fraction builds 10^|e| for an exponent e, so |e| is held to the
+        # digits a JSON integer may have.
+        exponent = _EXPONENT.search(value)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_INT_DIGITS
+        if exponent and abs(int(exponent[1])) > limit:
+            raise ValueError(f"probability exponent must lie within ±{limit}")
     if isinstance(value, (int, Fraction, str)):
         return Fraction(value)
     raise ValueError(f"cannot parse probability {value!r}")

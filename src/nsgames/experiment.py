@@ -853,8 +853,9 @@ def _sample_seed(seed: int, index: int) -> int:
 
 
 # Roots hashed per block of the invariance histogram, so that its arrays
-# stay at a few hundred KiB however many samples are drawn.
-INVARIANCE_BLOCK = 1 << 16
+# stay bounded however many samples are drawn: four buffers of 2^15 uint64
+# words, 1 MiB in all, which fits in a 2 MiB L2 cache.
+INVARIANCE_BLOCK = 1 << 15
 # Most bins invariance_test accepts.  The counts and the bit-reversal
 # table take 8 bytes a bin each, 128 MiB apiece at this bound, and a run
 # draws at least 100 samples a bin.
@@ -870,12 +871,16 @@ def _invariance_counts(
     reference walks the public stream API and is cross-checked in tests).
     The image bits are root bits iterations+1 .. iterations+width, read from
     the one or two hash words that hold them, INVARIANCE_BLOCK roots at a
-    time.  Each block is hashed in three buffers allocated once: root i is
+    time.  Each block is hashed in four buffers of INVARIANCE_BLOCK words
+    allocated once (steps, roots, windows and scratch): root i is
     ``mix64(base + (i+1)·GOLDEN)``, and its word 2q is ``mix64(root +
     (2q+1)·GOLDEN)``, so the offsets are summed as Python ints and wrapped
     once, however large `iterations` is.  The windows are counted least
     significant bit first, with ``np.add.at`` so that a block costs the same
-    at any bin count, and the bit reversal is applied once to the counts.
+    at any bin count.  Both remaps of a window depend on its value alone, so
+    they act once on the counts, not on each sample: the adversarial copy of
+    the window's bit 0 onto its bit 1 moves each bin's count onto the bin
+    with both bits equal, and the bit reversal reorders the bins.
     """
     base = child_seed(seed, DOMAIN_INVARIANCE)
     q, r = divmod(iterations, 64)
@@ -901,13 +906,14 @@ def _invariance_counts(
             root <<= np.uint64(64 - r)
             window |= root
         window &= mask
-        if sampler == ADVERSARIAL:
-            # The root's bit iterations+1 is copied onto bit iterations+2.
-            np.bitwise_and(window, np.uint64(1), out=tmp)
-            tmp <<= np.uint64(1)
-            window &= ~np.uint64(2)
-            window |= tmp
         np.add.at(counts, window.view(np.int64), 1)
+    if sampler == ADVERSARIAL:
+        # The root's bit iterations+1 is copied onto bit iterations+2: bins
+        # [hi, b1, b0] move to [hi, b0, b0].
+        cells = counts.reshape(-1, 2, 2)
+        cells[:, 0, 0] += cells[:, 1, 0]
+        cells[:, 1, 1] += cells[:, 0, 1]
+        cells[:, 1, 0] = cells[:, 0, 1] = 0
     return counts[_bit_reversal_table(width)]
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from nsgames.behavior import (
     signaling_box,
     uniform_noise_box,
 )
-from nsgames.behavior import _equivalence_reference, _no_signaling_reference
+from nsgames.behavior import _equivalence_reference, _no_signaling_reference, _parse_prob
 
 
 def ref_single_party_marginals(behavior):
@@ -86,6 +87,24 @@ class TestBehaviorTable:
                 {"parties": 1, "inputs": [2], "outputs": [2],
                  "table": [{"x": [0], "a": [0], "p": "one"}]}
             )
+
+    @pytest.mark.parametrize("lift", [False, True])
+    def test_string_exponents_bounded(self, lift):
+        # Fraction would build 10^|e|; exponents past the int-string digit
+        # limit are refused first, and a lifted limit falls back to Python's
+        # default.
+        limit = sys.get_int_max_str_digits()
+        try:
+            if lift:
+                sys.set_int_max_str_digits(0)
+            bound = sys.get_int_max_str_digits() or behavior_module._DEFAULT_INT_DIGITS
+            for text in (f"1e{bound}", f"1E-{bound}", f"0.5e+{bound} ", "25e-2"):
+                assert _parse_prob(text) == Fraction(text)
+            for text in (f"1e{bound + 1}", f"1E-{bound + 1}", "1e1_0000000", "1e-10000000"):
+                with pytest.raises(ValueError, match=f"exponent must lie within ±{bound}"):
+                    _parse_prob(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize("change, where, message", [
         ({"parties": 2.9}, None, "parties must be an integer"),

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -636,6 +637,22 @@ class TestVerifyBehavior:
         assert code == 1
         assert "input error" in err
 
+    @pytest.mark.parametrize("p", ["1e10000000", "1e-10000000"])
+    def test_huge_exponent_exit_one_at_once(self, tmp_path, capsys, p):
+        # Fraction alone would build 10^(10^7) here, for about 10 s.
+        doc = {
+            "parties": 1, "inputs": [1], "outputs": [2],
+            "table": [{"x": [0], "a": [0], "p": p}, {"x": [0], "a": [1], "p": "1/2"}],
+        }
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify-behavior", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert err.startswith("input error: table entry 0: probability exponent must lie")
+
     def test_strict_flag(self, tmp_path, capsys):
         path = write_box(tmp_path, pr_box())
         code, _, _ = run(capsys, "verify-behavior", path, "--strict")
@@ -903,6 +920,78 @@ class TestInvarianceCommand:
         assert code == 0
         assert err == ""
         assert "iterations=100000000000000000000000" in out
+
+
+# Edge values for invariance-test's flags: negative, zero, not a power of
+# two, one bin past the bound, past 64 bits, and not integers at all.
+EDGE_ARGS = ["-1", "0", "3", str(2**24 + 1), str(2**64), str(10**30), "nan", "1e3", ""]
+# Each flag's in-range values, then its edge values.  A valid --samples
+# stays at 2·10^4 or below, so that every run is quick; an --out is a path
+# under the example's own directory, or "" for none.
+INVARIANCE_ARGS = {
+    "--samples": (["1600", "20000"], ["-1", "0", "3", "99", "nan", "1e3", ""]),
+    "--bins": (["2", "4", "16", "128"], [*EDGE_ARGS, str(2**24)]),
+    "--seed": (["0", "7"], EDGE_ARGS),
+    "--iterations": (["1", "61", "64"], EDGE_ARGS),
+    "--sampler": (["uniform", "adversarial"], ["Uniform", "nan", ""]),
+    "--alpha": (["0.5", "1e-3", "1e-320"], [*EDGE_ARGS, "inf", "-inf"]),
+    "--out": (["", "inv.json"], [".", "missing/inv.json"]),
+}
+
+
+@st.composite
+def invariance_options(draw):
+    """invariance-test options by flag: --samples always, each other flag
+    at times, with an in-range value but for at most two edge ones."""
+    edged = draw(st.sets(st.sampled_from(sorted(INVARIANCE_ARGS)), max_size=2))
+    options = {}
+    for flag, (in_range, edge) in INVARIANCE_ARGS.items():
+        if flag == "--samples" or flag in edged or draw(st.booleans()):
+            options[flag] = draw(st.sampled_from(edge if flag in edged else in_range))
+    return options
+
+
+class TestInvarianceArguments:
+    """Every invariance-test command line ends in a documented exit code: 0,
+    1 with a last stderr line that names the error, or 3."""
+
+    @staticmethod
+    def check(options):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = []
+            for flag, value in options.items():
+                if flag == "--out" and value:
+                    value = str(Path(tmp) / value)
+                argv += [flag, value]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(["invariance-test", *argv])
+                except SystemExit as exc:
+                    code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 3), (code, err)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.splitlines()[-1].startswith((
+                "config error: ", "output error: ", "nsgames invariance-test: error: ",
+            )), err
+        else:
+            assert err == ""
+
+    @settings(max_examples=60, deadline=None)
+    @given(invariance_options())
+    @example({"--samples": "20000", "--bins": "4", "--sampler": "adversarial",
+              "--iterations": str(2**64), "--seed": "-1", "--alpha": "1e-320"})
+    @example({"--samples": "20000", "--bins": str(10**30), "--out": "."})
+    def test_any_arguments_exit_cleanly(self, options):
+        self.check(options)
+
+    @pytest.mark.slow
+    @settings(max_examples=500, deadline=None)
+    @given(invariance_options())
+    def test_many_arguments_exit_cleanly(self, options):
+        self.check(options)
 
 
 class TestEnumerateFns:

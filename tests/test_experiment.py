@@ -465,6 +465,10 @@ class TestMartingaleAudit:
         assert (len(report.bins), sum(not b.ok for b in report.bins)) == (116, 1)
 
 
+# Histogram widths the fast invariance path is checked at.
+INVARIANCE_WIDTHS = (2, 4, 8)
+
+
 class TestInvariance:
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, 2.0, 1.0, 0.0, -1.0])
     def test_alpha_validated(self, alpha):
@@ -474,9 +478,12 @@ class TestInvariance:
     @pytest.mark.parametrize("iterations", [1, 3, 60, 61, 64, 127, 200])
     @pytest.mark.parametrize("sampler", [UNIFORM, ADVERSARIAL])
     def test_fast_path_matches_reference(self, iterations, sampler):
-        fast = _invariance_counts(512, 4, 77, iterations, sampler)
-        slow = _invariance_counts_reference(512, 4, 77, iterations, sampler)
-        assert np.array_equal(fast, slow)
+        # Width 2 is the narrowest adversarial histogram; at width 8,
+        # iterations 60, 61 and 127 read the window across two hash words.
+        for width in INVARIANCE_WIDTHS:
+            fast = _invariance_counts(512, width, 77, iterations, sampler)
+            slow = _invariance_counts_reference(512, width, 77, iterations, sampler)
+            assert np.array_equal(fast, slow), width
 
     @pytest.mark.parametrize(
         "sampler, samples",
@@ -491,9 +498,10 @@ class TestInvariance:
     )
     def test_blocks_sum_to_the_reference(self, monkeypatch, sampler, samples):
         monkeypatch.setattr(experiment, "INVARIANCE_BLOCK", 100)
-        fast = experiment._invariance_counts(samples, 4, 77, 61, sampler)
-        slow = _invariance_counts_reference(samples, 4, 77, 61, sampler)
-        assert np.array_equal(fast, slow)
+        for width in INVARIANCE_WIDTHS:
+            fast = experiment._invariance_counts(samples, width, 77, 61, sampler)
+            slow = _invariance_counts_reference(samples, width, 77, 61, sampler)
+            assert np.array_equal(fast, slow), width
 
     @pytest.mark.parametrize("offset", [5, 62])
     def test_iterations_beyond_64_bits(self, offset):
