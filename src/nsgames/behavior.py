@@ -85,6 +85,14 @@ def _parse_prob(value) -> Fraction | float:
     raise ValueError(f"cannot parse probability {value!r}")
 
 
+def _spelled(p: Fraction | float) -> str:
+    """A probability's text, or its decimal magnitude past 29 digits."""
+    if isinstance(p, float) or max(abs(p.numerator), p.denominator) < 10**29:
+        return str(p)
+    size = math.log10(abs(p.numerator)) - math.log10(p.denominator)
+    return f"about {'-' if p < 0 else ''}10^{size:.1f}"
+
+
 def _check_keys(doc, keys: frozenset, what: str) -> None:
     """Raise unless doc is a JSON object with exactly these keys."""
     if not isinstance(doc, Mapping):
@@ -129,7 +137,7 @@ class Behavior:
             if not all(0 <= ai < ni for ai, ni in zip(a, self.outputs)):
                 raise ValueError(f"output vector {a} out of alphabet range")
             if not 0 <= p <= 1:
-                raise ValueError(f"P{(x, a)} = {p} outside [0, 1]")
+                raise ValueError(f"P{(x, a)} = {_spelled(p)} outside [0, 1]")
 
     @property
     def exact(self) -> bool:

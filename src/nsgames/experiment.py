@@ -6,18 +6,17 @@ reports at every chunk size.  Aggregation works on integer counts first
 and converts to floats once, in a fixed order.
 
 Trials run in the calling process, in contiguous chunks taken in trial
-order, and each chunk returns its trials as a columnar ``TrialBlock``: the
-successes and the validity flags, the only parts of a trial its seeds do
-not determine.  A chunk of a strategy with a batch kernel is one array
-computation over the players' views and the chunk's seeds, scored against
-root bits the kernel is never handed; any other chunk plays each trial
-through ``run_trial``, the scalar reference, and packs the records'
-successes and flags into the same block; each chunk is copied into one
-block allocated for the run.  The reports are computed from that block,
-and the trial log from it and the roots regenerated from the seeds; the
-record-based builders (``win_rate_report``, ``azuma_report``,
+order, and each chunk returns its trials as two columns: the successes and
+the validity flags, the only parts of a trial its seeds do not determine.
+A chunk of a strategy with a batch kernel is one array computation over
+the players' views and the chunk's seeds, scored against root bits the
+kernel is never handed; any other chunk plays each trial on those seeds
+through ``run_trial``, the scalar reference.  Each chunk is copied into
+the two columns allocated for the run.  The reports are computed from
+them, and the trial log from them and the roots regenerated from the
+seeds; the record-based builders (``win_rate_report``, ``azuma_report``,
 ``TrialRecord.to_json_line``) stay as their reference.  Every pass reads
-the block in the run's chunks: the win and Azuma reports in one walk that
+the columns in the run's chunks: the win and Azuma reports in one walk that
 keeps only integer totals, the martingale audit in another, and the log
 is built a chunk at a time, so that a writer can stream it to a file:
 each slice is one byte matrix, a row per trial, gathered from small
@@ -100,6 +99,8 @@ class ExperimentConfig:
             _require_int("azuma_n entry", n)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.master_seed <= MASK64:
+            raise ValueError(f"seed must be in 0..{MASK64}, got {self.master_seed}")
         if not 1 <= self.players <= MAX_PLAYERS:
             raise ValueError(f"players must be in 1..{MAX_PLAYERS}, got {self.players}")
         if not 0 <= self.override_depth <= MAX_OVERRIDE_DEPTH:
@@ -133,7 +134,7 @@ class ExperimentConfig:
 def trial_root(master_seed: int, index: int, override_depth: int = 0) -> BitStream:
     """The root for trial `index`: a fresh generator stream, with the first
     `override_depth` bits flipped so the root provably disagrees with its
-    pristine class representative exactly there."""
+    pristine class representative exactly there.  ``_roots`` is tested against it."""
     seed = derive(master_seed, DOMAIN_ROOT, index)
     base = BitStream.generator(seed)
     if override_depth == 0:
@@ -142,20 +143,8 @@ def trial_root(master_seed: int, index: int, override_depth: int = 0) -> BitStre
     return BitStream.generator(seed, overrides=flips)
 
 
-def _run_one(cfg: ExperimentConfig, index: int) -> TrialRecord:
-    spec = GameSpec(
-        players=cfg.players,
-        root=trial_root(cfg.master_seed, index, cfg.override_depth),
-        strategy=cfg.strategy,
-        trial_seed=derive(cfg.master_seed, DOMAIN_TRIAL, index),
-        enforce_contracts=cfg.enforce_contracts,
-        enable_backdoor=cfg.enable_backdoor,
-    )
-    return run_trial(spec)
-
-
 # Most cells (trials x max(players, override depth)) one chunk holds; every
-# pass over a run's block walks these chunks (see ``_chunks``).
+# pass over a run's columns walks these chunks (see ``_chunks``).
 CHUNK_CELLS = 1 << 16
 # Most players and deepest root override a run accepts.  Whatever the
 # chunk size, a run plays its trials at least one at a time, and a trial's
@@ -188,41 +177,36 @@ def _roots(cfg: ExperimentConfig, start: int, stop: int) -> tuple[np.ndarray, np
     return seeds, bits
 
 
-@dataclass(frozen=True, eq=False)
-class TrialBlock:
-    """Consecutive trials of a run as columns, one row per trial.
+def _run_chunk(cfg: ExperimentConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trials start..stop-1, in order, as ``s`` and ``valid`` columns.
 
-    The block keeps only what the seeds do not determine.  Everything else
-    is regenerated from the config by ``_roots``: a root's overrides are its
-    bits 1..override_depth, and each output is its player's root bit,
-    flipped where ``s`` is -1, since that is how ``run_trial`` scores it.
-    The trajectories and thresholds follow from ``s`` and ``valid``.
-    """
-
-    s: np.ndarray  # int8[trials, players]
-    valid: np.ndarray  # bool[trials]
-
-
-def _run_chunk(cfg: ExperimentConfig, start: int, stop: int) -> TrialBlock:
-    """Trials start..stop-1, in order.
-
-    Uses the strategy's batch kernel when it has one, and ``run_trial``
-    for each trial otherwise.  The kernel gets only the players' read-only
-    views (see ``Strategy.guess_batch``), not the root bits scored here.
+    Uses the strategy's batch kernel when it has one, and ``run_trial`` on
+    the chunk's roots and shared seeds otherwise.  The kernel gets only the
+    players' read-only views (see ``Strategy.guess_batch``), not the root
+    bits scored here.
     """
     m = cfg.strategy.view_bits
     root_seeds, bits = _roots(cfg, start, stop)
     views = sliding_window_view(bits[:, 1:], m, axis=1)[:, : cfg.players]
     trial_seeds = child_seed_np(child_seed(cfg.master_seed, DOMAIN_TRIAL), np.arange(start, stop))
     outputs = cfg.strategy.guess_batch(views, trial_seeds, root_seeds)
-    if outputs is None:
-        records = [_run_one(cfg, t) for t in range(start, stop)]
-        s = np.array([r.s for r in records], dtype=np.int8)
-        valid = np.array([r.valid for r in records], dtype=bool)
-    else:
+    if outputs is not None:
         s = np.where(outputs == bits[:, : cfg.players], 1, -1).astype(np.int8)
-        valid = np.ones(stop - start, dtype=bool)
-    return TrialBlock(s, valid)
+        return s, np.ones(stop - start, dtype=bool)
+    flips = bits[:, : cfg.override_depth].tolist()
+    records = [
+        run_trial(GameSpec(
+            players=cfg.players,
+            root=BitStream(seed, overrides=tuple(enumerate(row, 1))),
+            strategy=cfg.strategy,
+            trial_seed=trial_seed,
+            enforce_contracts=cfg.enforce_contracts,
+            enable_backdoor=cfg.enable_backdoor,
+        ))
+        for seed, row, trial_seed in zip(root_seeds.tolist(), flips, trial_seeds.tolist())
+    ]
+    s = np.array([r.s for r in records], dtype=np.int8)
+    return s, np.array([r.valid for r in records], dtype=bool)
 
 
 def _row(report) -> dict:
@@ -370,11 +354,18 @@ class AzumaReport:
         return _csv(AzumaPoint, (_line(vars(p).values()) for p in self.points))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == must never compare the arrays
 class ExperimentResult:
-    """A run's config and its trials as one block, in trial order.
+    """A run's config and its trials as two columns, one row per trial in
+    trial order: ``s``, int8[trials, players], and ``valid``, bool[trials].
 
-    The win and Azuma reports are computed in one walk of the block when
+    The columns keep only what the seeds do not determine.  Everything else
+    is regenerated from the config by ``_roots``: a root's overrides are its
+    bits 1..override_depth, and each output is its player's root bit,
+    flipped where ``s`` is -1, since that is how ``run_trial`` scores it.
+    The trajectories and thresholds follow from ``s`` and ``valid``.
+
+    The win and Azuma reports are computed in one walk of the columns when
     either is first read, the martingale audit when it is read, and the
     trial log on each call, with the roots and outputs regenerated from the
     config's seeds.  ``records`` rebuilds the per-trial records, as
@@ -382,11 +373,12 @@ class ExperimentResult:
     """
 
     config: ExperimentConfig
-    block: TrialBlock
+    s: np.ndarray
+    valid: np.ndarray
 
     @cached_property
     def _reports(self) -> tuple[WinRateReport, AzumaReport]:
-        return _block_reports(self.config, self.block)
+        return _block_reports(self.config, self.s, self.valid)
 
     @property
     def win(self) -> WinRateReport:
@@ -398,20 +390,20 @@ class ExperimentResult:
 
     @cached_property
     def martingale(self) -> MartingaleReport:
-        cfg, b = self.config, self.block
-        if not b.valid.all():
+        cfg = self.config
+        if not self.valid.all():
             raise ValueError(_INVALID_AUDIT)
-        return _martingale((b.s[i:j] for i, j in _chunks(cfg)), cfg.trials, cfg.players)
+        return _martingale((self.s[i:j] for i, j in _chunks(cfg)), cfg.trials, cfg.players)
 
     @cached_property
     def records(self) -> tuple[TrialRecord, ...]:
-        cfg, b, records = self.config, self.block, []
+        cfg, records = self.config, []
         for start, stop in _chunks(cfg):
             seeds, bits = _roots(cfg, start, stop)
-            s = b.s[start:stop]
+            s = self.s[start:stop]
             columns = (
                 seeds, bits[:, : cfg.override_depth], bits[:, : cfg.players] ^ (s < 0), s,
-                np.cumsum(s, axis=1, dtype=np.int64), last_losing_index(s), b.valid[start:stop],
+                np.cumsum(s, axis=1, dtype=np.int64), last_losing_index(s), self.valid[start:stop],
             )
             # Positional, in field order (see TrialRecord.from_json).
             records += [
@@ -449,7 +441,7 @@ class ExperimentResult:
     def trial_log_slices(self) -> Iterator[str]:
         """The trial log in consecutive pieces, each built as it is asked
         for, so that a writer holds one slice of it at a time."""
-        return _block_log(self.config, self.block)
+        return _block_log(self.config, self.s, self.valid)
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z) -> tuple[float, float]:
@@ -564,29 +556,30 @@ def azuma_report(
 
 
 def _block_reports(
-    cfg: ExperimentConfig, block: TrialBlock
+    cfg: ExperimentConfig, s: np.ndarray, valid: np.ndarray
 ) -> tuple[WinRateReport, AzumaReport]:
-    """``win_rate_report`` and ``azuma_report`` of a run's block, from
-    integer totals taken in one walk of its chunks (see ``_chunks``): each
-    player's sum of steps, the threshold histogram and, for each (n, eps) of
-    the Azuma grid, the scored trials with S_n >= eps.  Every step is 1 or
-    -1, so a player's wins are half of the scored trials plus its sum.
+    """``win_rate_report`` and ``azuma_report`` of a run's ``s`` and
+    ``valid`` columns, from integer totals taken in one walk of their chunks
+    (see ``_chunks``): each player's sum of steps, the threshold histogram
+    and, for each (n, eps) of the Azuma grid, the scored trials with S_n >=
+    eps.  Every step is 1 or -1, so a player's wins are half of the scored
+    trials plus its sum.
     """
     players, scored, raw_wins = cfg.players, 0, 0
     sums = np.zeros(players, dtype=np.int64)
     hist = Counter()
     exceed = [[0] * len(cfg.azuma_eps) for _ in cfg.azuma_n]
     for start, stop in _chunks(cfg):
-        s, valid = block.s[start:stop], block.valid[start:stop]
-        if not valid.all():
-            raw_wins += int((s[~valid] > 0).sum())
-            s = s[valid]
-        scored += len(s)
-        sums += s.sum(axis=0, dtype=np.int64)
-        thresholds, counts = np.unique(last_losing_index(s), return_counts=True)
+        rows, ok = s[start:stop], valid[start:stop]
+        if not ok.all():
+            raw_wins += int((rows[~ok] > 0).sum())
+            rows = rows[ok]
+        scored += len(rows)
+        sums += rows.sum(axis=0, dtype=np.int64)
+        thresholds, counts = np.unique(last_losing_index(rows), return_counts=True)
         hist.update(dict(zip(thresholds.tolist(), counts.tolist())))
         for row, n in zip(exceed, cfg.azuma_n):
-            s_n = s[:, :n].sum(axis=1, dtype=np.int64)
+            s_n = rows[:, :n].sum(axis=1, dtype=np.int64)
             for i, eps in enumerate(cfg.azuma_eps):
                 row[i] += int(np.count_nonzero(s_n >= eps))
     invalid = cfg.trials - scored
@@ -646,12 +639,13 @@ _ROOT_GLUE = np.array([b'],"root":{"kind":"' + GENERATOR.encode() + b'","overrid
 _SEED_GLUE = np.array([b'},"seed":'])
 
 
-def _block_log(cfg: ExperimentConfig, block: TrialBlock) -> Iterator[str]:
-    """The trial log of a run's block, one slice a chunk (see ``_chunks``):
-    each trial's ``TrialRecord.to_json_line`` and a newline.
+def _block_log(cfg: ExperimentConfig, s: np.ndarray, valid: np.ndarray) -> Iterator[str]:
+    """The trial log of a run's ``s`` and ``valid`` columns, one slice a
+    chunk (see ``_chunks``): each trial's ``TrialRecord.to_json_line`` and a
+    newline.
 
     Each slice's roots and outputs are regenerated from the seeds (see
-    ``TrialBlock``).  Its text is one uint8 matrix with a row per trial,
+    ``ExperimentResult``).  Its text is one uint8 matrix with a row per trial,
     made of fixed-width sections in line order: the partial sums, the
     outputs, the root glue, the override pairs, the seed glue, the seed,
     the steps, and the threshold and validity.  Each section is gathered
@@ -670,15 +664,15 @@ def _block_log(cfg: ExperimentConfig, block: TrialBlock) -> Iterator[str]:
     pair_base = 2 * np.arange(depth)
     for start, stop in _chunks(cfg):
         seeds, bits = _roots(cfg, start, stop)
-        s = block.s[start:stop]
-        steps = np.add(s, 1, dtype=np.intp)
-        outputs = np.bitwise_xor(bits[:, :players], s < 0, dtype=np.intp)
-        S = np.cumsum(s, axis=1, dtype=np.intp)
+        rows = s[start:stop]
+        steps = np.add(rows, 1, dtype=np.intp)
+        outputs = np.bitwise_xor(bits[:, :players], rows < 0, dtype=np.intp)
+        S = np.cumsum(rows, axis=1, dtype=np.intp)
         lo = int(S.min())
         sums = _decimal_cells(np.arange(lo, int(S.max()) + 1), b",")
         S -= lo
         # A threshold of -1 stands for a quarantined trial's null.
-        thresholds = np.where(block.valid[start:stop], last_losing_index(s), -1)
+        thresholds = np.where(valid[start:stop], last_losing_index(rows), -1)
         tails, tail = np.unique(thresholds, return_inverse=True)
         glue = np.zeros((stop - start, 1), dtype=np.intp)
         sections = [
@@ -714,21 +708,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full trial ensemble in the calling process.
 
     The trials run in the chunks of ``_chunks``, one after another in trial
-    order.  Each chunk's block is copied into the run's block, allocated
-    once, as the chunk finishes, and every derived quantity is a pure
-    function of the run's block, which is what makes reports and trial logs
+    order.  Each chunk's columns are copied into the run's, allocated once,
+    as the chunk finishes, and every derived quantity is a pure function of
+    the run's columns, which is what makes reports and trial logs
     byte-identical across chunk sizes.
     """
     try:
         s = np.empty((cfg.trials, cfg.players), dtype=np.int8)
     except ValueError as exc:  # a size past numpy's index type
         raise MemoryError(f"{cfg.trials} x {cfg.players} cells: {exc}") from None
-    block = TrialBlock(s, np.empty(cfg.trials, dtype=bool))
+    valid = np.empty(cfg.trials, dtype=bool)
     for start, stop in _chunks(cfg):
-        chunk = _run_chunk(cfg, start, stop)
-        block.s[start:stop] = chunk.s
-        block.valid[start:stop] = chunk.valid
-    return ExperimentResult(cfg, block)
+        s[start:stop], valid[start:stop] = _run_chunk(cfg, start, stop)
+    return ExperimentResult(cfg, s, valid)
 
 
 @dataclass(frozen=True)
@@ -839,15 +831,6 @@ class InvarianceReport:
         return {**_row(self), "passed": self.passed}
 
 
-def _bit_reversal_table(width: int) -> np.ndarray:
-    """rev[v] is v with its `width` low bits in reverse order."""
-    values = np.arange(1 << width, dtype=np.int64)
-    rev = np.zeros_like(values)
-    for t in range(width):
-        rev |= ((values >> t) & 1) << (width - 1 - t)
-    return rev
-
-
 def _sample_seed(seed: int, index: int) -> int:
     return child_seed(child_seed(seed, DOMAIN_INVARIANCE), index)
 
@@ -856,9 +839,9 @@ def _sample_seed(seed: int, index: int) -> int:
 # stay bounded however many samples are drawn: four buffers of 2^15 uint64
 # words, 1 MiB in all, which fits in a 2 MiB L2 cache.
 INVARIANCE_BLOCK = 1 << 15
-# Most bins invariance_test accepts.  The counts and the bit-reversal
-# table take 8 bytes a bin each, 128 MiB apiece at this bound, and a run
-# draws at least 100 samples a bin.
+# Most bins invariance_test accepts.  The counts take 8 bytes a bin, 128 MiB
+# at this bound (twice that while their bins are reversed), and a run draws
+# at least 100 samples a bin.
 MAX_INVARIANCE_BINS = 1 << 24
 
 
@@ -914,7 +897,8 @@ def _invariance_counts(
         cells[:, 0, 0] += cells[:, 1, 0]
         cells[:, 1, 1] += cells[:, 0, 1]
         cells[:, 1, 0] = cells[:, 0, 1] = 0
-    return counts[_bit_reversal_table(width)]
+    # Reshaped, axis t is a bin's bit width-1-t; .T reverses the axes, so ravel reverses the bits.
+    return counts.reshape((2,) * width).T.ravel()
 
 
 def _invariance_counts_reference(
@@ -1042,6 +1026,8 @@ def invariance_test(
         raise ValueError(f"need at least {100 * bins} samples for {bins} bins")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be in 0..{MASK64}, got {seed}")
     if sampler not in (UNIFORM, ADVERSARIAL):
         raise ValueError(f"unknown sampler: {sampler!r}")
     width = bins.bit_length() - 1

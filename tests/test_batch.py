@@ -19,6 +19,7 @@ import nsgames.experiment as experiment
 import nsgames.strategies as strategies
 from nsgames.bitstream import BitStream
 from nsgames.experiment import ExperimentConfig, martingale_audit, run_experiment
+from nsgames.game import GameSpec, run_trial
 from nsgames.seeding import GOLDEN, MASK64, child_seed, child_seed_np, mix64, mix64_np
 from nsgames.strategies import (
     STRATEGY_PARAMS,
@@ -206,9 +207,9 @@ class TestBatchEqualsScalar:
         result = run_experiment(cfg)
         assert len(sizes) == len(chunks) == 512
         assert max(sizes) <= experiment.CHUNK_CELLS
-        # The block keeps s and valid alone: the 2048 override flips of
-        # each root are regenerated from its seed.
-        assert result.block.s.nbytes + result.block.valid.nbytes == 16384 * 5
+        # The run keeps s and valid alone: the 2048 override flips of each
+        # root are regenerated from its seed.
+        assert result.s.nbytes + result.valid.nbytes == 16384 * 5
         assert result.win.wins == (0, 0, 0, 0)
 
     @pytest.mark.parametrize("spec", [{"name": "fns"}, {"name": "local-table", "table": [1, 0]}])
@@ -270,10 +271,10 @@ class TestBatchEqualsScalar:
         )
         reference = scalar_reference(cfg)
 
-        def refuse(cfg, index):
-            raise AssertionError(f"trial {index} left the batch path")
+        def refuse(spec):
+            raise AssertionError("a trial left the batch path")
 
-        monkeypatch.setattr(experiment, "_run_one", refuse)
+        monkeypatch.setattr(experiment, "run_trial", refuse)
         assert_same_bytes(run_experiment(cfg), reference)
 
     def test_fns_kernel_ignores_root_bits(self):
@@ -345,8 +346,8 @@ class TestScalarOnly:
             master_seed=5,
             override_depth=2,
         )
-        experiment._run_one(cfg, 1)
         root = experiment.trial_root(cfg.master_seed, 1, cfg.override_depth)
+        run_trial(GameSpec(cfg.players, root, cfg.strategy))
         # Player k's padded view: the root's seed at shift 0, k zeros first.
         assert [(m.seed, m.shift, m.zero_prefix) for m in asked] == [
             (root.seed, 0, k) for k in range(1, 8)

@@ -135,6 +135,25 @@ class TestSimulate:
         assert err.startswith("config error: ") and str(10**20) in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    def test_seed_outside_64_bits_exit_one(self, tmp_path, capsys, seed):
+        # The seed hash reads a seed modulo 2^64, so -1 would write the log
+        # of 2^64 - 1, and 2^64 that of 0, under another master_seed.
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "simulate", "--strategy", "fns", "--players", "4", "--trials", "2",
+            "--seed", seed, "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"config error: seed must be in 0..{2**64 - 1}, got {seed}\n"
+        assert not out_dir.exists()
+        code, _, _ = run(
+            capsys, "simulate", "--strategy", "fns", "--players", "4", "--trials", "2",
+            "--seed", str(2**64 - 1), "--out-dir", str(out_dir),
+        )
+        assert code == 0
+
     def test_cheat_quarantined_exit_two(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "simulate", "--strategy", "cheat", "--allow-cheat",
@@ -201,8 +220,8 @@ class TestSimulate:
         slices = []
         block_log = experiment_module._block_log
 
-        def recording(cfg, block):
-            for text in block_log(cfg, block):
+        def recording(*args):
+            for text in block_log(*args):
                 slices.append(text)
                 yield text
 
@@ -476,7 +495,7 @@ IN_RANGE = {
     ]),
     "players": st.integers(1, 8),
     "trials": st.integers(1, 20),
-    "seed": st.integers(-(2**70), 2**70),
+    "seed": st.integers(0, 2**64 - 1),
     "root-override-depth": st.integers(0, 4),
     "parallelism": st.integers(1, 4),
     "azuma-n": st.lists(st.integers(1, 8), max_size=3),
@@ -652,6 +671,23 @@ class TestVerifyBehavior:
         assert code == 1
         assert out == ""
         assert err.startswith("input error: table entry 0: probability exponent must lie")
+
+    @pytest.mark.parametrize("p, size", [
+        ("1e4300", "10^4300.0"), ("1e999", "10^999.0"), ("-1e999", "-10^999.0"),
+    ])
+    def test_huge_probability_named_by_its_size(self, tmp_path, capsys, p, size):
+        # Its digits, 1000 to 4301 of them, are not written out: 10^4300 is
+        # past the int-to-str limit.
+        doc = {
+            "parties": 1, "inputs": [1], "outputs": [2],
+            "table": [{"x": [0], "a": [0], "p": p}, {"x": [0], "a": [1], "p": "1/2"}],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify-behavior", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"input error: P((0,), (0,)) = about {size} outside [0, 1]\n"
 
     def test_strict_flag(self, tmp_path, capsys):
         path = write_box(tmp_path, pr_box())
@@ -873,6 +909,17 @@ class TestInvarianceCommand:
         assert code == 1
         assert err.startswith("output error: ")
 
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    def test_seed_outside_64_bits_exit_one(self, capsys, seed):
+        # The report does not hold the seed, and the hash reads it modulo
+        # 2^64: 2^64 would report the p-value of seed 0.
+        code, out, err = run(
+            capsys, "invariance-test", "--samples", "20000", "--bins", "16", "--seed", seed,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"config error: seed must be in 0..{2**64 - 1}, got {seed}\n"
+
     def test_adversarial_rejected_exit_three(self, capsys):
         code, out, _ = run(
             capsys, "invariance-test", "--samples", "20000", "--bins", "16",
@@ -903,7 +950,6 @@ class TestInvarianceCommand:
             raise AssertionError("histogram allocated")
 
         monkeypatch.setattr(experiment_module, "_invariance_counts", refuse)
-        monkeypatch.setattr(experiment_module, "_bit_reversal_table", refuse)
         code, out, err = run(
             capsys, "invariance-test", "--bins", "1099511627776",
             "--samples", "109951162777600",
@@ -982,7 +1028,7 @@ class TestInvarianceArguments:
     @settings(max_examples=60, deadline=None)
     @given(invariance_options())
     @example({"--samples": "20000", "--bins": "4", "--sampler": "adversarial",
-              "--iterations": str(2**64), "--seed": "-1", "--alpha": "1e-320"})
+              "--iterations": str(2**64), "--seed": str(2**64 - 1), "--alpha": "1e-320"})
     @example({"--samples": "20000", "--bins": str(10**30), "--out": "."})
     def test_any_arguments_exit_cleanly(self, options):
         self.check(options)
@@ -1048,6 +1094,75 @@ class TestEnumerateFns:
         code, _, err = run(capsys, "enumerate-fns", "--inputs", inputs, "--outputs", outputs)
         assert code == 1
         assert "config error" in err
+
+
+# enumerate-fns's flags: each one's in-range values, then its edge values.
+# In-range alphabets are two parties of at most 4 input points and 3 outputs,
+# so that a run stays small at any budget.  The edge lists are empty, hold a
+# size below 1, past 64 bits or not an integer, or name 15000 parties: one
+# input each, whose total has 4516 digits, or two, past every budget.
+ENUMERATE_LISTS = (
+    ["2,2", "1,2", "3,1"],
+    ["", ",", "0", "-1", "0,2", "2,-1", str(2**64), str(10**30), "nan", "1e3",
+     ",".join(["1"] * 15000), ",".join(["2"] * 15000)],
+)
+ENUMERATE_ARGS = {
+    "--inputs": ENUMERATE_LISTS,
+    "--outputs": (["2,2", "3,2", "1,1"], ENUMERATE_LISTS[1]),
+    "--budget": (
+        ["100", "4000", "1000000"], ["-1", "0", str(2**64), str(10**30), "nan", "1e3", ""],
+    ),
+}
+
+
+@st.composite
+def enumerate_options(draw):
+    """enumerate-fns options by flag, each at times, with an in-range value
+    but for at most two edge ones."""
+    edged = draw(st.sets(st.sampled_from(sorted(ENUMERATE_ARGS)), max_size=2))
+    options = {}
+    for flag, (in_range, edge) in ENUMERATE_ARGS.items():
+        if flag in edged or draw(st.booleans()):
+            options[flag] = draw(st.sampled_from(edge if flag in edged else in_range))
+    return options
+
+
+class TestEnumerateArguments:
+    """Every enumerate-fns command line ends in a documented exit code: 0,
+    1 with a last stderr line that names the error, or 3."""
+
+    @staticmethod
+    def check(options):
+        argv = [arg for pair in options.items() for arg in pair]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["enumerate-fns", *argv])
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 3), (code, err)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.splitlines()[-1].startswith((
+                "budget error: ", "config error: ", "nsgames enumerate-fns: error: ",
+            )), err
+        else:
+            assert err == ""
+
+    @settings(max_examples=60, deadline=None)
+    @given(enumerate_options())
+    @example({"--inputs": ",".join(["1"] * 15000), "--outputs": ",".join(["2"] * 15000),
+              "--budget": str(10**30)})
+    @example({"--inputs": "3,1", "--outputs": "3,2", "--budget": str(2**64)})
+    def test_any_arguments_exit_cleanly(self, options):
+        self.check(options)
+
+    @pytest.mark.slow
+    @settings(max_examples=500, deadline=None)
+    @given(enumerate_options())
+    def test_many_arguments_exit_cleanly(self, options):
+        self.check(options)
 
 
 class TestParser:

@@ -23,7 +23,6 @@ from nsgames.experiment import (
     ExperimentConfig,
     ExperimentResult,
     MartingaleBin,
-    TrialBlock,
     azuma_bound,
     azuma_report,
     invariance_test,
@@ -61,9 +60,9 @@ class GuessOnly(Strategy):
         return ctx.view.bit_at(1)
 
 
-def config_of(block: TrialBlock) -> ExperimentConfig:
-    """A run's config of the block's shape, for the reports read from it."""
-    trials, players = block.s.shape
+def config_of(s: np.ndarray) -> ExperimentConfig:
+    """A run's config of the steps' shape, for the reports read from them."""
+    trials, players = s.shape
     return ExperimentConfig(
         strategy=build_strategy({"name": "constant"}),
         players=players,
@@ -235,7 +234,6 @@ def win_columns(draw):
     s = np.where(np.arange(rows)[:, None] < np.array(wins), 1, -1).astype(np.int8)
     s[scored:] = draw(st.sampled_from([1, -1]))
     order = np.array(draw(st.permutations(range(rows))), dtype=np.intp)
-    block = TrialBlock(s[order], order < scored)
     grid_n = draw(st.lists(st.integers(1, len(wins)), min_size=1, max_size=3))
     S = np.cumsum(s[:scored], axis=1)
     reached = sorted({v for n in grid_n for v in S[:, n - 1].tolist() if v > 0})
@@ -247,7 +245,8 @@ def win_columns(draw):
         master_seed=0, azuma_n=tuple(grid_n),
         azuma_eps=tuple(draw(st.lists(eps, min_size=1, max_size=4))),
     )
-    return wins, scored, draw(st.integers(1, 120)), ExperimentResult(cfg, block)
+    result = ExperimentResult(cfg, s[order], order < scored)
+    return wins, scored, draw(st.integers(1, 120)), result
 
 
 class TestRenderJson:
@@ -412,7 +411,7 @@ class TestMartingaleAudit:
         )
         result = run_experiment(cfg)
         report = result.martingale
-        assert report.bins == tally_bins(result.block.s)
+        assert report.bins == tally_bins(result.s)
         assert (report.bins_tested, report.passed) == (bins, passed)
         assert report.increments_ok and report.trials == trials
 
@@ -420,8 +419,7 @@ class TestMartingaleAudit:
         # The partial sums are counted a chunk at a time, two bytes a step:
         # the whole block's int64 cumsum and float64 weights are never built.
         s = np.random.default_rng(2).choice(np.array([-1, 1], dtype=np.int8), (4096, 256))
-        block = TrialBlock(s, np.ones(len(s), dtype=bool))
-        result = ExperimentResult(config_of(block), block)
+        result = ExperimentResult(config_of(s), s, np.ones(len(s), dtype=bool))
         tracemalloc.start()
         try:
             report = result.martingale
@@ -454,7 +452,7 @@ class TestMartingaleAudit:
         counts = np.zeros(2 * 256 - 1, dtype=np.int64)
         sums = np.zeros(2 * 256 - 1)
         for start in range(0, cfg.trials, 1000):
-            s = result.block.s[start : start + 1000]
+            s = result.s[start : start + 1000]
             before = np.cumsum(s, axis=1, dtype=np.int64)[:, :-1].ravel() + 255
             counts += np.bincount(before, minlength=len(counts))
             sums += np.bincount(before, s[:, 1:].ravel().astype(np.float64), len(sums))
@@ -480,10 +478,27 @@ class TestInvariance:
     def test_fast_path_matches_reference(self, iterations, sampler):
         # Width 2 is the narrowest adversarial histogram; at width 8,
         # iterations 60, 61 and 127 read the window across two hash words.
-        for width in INVARIANCE_WIDTHS:
+        # Width 1 (uniform only) and 16 check the bit reversal's transpose
+        # at one axis and at many.
+        widths = ((1,) if sampler == UNIFORM else ()) + INVARIANCE_WIDTHS + (16,)
+        for width in widths:
             fast = _invariance_counts(512, width, 77, iterations, sampler)
             slow = _invariance_counts_reference(512, width, 77, iterations, sampler)
             assert np.array_equal(fast, slow), width
+
+    @pytest.mark.parametrize("sampler", [UNIFORM, ADVERSARIAL])
+    def test_bins_reversed_in_one_copy(self, sampler):
+        # At width 20 the counts take 8 MiB.  Reversing the bins copies them
+        # once; a 2^width index table, and the arrays that build it, would
+        # take as much again apiece.
+        tracemalloc.start()
+        try:
+            counts = _invariance_counts(1000, 20, 5, 3, sampler)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * counts.nbytes + 2**20
+        assert counts.sum() == 1000
 
     @pytest.mark.parametrize(
         "sampler, samples",
@@ -516,12 +531,17 @@ class TestInvariance:
         fast = _invariance_counts(300, 4, 9, iterations, UNIFORM)
         assert np.array_equal(fast, expected)
 
+    def test_seed_in_64_bits(self):
+        assert invariance_test(samples=1600, bins=16, seed=2**64 - 1).samples == 1600
+        for seed in (2**64, -1):
+            with pytest.raises(ValueError, match=f"^seed must be in 0..{2**64 - 1}, got {seed}$"):
+                invariance_test(samples=1600, bins=16, seed=seed)
+
     def test_bins_bounded_before_allocation(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("histogram allocated")
 
         monkeypatch.setattr(experiment, "_invariance_counts", refuse)
-        monkeypatch.setattr(experiment, "_bit_reversal_table", refuse)
         bins = 2 * experiment.MAX_INVARIANCE_BINS
         with pytest.raises(ValueError, match=f"at most {experiment.MAX_INVARIANCE_BINS}"):
             invariance_test(samples=100 * bins, bins=bins, seed=0)
@@ -661,7 +681,7 @@ class TestRunExperiment:
         for _ in range(2):
             assert result.azuma == azuma_report(result.records, cfg.azuma_n, cfg.azuma_eps)
             assert result.win == win_rate_report(result.records, cfg.players)
-        assert calls == [(cfg, result.block)]
+        assert calls == [(cfg, result.s, result.valid)]
 
     @pytest.mark.parametrize("azuma_n", [(7,), (24, 3, 10)])
     @pytest.mark.parametrize("spec", [{"name": "local-random", "p": 0.5}, {"name": "cheat"}])
@@ -776,7 +796,7 @@ class TestRunExperiment:
             strategy=build_strategy({"name": "constant"}), players=players, trials=trials,
             master_seed=0, azuma_eps=(4.0, 8, 16.0),
         )
-        result = ExperimentResult(cfg, TrialBlock(s, valid))
+        result = ExperimentResult(cfg, s, valid)
         tracemalloc.start()
         try:
             win, report = result.win, result.azuma
@@ -802,8 +822,7 @@ class TestRunExperiment:
         # and tuple of the wins as Python ints.
         s = np.ones((1, experiment.MAX_PLAYERS), dtype=np.int8)
         s[0, 5] = -1
-        block = TrialBlock(s, np.ones(1, dtype=bool))
-        result = ExperimentResult(config_of(block), block)
+        result = ExperimentResult(config_of(s), s, np.ones(1, dtype=bool))
         tracemalloc.start()
         try:
             win, report = result.win, result.azuma
@@ -850,6 +869,18 @@ class TestRunExperiment:
         name = "azuma_n entry" if field == "azuma_n" else field
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             ExperimentConfig(strategy=build_strategy({"name": "constant"}), **settings)
+
+    def test_config_seed_in_64_bits(self):
+        def config(seed):
+            return ExperimentConfig(
+                strategy=build_strategy({"name": "constant"}), players=4, trials=2,
+                master_seed=seed,
+            )
+
+        assert config(2**64 - 1).master_seed == 2**64 - 1
+        for seed in (2**64, -1):
+            with pytest.raises(ValueError, match=f"^seed must be in 0..{2**64 - 1}, got {seed}$"):
+                config(seed)
 
     def test_config_takes_numpy_integers(self):
         cfg = ExperimentConfig(
