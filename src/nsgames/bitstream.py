@@ -169,6 +169,23 @@ def generator_bits(seeds: np.ndarray, width: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1, bitorder="little")[:, :width]
 
 
+def generator_json(seeds: np.ndarray, overrides: np.ndarray) -> list[dict]:
+    """``BitStream.generator(seed, overrides=...).to_json()`` of each seed,
+    with the override bits of its row of ``overrides``.
+
+    The batch twin of ``to_json``, as ``generator_bits`` is of ``bits``:
+    ``overrides`` is a [len(seeds), depth] array whose column i - 1 holds
+    the bit that index i is set to.  The documents hold the same keys, in
+    the same order, as ``to_json`` writes them, the override keys in index
+    order; the key strings are built once for all rows.
+    """
+    keys = [str(i) for i in range(1, overrides.shape[1] + 1)]
+    return [
+        {"kind": GENERATOR, "shift": 0, "seed": seed, "overrides": dict(zip(keys, row))}
+        for seed, row in zip(np.asarray(seeds, dtype=np.uint64).tolist(), overrides.tolist())
+    ]
+
+
 def _validated_overrides(
     overrides: Mapping[int, int] | Iterable[tuple[int, int]],
 ) -> tuple[tuple[int, int], ...]:

@@ -313,7 +313,7 @@ def _invariance(args) -> int:
             return EXIT_CONFIG
     print(
         f"sampler={report.sampler} iterations={report.iterations} "
-        f"bins={report.bins} samples={report.samples}"
+        f"bins={report.bins} samples={report.samples} seed={report.seed}"
     )
     print(f"chi-square p-value: {report.pvalue:.6g} "
           f"({'pass' if report.passed else 'REJECT'} at alpha={report.alpha:g})")

@@ -34,13 +34,14 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bitstream import GENERATOR, BitStream, generator_bits
+from .bitstream import GENERATOR, BitStream, generator_bits, generator_json
 from .game import GameSpec, TrialRecord, last_losing_index, run_trial
 from .seeding import (
     DOMAIN_INVARIANCE,
@@ -191,7 +192,8 @@ def _run_chunk(cfg: ExperimentConfig, start: int, stop: int) -> tuple[np.ndarray
     trial_seeds = child_seed_np(child_seed(cfg.master_seed, DOMAIN_TRIAL), np.arange(start, stop))
     outputs = cfg.strategy.guess_batch(views, trial_seeds, root_seeds)
     if outputs is not None:
-        s = np.where(outputs == bits[:, : cfg.players], 1, -1).astype(np.int8)
+        # int8 scalars: no int64 block is built, then cast.
+        s = np.where(outputs == bits[:, : cfg.players], np.int8(1), np.int8(-1))
         return s, np.ones(stop - start, dtype=bool)
     flips = bits[:, : cfg.override_depth].tolist()
     records = [
@@ -397,22 +399,25 @@ class ExperimentResult:
 
     @cached_property
     def records(self) -> tuple[TrialRecord, ...]:
+        """The per-trial records, as ``run_trial`` returns them, rebuilt a
+        chunk and a column at a time.  Each of a chunk's columns becomes
+        Python objects with one ``tolist``: the roots' documents, by
+        ``generator_json``; the outputs, the steps and their int64 partial
+        sums, a tuple a trial; the thresholds, ``None`` for a quarantined
+        trial; and the validity flags.  Each record is made from its row of
+        them by ``TrialRecord._make``."""
         cfg, records = self.config, []
         for start, stop in _chunks(cfg):
             seeds, bits = _roots(cfg, start, stop)
-            s = self.s[start:stop]
-            columns = (
-                seeds, bits[:, : cfg.override_depth], bits[:, : cfg.players] ^ (s < 0), s,
-                np.cumsum(s, axis=1, dtype=np.int64), last_losing_index(s), self.valid[start:stop],
-            )
-            # Positional, in field order (see TrialRecord.from_json).
-            records += [
-                TrialRecord(
-                    BitStream(seed=seed, overrides=tuple(enumerate(flips, 1))).to_json(),
-                    tuple(o), tuple(sk), tuple(traj), threshold if ok else None, ok,
-                )
-                for seed, flips, o, sk, traj, threshold, ok in zip(*(c.tolist() for c in columns))
-            ]
+            s, valid = self.s[start:stop], self.valid[start:stop]
+            outputs = bits[:, : cfg.players] ^ (s < 0)
+            sums = np.cumsum(s, axis=1, dtype=np.int64)
+            records += map(TrialRecord._make, zip(
+                generator_json(seeds, bits[:, : cfg.override_depth]),
+                *(map(tuple, column.tolist()) for column in (outputs, s, sums)),
+                np.where(valid, last_losing_index(s), None).tolist(),
+                valid.tolist(),
+            ))
         return tuple(records)
 
     def to_json(self) -> dict:
@@ -500,24 +505,35 @@ def _win_rate(
     )
 
 
+def _stacked(rows: Sequence[tuple], dtype, what: str) -> np.ndarray:
+    """Equal-length tuples, one a trial, as the rows of one [trials, width]
+    array of ``dtype``, flattened by one ``np.fromiter``.
+
+    Raises a ``ValueError`` naming the first trial whose tuple's length
+    differs from trial 0's; ``what`` names the tuple's entries.
+    """
+    lengths = list(map(len, rows))
+    width = lengths[0] if lengths else 0
+    if lengths.count(width) != len(lengths):
+        t = next(t for t, n in enumerate(lengths) if n != width)
+        raise ValueError(f"trial {t} has {lengths[t]} {what}, trial 0 has {width}")
+    flat = np.fromiter(chain.from_iterable(rows), dtype, len(rows) * width)
+    return flat.reshape(len(rows), width)
+
+
 def win_rate_report(records: Sequence[TrialRecord], players: int) -> WinRateReport:
-    valid = [r for r in records if r.valid]
-    invalid = [r for r in records if not r.valid]
-    if invalid:
-        raw = np.array([r.s for r in invalid], dtype=np.int8)
-        invalid_raw = float((raw > 0).mean())
-    else:
-        invalid_raw = None
+    """The win-rate report of trial records: the reference for
+    ``ExperimentResult.win``.  Their steps are read by ``_stacked``."""
+    s = _stacked([r.s for r in records], np.int8, "steps")
+    valid = np.fromiter((r.valid for r in records), bool, len(records))
+    invalid = len(records) - int(np.count_nonzero(valid))
+    invalid_raw = float((s[~valid] > 0).mean()) if invalid else None
 
-    scored = len(valid)
-    if scored:
-        s = np.array([r.s for r in valid], dtype=np.int8)
-        wins = (s > 0).sum(axis=0)
-    else:
-        wins = np.zeros(players, dtype=np.int64)
+    scored = len(records) - invalid
+    wins = (s[valid] > 0).sum(axis=0) if scored else np.zeros(players, dtype=np.int64)
 
-    hist = sorted(Counter(r.threshold for r in valid).items())
-    return _win_rate(players, wins, scored, len(invalid), invalid_raw, hist)
+    hist = sorted(Counter(r.threshold for r in records if r.valid).items())
+    return _win_rate(players, wins, scored, invalid, invalid_raw, hist)
 
 
 def _azuma(
@@ -548,6 +564,11 @@ def azuma_report(
 ) -> AzumaReport:
     grid_n, grid_eps = tuple(grid_n), tuple(grid_eps)
     trajectories = [r.trajectory for r in records if r.valid]
+    need = max(grid_n, default=0)
+    if min(map(len, trajectories), default=need) < need:
+        t = next(t for t, r in enumerate(records) if r.valid and len(r.trajectory) < need)
+        short = len(records[t].trajectory)
+        raise ValueError(f"trial {t} has {short} partial sums, fewer than n={need}")
     exceed = []
     for n in grid_n:
         s_n = np.fromiter(map(itemgetter(n - 1), trajectories), np.int64, len(trajectories))
@@ -801,14 +822,25 @@ def martingale_audit(records: Sequence[TrialRecord]) -> MartingaleReport:
     MIN_BIN_COUNT steps are tested against a margin of Z standard errors.
     Under any local strategy the mean in every bin should vanish; a drift
     (the FNS signature) shows up as bins far outside their sampling margin.
+
+    The steps and partial sums are read by ``_stacked``, the steps as int64
+    and the partial sums as Python objects.  Steps of different lengths are
+    a ``ValueError`` naming the first such trial; partial sums of different
+    lengths, or that are not the steps' sums, are broken increments.
     """
     if not records:
         raise ValueError("empty trial log")
     if any(not r.valid for r in records):
         raise ValueError(_INVALID_AUDIT)
-    s = np.array([r.s for r in records], dtype=np.int64)
+    s = _stacked([r.s for r in records], np.int64, "steps")
     report = _martingale([s], len(s), s.shape[1])
-    if np.array_equal(np.cumsum(s, axis=1), [r.trajectory for r in records]):
+    try:
+        # As objects, so that each partial sum is compared as Python compares
+        # it: a 1.5 read back from a log is not truncated to an int.
+        trajectories = _stacked([r.trajectory for r in records], object, "partial sums")
+    except ValueError:  # ragged trajectories are broken increments
+        return MartingaleReport(report.trials, False, report.bins)
+    if np.array_equal(np.cumsum(s, axis=1), trajectories):
         return report
     return MartingaleReport(report.trials, False, report.bins)
 
@@ -817,6 +849,7 @@ def martingale_audit(records: Sequence[TrialRecord]) -> MartingaleReport:
 class InvarianceReport:
     samples: int
     bins: int
+    seed: int
     iterations: int
     sampler: str
     statistic: float
@@ -1044,6 +1077,7 @@ def invariance_test(
     return InvarianceReport(
         samples=samples,
         bins=bins,
+        seed=seed,
         iterations=iterations,
         sampler=sampler,
         statistic=statistic,

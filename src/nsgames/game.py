@@ -75,15 +75,15 @@ class TrialRecord(NamedTuple):
 
     @classmethod
     def from_json(cls, doc: dict) -> "TrialRecord":
-        # Positional, in field order: about half the cost of keywords.
-        return cls(
+        # In field order, through _make: no keyword or __new__ frame to bind.
+        return cls._make((
             doc["root"],
             tuple(doc["outputs"]),
             tuple(doc["s"]),
             tuple(doc["S"]),
             doc["threshold"],
             doc["valid"],
-        )
+        ))
 
     @classmethod
     def from_json_line(cls, line: str) -> "TrialRecord":

@@ -158,7 +158,9 @@ class LocalTableStrategy(Strategy):
         return self.table[idx]
 
     def guess_batch(self, views, trial_seeds, root_seeds):
-        idx = np.zeros(views.shape[:2], dtype=np.intp)
+        # The narrowest type that holds every index, so that a chunk's index
+        # array stays small enough for the allocator to reuse its memory.
+        idx = np.zeros(views.shape[:2], dtype=np.min_scalar_type(len(self.table) - 1))
         for j in range(self.view_bits):
             idx = (idx << 1) | views[:, :, j]
         return np.array(self.table, dtype=np.uint8)[idx]

@@ -19,7 +19,7 @@ import nsgames.experiment as experiment
 import nsgames.strategies as strategies
 from nsgames.bitstream import BitStream
 from nsgames.experiment import ExperimentConfig, martingale_audit, run_experiment
-from nsgames.game import GameSpec, run_trial
+from nsgames.game import GameSpec, TrialRecord, run_trial
 from nsgames.seeding import GOLDEN, MASK64, child_seed, child_seed_np, mix64, mix64_np
 from nsgames.strategies import (
     STRATEGY_PARAMS,
@@ -151,14 +151,17 @@ class TestArrayHash:
 
 
 class TestBatchEqualsScalar:
+    # cheat, under the backdoor, is quarantined on every trial.
     @settings(max_examples=60, deadline=None)
     @given(
-        batch_specs,
+        st.one_of(batch_specs, st.just({"name": "cheat"})),
         st.integers(1, 140),
         st.integers(1, 24),
         st.integers(0, MASK64),
         st.integers(0, 70),
     )
+    @example({"name": "local-table", "table": [0, 1, 1, 0]}, 5, 3, 1, 12)
+    @example({"name": "cheat"}, 5, 3, 1, 12)
     def test_random_configs(self, scalar_reference, spec, players, trials, seed, depth):
         cfg = ExperimentConfig(
             strategy=build_strategy(spec),
@@ -166,10 +169,16 @@ class TestBatchEqualsScalar:
             trials=trials,
             master_seed=seed,
             override_depth=depth,
+            enable_backdoor=spec["name"] == "cheat",
         )
         result, reference = run_experiment(cfg), scalar_reference(cfg)
         assert_same_bytes(result, reference)
-        assert result.martingale == martingale_audit(reference.records)
+        # repr also tells the override keys' order, and an int from a numpy
+        # integer.
+        assert result.records == reference.records
+        assert repr(result.records) == repr(reference.records)
+        if result.valid.all():
+            assert result.martingale == martingale_audit(reference.records)
 
     def test_many_chunks(self, scalar_reference, monkeypatch):
         monkeypatch.setattr(experiment, "CHUNK_CELLS", 100)
@@ -429,6 +438,22 @@ class TestTrialLogWriter:
         for doc in docs:
             keys = list(doc["root"]["overrides"])
             assert keys == sorted(str(i) for i in range(1, depth + 1))
+
+    @pytest.mark.parametrize(
+        "spec, depth",
+        [({"name": "local-table", "table": [0, 1, 1, 0]}, 12), ({"name": "cheat"}, 0),
+         (SometimesCheat(), 20)],
+        ids=["local-table", "cheat", "sometimes-cheat"],
+    )
+    def test_log_reads_back_as_the_records(self, spec, depth):
+        strategy = spec if isinstance(spec, Strategy) else build_strategy(spec)
+        cfg = ExperimentConfig(
+            strategy=strategy, players=12, trials=20, master_seed=21,
+            override_depth=depth, enable_backdoor=True,
+        )
+        result = run_experiment(cfg)
+        lines = result.trial_log().splitlines()
+        assert [TrialRecord.from_json_line(line) for line in lines] == list(result.records)
 
     @pytest.mark.parametrize("players", [1, 1024])
     def test_player_counts(self, scalar_reference, players):

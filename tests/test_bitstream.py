@@ -1,6 +1,7 @@
 """Stream construction, bit access, shift dynamics, and eventual equality
 as ``oracle.class_of`` decides it."""
 
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsgames.bitstream import BitStream, generator_bits
+from nsgames.bitstream import BitStream, generator_bits, generator_json
 from nsgames.oracle import class_of, disagreement_bound
 from nsgames.seeding import MASK64, child_seed
 
@@ -206,6 +207,26 @@ class TestSerialization:
     def test_json_keys(self):
         doc = BitStream.generator(3, overrides={4: 1}).to_json()
         assert doc == {"kind": "generator", "seed": 3, "shift": 0, "overrides": {"4": 1}}
+
+    @pytest.mark.parametrize("depth", [0, 1, 12])
+    def test_generator_json_matches_to_json(self, depth):
+        # Depth 12 writes two-digit keys, which to_json puts after "9" in
+        # index order, not in string order.
+        seeds = [0, 5, 2**64 - 1]
+        rows = [[(t + i) % 3 % 2 for i in range(depth)] for t in range(len(seeds))]
+        docs = generator_json(
+            np.array(seeds, dtype=np.uint64), np.array(rows, dtype=np.uint8).reshape(3, depth)
+        )
+        expected = [
+            BitStream.generator(seed, overrides=enumerate(row, 1)).to_json()
+            for seed, row in zip(seeds, rows)
+        ]
+        assert docs == expected
+        for doc, want in zip(docs, expected):
+            assert list(doc) == list(want)
+            assert list(doc["overrides"]) == list(want["overrides"])
+            assert json.dumps(doc) == json.dumps(want)
+            assert type(doc["seed"]) is int
 
     def test_zero_prefix_serialized_only_when_nonzero(self):
         padded = BitStream.generator(3, shift=5).pad_prefix_zeros(2)

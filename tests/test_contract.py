@@ -95,20 +95,37 @@ FNS_1024_DIGESTS = (
     "74d7f1dc8317cde9b58075a715185d364087c5ce21289f996da65cffb767efa9",
 )
 
-# The invariance digests below were re-taken when the p-value's tail moved
-# from scipy's chdtrc to _chi2_sf.  Only the p-values moved, each by at most
-# 2 ulp (0.388728719042201 -> 0.38872871904220097, 0.7770278032043938 ->
-# 0.777027803204394, 0.8654363193297757 -> 0.8654363193297755); the
-# adversarial control's 0.0, and with it its digest, did not.
-INVARIANCE_DIGEST = "1c58285ba4b9fe37ced9f80a56f0dfc8715ca79251ce69c9276a864847d6f23a"
+# The invariance digests were re-taken when the report gained its seed, so
+# that a report names the run it came from.  Each digest is paired with the
+# one taken before, of the same JSON without "seed", which pins that the
+# added key is the only change.  Those earlier digests were re-taken when
+# the p-value's tail moved from scipy's chdtrc to _chi2_sf.  Only the
+# p-values moved then, each by at most 2 ulp (0.388728719042201 ->
+# 0.38872871904220097, 0.7770278032043938 -> 0.777027803204394,
+# 0.8654363193297757 -> 0.8654363193297755); the adversarial control's 0.0,
+# and with it its digest, did not.
+INVARIANCE_DIGEST = (
+    "3e20f0ca5dd2572dc83152c612f6faeedf0e4c0aef572adc2613868ecaf42eb0",
+    "1c58285ba4b9fe37ced9f80a56f0dfc8715ca79251ce69c9276a864847d6f23a",
+)
 
 # The sorted JSON of criterion 6's three reports, 10^6 samples x 256 bins at
-# its seed 0, keyed by (iterations, sampler).  Their histograms are those
-# taken before the invariance histogram was hashed in place.
+# its seed 0, keyed by (iterations, sampler), with and without "seed" as
+# above.  Their histograms are those taken before the invariance histogram
+# was hashed in place.
 CRITERION_6_DIGESTS = {
-    (1, UNIFORM): "160c908e2c7fd5a3550d02d82dd66b68896d57bd368a2dc0d5cabd1597eb703d",
-    (16, UNIFORM): "9e0843aead4d9f15eb1bf9f28b66fc01e7948c99e5aa1c64fc497f66d5aad3bc",
-    (1, ADVERSARIAL): "07364c69899af20e7c1dc065fcca96783fc36d33f7507d54ad4b34325c1ad6d0",
+    (1, UNIFORM): (
+        "307fabaec5fc9b236ddece79e45c9765cdfbf24163b02b4f1865942d9ea4b456",
+        "160c908e2c7fd5a3550d02d82dd66b68896d57bd368a2dc0d5cabd1597eb703d",
+    ),
+    (16, UNIFORM): (
+        "0120cd07382e508e6f74c03f433db1239f9bcb14583034b04a521c782c0070d7",
+        "9e0843aead4d9f15eb1bf9f28b66fc01e7948c99e5aa1c64fc497f66d5aad3bc",
+    ),
+    (1, ADVERSARIAL): (
+        "708ed256b181824e559bc3bd52d4c1ba7a950c4117a4d31e7e4cf5bff1283d63",
+        "07364c69899af20e7c1dc065fcca96783fc36d33f7507d54ad4b34325c1ad6d0",
+    ),
 }
 
 
@@ -148,16 +165,24 @@ def test_fns_1024_report_digests():
     assert (sha256(result.render_json()), sha256(result.win.to_csv())) == FNS_1024_DIGESTS
 
 
+def seeded_digests(report, seed):
+    """The digest of a report's sorted JSON, then of the same JSON with its
+    seed, which must be ``seed``, removed."""
+    doc = report.to_json()
+    digest = sha256(json.dumps(doc, sort_keys=True))
+    assert doc.pop("seed") == seed
+    return digest, sha256(json.dumps(doc, sort_keys=True))
+
+
 def test_invariance_digest():
     report = invariance_test(samples=1600, bins=16, seed=7, iterations=3)
-    assert sha256(json.dumps(report.to_json(), sort_keys=True)) == INVARIANCE_DIGEST
+    assert seeded_digests(report, 7) == INVARIANCE_DIGEST
 
 
 @pytest.mark.parametrize("iterations, sampler", sorted(CRITERION_6_DIGESTS))
 def test_criterion_6_report_digests(iterations, sampler):
     report = invariance_test(10**6, 256, 0, iterations=iterations, sampler=sampler)
-    digest = sha256(json.dumps(report.to_json(), sort_keys=True))
-    assert digest == CRITERION_6_DIGESTS[iterations, sampler]
+    assert seeded_digests(report, 0) == CRITERION_6_DIGESTS[iterations, sampler]
 
 
 @pytest.mark.parametrize("sampler", [UNIFORM, ADVERSARIAL])

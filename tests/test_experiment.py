@@ -3,10 +3,14 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +207,16 @@ class TestWinRateReport:
         assert rep.pooled_freq is None
         assert all(p["freq"] is None for p in rep.to_json()["per_player"])
 
+    def test_ragged_steps_name_the_trial(self):
+        # Trial 2 is quarantined: the trials are counted over the whole log.
+        records = [
+            make_record((1, -1)),
+            make_record((1, 1)),
+            make_record((1, 1, 1), valid=False),
+        ]
+        with pytest.raises(ValueError, match=r"^trial 2 has 3 steps, trial 0 has 2$"):
+            win_rate_report(records, players=2)
+
     def test_one_interval_per_distinct_count(self, monkeypatch):
         calls = []
         monkeypatch.setattr(
@@ -309,6 +323,18 @@ class TestAzumaReport:
         rep = azuma_report(records, grid_n=(16, 32), grid_eps=(8.0, 16.0))
         assert rep.violations == 0
 
+    def test_short_trajectory_names_the_trial(self):
+        # Trial 1 is quarantined and never read; trial 2 is the first scored
+        # trial without an S_16.
+        records = [
+            make_record((1,) * 16),
+            make_record((1,) * 4, valid=False),
+            make_record((1,) * 15),
+        ]
+        with pytest.raises(ValueError, match=r"^trial 2 has 15 partial sums, fewer than n=16$"):
+            azuma_report(records, grid_n=(8, 16), grid_eps=(4.0,))
+        assert azuma_report(records, grid_n=(8, 15), grid_eps=(4.0,)).points[0].trials == 2
+
     def test_csv_shape(self):
         rep = azuma_report([make_record((1,) * 16)], grid_n=(16,), grid_eps=(4.0,))
         lines = rep.to_csv().strip().splitlines()
@@ -372,6 +398,25 @@ class TestMartingaleAudit:
         jump = make_record((1, 5, -1))
         rep = martingale_audit([jump] * 200)
         assert (rep.increments_ok, rep.passed, rep.bins) == (False, False, ())
+
+    def test_ragged_steps_name_the_trial(self):
+        records = [make_record((1, -1, 1))] * 3 + [make_record((1, -1))]
+        with pytest.raises(ValueError, match=r"^trial 3 has 2 steps, trial 0 has 3$"):
+            martingale_audit(records)
+
+    def test_ragged_trajectories_are_broken_increments(self):
+        good = make_record((1, -1, 1))
+        short = good._replace(trajectory=(1, 0))
+        for records in ([good, short] * 100, [short, good] * 100, [short] * 200):
+            rep = martingale_audit(records)
+            assert (rep.increments_ok, rep.passed) == (False, False)
+            assert rep.bins == martingale_audit([good] * 200).bins
+        # A partial sum is compared as Python compares it: 1.0 equals 1, and
+        # 1.5 or "1" equals none of the sums.
+        assert martingale_audit([good._replace(trajectory=(1.0, 0, 1))] * 200).increments_ok
+        for bad in (1.5, "1", None):
+            rep = martingale_audit([good._replace(trajectory=(bad, 0, 1))] * 200)
+            assert not rep.increments_ok
 
     def test_single_player_log(self):
         records = [make_record((1,)) for _ in range(150)]
@@ -667,7 +712,38 @@ class TestTrialRoot:
         assert a.seed != b.seed
 
 
+# A child process that runs 10^5 trials of 256 players and prints the minor
+# page faults its run took, and the bytes of its block of steps.
+_FAULT_COUNT = """
+import resource
+from nsgames.experiment import ExperimentConfig, run_experiment
+from nsgames.strategies import build_strategy
+cfg = ExperimentConfig(
+    strategy=build_strategy({"name": "local-table", "table": [0, 1, 1, 0]}),
+    players=256, trials=10**5, master_seed=1,
+)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+result = run_experiment(cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, result.s.nbytes)
+"""
+
+
 class TestRunExperiment:
+    @pytest.mark.slow
+    def test_chunk_temporaries_not_faulted_in_again(self):
+        # Each chunk's temporaries stay below glibc's 128 KiB mmap threshold,
+        # so the heap reuses them: the run faults in little more than its
+        # block.  An int64 score block and an intp table index, 512 KiB each a
+        # chunk, were mapped and unmapped for every chunk: 88k faults.
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", _FAULT_COUNT],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        faults, nbytes = map(int, out.split())
+        assert faults < 2 * (nbytes // 4096)
+
     def test_reports_computed_once_from_the_records(self, monkeypatch):
         calls = []
         block_reports = experiment._block_reports
