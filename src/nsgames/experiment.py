@@ -61,10 +61,17 @@ SCHEMA_VERSION = 2
 UNIFORM = "uniform"
 ADVERSARIAL = "adversarial"
 
-# Half-width, in standard errors, of every report interval and margin.
+# Half-width, in standard errors, of every Wilson interval a report holds.
 Z = 3.0
-# Fewest steps a martingale-audit bin needs before its mean is tested.
-MIN_BIN_COUNT = 100
+# The martingale audit's false-alarm level: the most probability with which
+# it flags any bin of a fair log, split evenly, before any step is seen,
+# over the 2·players − 1 values a partial sum can take.
+MARTINGALE_ALPHA = 1e-3
+# The precision of the normal mixture behind each bin's boundary (see
+# ``mixture_boundary``).  In standard errors the boundary is tightest near
+# 20·ρ to 30·ρ steps, 5.3 of them at 64 players, and it stays within 6 of
+# them from 10^3 to 10^6 steps; a bin of only up-steps fails from about 60.
+MARTINGALE_RHO = 100.0
 
 
 def _require_int(name: str, value) -> None:
@@ -229,19 +236,13 @@ def _line(values: Iterable) -> str:
     return ",".join(map(_cell, values))
 
 
-def _csv(row_class: type, lines: Iterable[str]) -> str:
-    """A header of the row class's field names, then the given lines."""
-    return "\n".join([",".join(f.name for f in fields(row_class)), *lines]) + "\n"
+def _csv(header: Iterable[str], lines: Iterable[str]) -> str:
+    """A header of the given names, then the given lines."""
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
-@dataclass(frozen=True)
-class PlayerRate:
-    player: int
-    wins: int
-    trials: int
-    freq: float | None
-    lo: float
-    hi: float
+# The names of a win-rate report's per-player row, in order.
+_PLAYER_ROW = ("player", "wins", "trials", "freq", "lo", "hi")
 
 
 @dataclass(frozen=True)
@@ -254,7 +255,7 @@ class WinRateReport:
     few counts, so each interval is computed once, when the report is
     built.  A player's row follows from its count: ``(player, wins,
     trials, freq, lo, hi)``, with ``trials`` the scored trials and ``freq``
-    their share of wins, as ``PlayerRate`` names them.  ``to_json`` and
+    their share of wins, as ``_PLAYER_ROW`` names them.  ``to_json`` and
     ``to_csv`` write the rows from these columns, and
     ``ExperimentResult.render_json`` has json write one row a distinct
     count (see ``_player_rows``).
@@ -272,13 +273,12 @@ class WinRateReport:
     threshold_hist: tuple[tuple[int, int], ...]
 
     def _rates(self) -> dict[int, tuple]:
-        """Each distinct count's ``PlayerRate`` fields after ``player``."""
+        """Each distinct count's row values after ``player``."""
         n = self.scored_trials
         return {w: (w, n, (w / n) if n else None, lo, hi) for w, lo, hi in self.intervals}
 
     def to_json(self) -> dict:
-        _, *names = (f.name for f in fields(PlayerRate))
-        rows = {w: dict(zip(names, rate)) for w, rate in self._rates().items()}
+        rows = {w: dict(zip(_PLAYER_ROW[1:], rate)) for w, rate in self._rates().items()}
         return self._document([{"player": k, **rows[w]} for k, w in enumerate(self.wins, 1)])
 
     def _document(self, per_player) -> dict:
@@ -297,7 +297,7 @@ class WinRateReport:
 
     def to_csv(self) -> str:
         tails = {w: _line(rate) for w, rate in self._rates().items()}
-        return _csv(PlayerRate, (f"{k},{tails[w]}" for k, w in enumerate(self.wins, 1)))
+        return _csv(_PLAYER_ROW, (f"{k},{tails[w]}" for k, w in enumerate(self.wins, 1)))
 
 
 # render_json's stand-in for the per-player rows: json writes its NUL as
@@ -318,7 +318,7 @@ def _player_rows(report: WinRateReport, indent: str) -> str:
     # With no indent, json's C encoder writes the row on one line; the item
     # separator breaks it as indent=2 would.
     encode = json.JSONEncoder(sort_keys=True, separators=(comma, ": ")).encode
-    player, *names = (f.name for f in fields(PlayerRate))
+    player, *names = _PLAYER_ROW
     key = f'"{player}": '
     heads, tails = {}, {}
     for w, rate in report._rates().items():
@@ -353,7 +353,8 @@ class AzumaReport:
         return {"points": [_row(p) for p in self.points], "violations": self.violations}
 
     def to_csv(self) -> str:
-        return _csv(AzumaPoint, (_line(vars(p).values()) for p in self.points))
+        header = (f.name for f in fields(AzumaPoint))
+        return _csv(header, (_line(vars(p).values()) for p in self.points))
 
 
 @dataclass(frozen=True, eq=False)  # == must never compare the arrays
@@ -505,26 +506,34 @@ def _win_rate(
     )
 
 
-def _stacked(rows: Sequence[tuple], dtype, what: str) -> np.ndarray:
-    """Equal-length tuples, one a trial, as the rows of one [trials, width]
-    array of ``dtype``, flattened by one ``np.fromiter``.
+def _stacked(rows: Sequence[tuple], dtype) -> np.ndarray:
+    """Equal-length tuples of steps, one a trial, as the rows of one
+    [trials, width] array of ``dtype``, flattened by one ``np.fromiter``.
 
     Raises a ``ValueError`` naming the first trial whose tuple's length
-    differs from trial 0's; ``what`` names the tuple's entries.
+    differs from trial 0's, or that holds a step outside ``dtype``.
     """
     lengths = list(map(len, rows))
     width = lengths[0] if lengths else 0
     if lengths.count(width) != len(lengths):
         t = next(t for t, n in enumerate(lengths) if n != width)
-        raise ValueError(f"trial {t} has {lengths[t]} {what}, trial 0 has {width}")
-    flat = np.fromiter(chain.from_iterable(rows), dtype, len(rows) * width)
+        raise ValueError(f"trial {t} has {lengths[t]} steps, trial 0 has {width}")
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), dtype, len(rows) * width)
+    except OverflowError as exc:
+        for t, row in enumerate(rows):
+            try:
+                np.fromiter(row, dtype, width)
+            except OverflowError:
+                raise ValueError(f"trial {t} has a step out of range: {exc}") from None
+        raise
     return flat.reshape(len(rows), width)
 
 
 def win_rate_report(records: Sequence[TrialRecord], players: int) -> WinRateReport:
     """The win-rate report of trial records: the reference for
     ``ExperimentResult.win``.  Their steps are read by ``_stacked``."""
-    s = _stacked([r.s for r in records], np.int8, "steps")
+    s = _stacked([r.s for r in records], np.int8)
     valid = np.fromiter((r.valid for r in records), bool, len(records))
     invalid = len(records) - int(np.count_nonzero(valid))
     invalid_raw = float((s[~valid] > 0).mean()) if invalid else None
@@ -746,6 +755,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 @dataclass(frozen=True)
 class MartingaleBin:
+    """The steps out of one value of the partial sum: their number, their
+    mean, and the bin's boundary on the mean, ``mixture_boundary / count``,
+    which the mean stays strictly inside when the bin is ``ok``."""
+
     s_value: int
     count: int
     mean: float
@@ -776,6 +789,18 @@ class MartingaleReport:
         }
 
 
+def mixture_boundary(count: int, alpha: float, rho: float = MARTINGALE_RHO) -> float:
+    """Robbins' two-sided normal-mixture boundary at ``count`` steps.
+
+    For fair, independent +-1 steps, the chance that the absolute sum of the
+    first c ever reaches sqrt((c + rho)·ln((c + rho) / (rho·alpha²))), at any
+    c, is at most ``alpha`` (Robbins, Ann. Math. Statist. 41, 1397, 1970;
+    Howard et al., Ann. Statist. 49, 1055, 2021).  The bound holds at every
+    count at once, so a count that is itself random needs no correction.
+    """
+    return math.sqrt((count + rho) * math.log((count + rho) / (rho * alpha * alpha)))
+
+
 def _martingale(steps: Iterable[np.ndarray], trials: int, players: int) -> MartingaleReport:
     """The martingale report of trials' steps, given as consecutive
     [trials, players] integer arrays (see ``martingale_audit``).
@@ -783,7 +808,9 @@ def _martingale(steps: Iterable[np.ndarray], trials: int, players: int) -> Marti
     Each step but a trial's first is counted, in integers, at the place
     S + players - 1 of the partial sum S before it, and among the up-steps
     there if it is 1.  Only steps of 1 and -1 have a place, so a log with
-    any other has no bins.
+    any other has no bins.  Every place with a step is a bin, which fails
+    when its sum of steps, 2·ups − count, reaches ``mixture_boundary`` at
+    MARTINGALE_ALPHA / (2·players − 1).
     """
     # moves[2 * place + up], up to 4 players - 3: the steps out of each place.
     moves = np.zeros(4 * players, dtype=np.int64)
@@ -801,12 +828,15 @@ def _martingale(steps: Iterable[np.ndarray], trials: int, players: int) -> Marti
         del code  # before the next chunk's
     ups = moves[1::2]
     counts = moves[::2] + ups
+    alpha = MARTINGALE_ALPHA / (2 * players - 1)
     bins = []
-    for place in np.flatnonzero(counts >= MIN_BIN_COUNT).tolist():
+    for place in np.flatnonzero(counts).tolist():
         count, up = int(counts[place]), int(ups[place])
-        mean = (2 * up - count) / count
-        margin = Z / math.sqrt(count)
-        bins.append(MartingaleBin(place - players + 1, count, mean, margin, abs(mean) <= margin))
+        drift = 2 * up - count
+        boundary = mixture_boundary(count, alpha)
+        bins.append(MartingaleBin(
+            place - players + 1, count, drift / count, boundary / count, abs(drift) < boundary
+        ))
     return MartingaleReport(trials=trials, increments_ok=True, bins=tuple(bins))
 
 
@@ -816,31 +846,27 @@ _INVALID_AUDIT = "log contains SIGNALING-INVALID trials; audit refused"
 def martingale_audit(records: Sequence[TrialRecord]) -> MartingaleReport:
     """Check the defining martingale properties on a trial log.
 
-    Verifies every trajectory moves by exactly +-1, then estimates the
+    Verifies every trajectory moves by exactly +-1, then tests the
     conditional mean of the next step given the current partial sum by
-    binning on the value of S_n, pooled over n.  Bins of at least
-    MIN_BIN_COUNT steps are tested against a margin of Z standard errors.
-    Under any local strategy the mean in every bin should vanish; a drift
-    (the FNS signature) shows up as bins far outside their sampling margin.
+    binning on the value of S_n, pooled over n.  Taken in trial order and
+    then time order, the steps out of one value are fair and independent
+    under any local strategy, however many there are, so each bin's sum
+    stays inside its ``mixture_boundary`` but with probability at most
+    MARTINGALE_ALPHA over all bins; a drift (the FNS signature) crosses it.
 
-    The steps and partial sums are read by ``_stacked``, the steps as int64
-    and the partial sums as Python objects.  Steps of different lengths are
-    a ``ValueError`` naming the first such trial; partial sums of different
-    lengths, or that are not the steps' sums, are broken increments.
+    The steps are read by ``_stacked``; steps of different lengths are a
+    ``ValueError`` naming the first such trial.  The partial sums are
+    compared, as Python tuples, with the running sums of the steps, so
+    each is compared as Python compares it: 1.0 equals 1, and 1.5, "1",
+    None or a tuple of another length are broken increments.
     """
     if not records:
         raise ValueError("empty trial log")
     if any(not r.valid for r in records):
         raise ValueError(_INVALID_AUDIT)
-    s = _stacked([r.s for r in records], np.int64, "steps")
+    s = _stacked([r.s for r in records], np.int64)
     report = _martingale([s], len(s), s.shape[1])
-    try:
-        # As objects, so that each partial sum is compared as Python compares
-        # it: a 1.5 read back from a log is not truncated to an int.
-        trajectories = _stacked([r.trajectory for r in records], object, "partial sums")
-    except ValueError:  # ragged trajectories are broken increments
-        return MartingaleReport(report.trials, False, report.bins)
-    if np.array_equal(np.cumsum(s, axis=1), trajectories):
+    if [r.trajectory for r in records] == list(map(tuple, np.cumsum(s, axis=1).tolist())):
         return report
     return MartingaleReport(report.trials, False, report.bins)
 

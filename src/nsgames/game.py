@@ -75,11 +75,21 @@ class TrialRecord(NamedTuple):
 
     @classmethod
     def from_json(cls, doc: dict) -> "TrialRecord":
+        """The record of a parsed trial-log document.
+
+        Raises a ``ValueError`` for a step that is not 1 or -1 as Python
+        compares them, such as ``"1"``, ``1.9``, ``300`` or ``None``, so that
+        no reader of the record has to coerce one.
+        """
+        s = tuple(doc["s"])
+        if s.count(1) + s.count(-1) != len(s):
+            bad = next(v for v in s if v != 1 and v != -1)
+            raise ValueError(f"step {bad!r} is not 1 or -1")
         # In field order, through _make: no keyword or __new__ frame to bind.
         return cls._make((
             doc["root"],
             tuple(doc["outputs"]),
-            tuple(doc["s"]),
+            s,
             tuple(doc["S"]),
             doc["threshold"],
             doc["valid"],

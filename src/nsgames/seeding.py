@@ -54,16 +54,6 @@ def _mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return z
 
 
-def mix64_np(z: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`mix64` on a uint64 array.
-
-    Returns a new array of at least one dimension: 0-d numpy scalars would
-    warn on the wrap.
-    """
-    z = np.array(z, dtype=np.uint64, ndmin=1)
-    return _mix64_inplace(z, np.empty_like(z))
-
-
 def child_seed_np(seed, index) -> np.ndarray:
     """Elementwise :func:`child_seed` over broadcast seed and index arrays."""
     seed = np.atleast_1d(np.asarray(seed, dtype=np.uint64))

@@ -20,7 +20,7 @@ import nsgames.strategies as strategies
 from nsgames.bitstream import BitStream
 from nsgames.experiment import ExperimentConfig, martingale_audit, run_experiment
 from nsgames.game import GameSpec, TrialRecord, run_trial
-from nsgames.seeding import GOLDEN, MASK64, child_seed, child_seed_np, mix64, mix64_np
+from nsgames.seeding import GOLDEN, MASK64, _mix64_inplace, child_seed, child_seed_np, mix64
 from nsgames.strategies import (
     STRATEGY_PARAMS,
     FnsStrategy,
@@ -99,9 +99,10 @@ class TestArrayHash:
         rng = random.Random(5)
         words = [rng.getrandbits(64) for _ in range(2000)]
         words += [0, 1, MASK64, MASK64 - 1, 1 << 63, GOLDEN]
-        got = mix64_np(np.array(words, dtype=np.uint64))
-        assert got.dtype == np.uint64
-        assert got.tolist() == [mix64(z) for z in words]
+        z = np.array(words, dtype=np.uint64)
+        got = _mix64_inplace(z, np.empty_like(z))
+        assert got is z and got.dtype == np.uint64
+        assert got.tolist() == [mix64(w) for w in words]
 
     def test_child_seed_matches_scalar_including_wrap(self):
         rng = random.Random(6)
@@ -121,24 +122,31 @@ class TestArrayHash:
         assert child_seed_np(MASK64, 3).tolist() == [child_seed(MASK64, 3)]
 
     def test_inputs_left_unchanged(self):
-        # The hash runs in place on a fresh array, never on its arguments.
-        words = np.array([0, 1, MASK64, GOLDEN], dtype=np.uint64)
+        # child_seed_np hashes in place on a fresh array, never on its
+        # arguments; the kernel writes only its two buffers, and a view of
+        # one hashes only its own words.
+        words = np.array([0, 1, MASK64, GOLDEN, 5], dtype=np.uint64)
         seeds = np.array([3, MASK64], dtype=np.uint64)
         indices = np.array([0, 7], dtype=np.uint64)
         kept = words.copy(), seeds.copy(), indices.copy()
-        assert mix64_np(words).tolist() == [mix64(int(z)) for z in kept[0]]
+        _mix64_inplace(words[:4], np.empty(4, dtype=np.uint64))
+        assert words.tolist() == [*(mix64(int(z)) for z in kept[0][:4]), 5]
         child_seed_np(seeds, indices)
         child_seed_np(seeds[:, None], indices)
-        for arg, copy in zip((words, seeds, indices), kept):
+        for arg, copy in zip((seeds, indices), kept[1:]):
             assert np.array_equal(arg, copy)
 
     def test_zero_dimensional_inputs(self):
+        # A 0-d array hashes without warning on the wrap (the suite turns
+        # RuntimeWarnings into errors), and child_seed_np keeps its result
+        # an array.
         word = np.array(MASK64, dtype=np.uint64)
-        assert mix64_np(word).tolist() == [mix64(MASK64)]
-        assert mix64_np(np.uint64(GOLDEN)).tolist() == [mix64(GOLDEN)]
-        got = child_seed_np(np.uint64(MASK64), np.array(5, dtype=np.uint64))
+        assert _mix64_inplace(word, np.empty_like(word)).tolist() == mix64(MASK64)
+        seed = np.array(MASK64, dtype=np.uint64)
+        got = child_seed_np(seed, np.array(5, dtype=np.uint64))
         assert got.tolist() == [child_seed(MASK64, 5)]
-        assert word == MASK64
+        assert child_seed_np(np.uint64(GOLDEN), 0).tolist() == [child_seed(GOLDEN, 0)]
+        assert seed == MASK64
 
     def test_column_by_row_broadcast(self):
         # The [T, 1] x [W] grid generator_bits hashes: seed t, word 2w.

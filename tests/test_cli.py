@@ -243,30 +243,42 @@ class TestSimulate:
     @pytest.mark.slow
     def test_deepest_overrides_in_a_bounded_peak(self, tmp_path):
         # Three trials at the deepest override depth write 2^20 pairs a line.
-        # The child's own peak RSS, read with wait4, was about 126 MiB when
-        # the override keys became fixed-width byte strings, and 278 MiB
-        # before.
+        # The child's own peak RSS was about 126 MiB when the override keys
+        # became fixed-width byte strings, and 278 MiB before.  The child
+        # reads it as its VmHWM: the peak of its own address space since
+        # exec.  wait4's ru_maxrss also keeps the peak of the memory the
+        # child held before exec, a copy of this process's, which grows with
+        # the tests run before this one.
         depth = experiment_module.MAX_OVERRIDE_DEPTH
         src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.Popen(
+        child = (
+            "import sys\n"
+            "from nsgames.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print(*(line for line in status if line.startswith('VmHWM:')), end='')\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
             [
-                sys.executable, "-m", "nsgames", "simulate", "--strategy", "fns",
+                sys.executable, "-c", child, "simulate", "--strategy", "fns",
                 "--root-override-depth", str(depth), "--players", "4", "--trials", "3",
                 "--out-dir", str(tmp_path),
             ],
             env=dict(os.environ, PYTHONPATH=str(src)),
-            stdout=subprocess.DEVNULL,
+            capture_output=True,
+            text=True,
         )
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr
         lines = (tmp_path / "trials.jsonl").read_bytes().splitlines()
         assert len(lines) == 3
         for line in lines:
             overrides = line[line.index(b'"overrides":{') : line.index(b'},"seed":')]
             assert overrides.count(b",") + 1 == depth
-        # ru_maxrss is in KiB on Linux.
-        assert usage.ru_maxrss < 192 * 1024
+        # The last line of stdout is "VmHWM:  <n> kB".
+        _, peak, unit = proc.stdout.splitlines()[-1].split()
+        assert unit == "kB"
+        assert int(peak) < 192 * 1024
 
     def test_unwritable_log_exit_one_after_the_report(self, tmp_path, capsys):
         (tmp_path / "trials.jsonl").mkdir()
@@ -986,15 +998,40 @@ INVARIANCE_ARGS = {
 
 
 @st.composite
-def invariance_options(draw):
-    """invariance-test options by flag: --samples always, each other flag
-    at times, with an in-range value but for at most two edge ones."""
-    edged = draw(st.sets(st.sampled_from(sorted(INVARIANCE_ARGS)), max_size=2))
+def flag_options(draw, flags, always=()):
+    """Options by flag, from ``flags``, a map of each flag to its in-range
+    values and its edge values: the flags in ``always`` and each other at
+    times, with an in-range value but for at most two edge ones."""
+    edged = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
     options = {}
-    for flag, (in_range, edge) in INVARIANCE_ARGS.items():
-        if flag == "--samples" or flag in edged or draw(st.booleans()):
+    for flag, (in_range, edge) in flags.items():
+        if flag in always or flag in edged or draw(st.booleans()):
             options[flag] = draw(st.sampled_from(edge if flag in edged else in_range))
     return options
+
+
+def exit_and_stderr(argv):
+    """The exit code and stderr of the command line, run in this process;
+    a usage error's ``SystemExit`` is its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def check_exit(code, err, codes, prefixes):
+    """A documented exit: a code of ``codes``; no traceback; with code 1, a
+    last stderr line that starts with one of ``prefixes``, and otherwise
+    nothing on stderr."""
+    assert code in codes, (code, err)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.splitlines()[-1].startswith(prefixes), err
+    else:
+        assert err == ""
 
 
 class TestInvarianceArguments:
@@ -1009,24 +1046,13 @@ class TestInvarianceArguments:
                 if flag == "--out" and value:
                     value = str(Path(tmp) / value)
                 argv += [flag, value]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(["invariance-test", *argv])
-                except SystemExit as exc:
-                    code = exc.code
-        err = err.getvalue()
-        assert code in (0, 1, 3), (code, err)
-        assert "Traceback" not in err
-        if code == 1:
-            assert err.splitlines()[-1].startswith((
-                "config error: ", "output error: ", "nsgames invariance-test: error: ",
-            )), err
-        else:
-            assert err == ""
+            code, err = exit_and_stderr(["invariance-test", *argv])
+        check_exit(code, err, (0, 1, 3), (
+            "config error: ", "output error: ", "nsgames invariance-test: error: ",
+        ))
 
     @settings(max_examples=60, deadline=None)
-    @given(invariance_options())
+    @given(flag_options(INVARIANCE_ARGS, always=("--samples",)))
     @example({"--samples": "20000", "--bins": "4", "--sampler": "adversarial",
               "--iterations": str(2**64), "--seed": str(2**64 - 1), "--alpha": "1e-320"})
     @example({"--samples": "20000", "--bins": str(10**30), "--out": "."})
@@ -1035,7 +1061,7 @@ class TestInvarianceArguments:
 
     @pytest.mark.slow
     @settings(max_examples=500, deadline=None)
-    @given(invariance_options())
+    @given(flag_options(INVARIANCE_ARGS, always=("--samples",)))
     def test_many_arguments_exit_cleanly(self, options):
         self.check(options)
 
@@ -1115,18 +1141,6 @@ ENUMERATE_ARGS = {
 }
 
 
-@st.composite
-def enumerate_options(draw):
-    """enumerate-fns options by flag, each at times, with an in-range value
-    but for at most two edge ones."""
-    edged = draw(st.sets(st.sampled_from(sorted(ENUMERATE_ARGS)), max_size=2))
-    options = {}
-    for flag, (in_range, edge) in ENUMERATE_ARGS.items():
-        if flag in edged or draw(st.booleans()):
-            options[flag] = draw(st.sampled_from(edge if flag in edged else in_range))
-    return options
-
-
 class TestEnumerateArguments:
     """Every enumerate-fns command line ends in a documented exit code: 0,
     1 with a last stderr line that names the error, or 3."""
@@ -1134,24 +1148,13 @@ class TestEnumerateArguments:
     @staticmethod
     def check(options):
         argv = [arg for pair in options.items() for arg in pair]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(["enumerate-fns", *argv])
-            except SystemExit as exc:
-                code = exc.code
-        err = err.getvalue()
-        assert code in (0, 1, 3), (code, err)
-        assert "Traceback" not in err
-        if code == 1:
-            assert err.splitlines()[-1].startswith((
-                "budget error: ", "config error: ", "nsgames enumerate-fns: error: ",
-            )), err
-        else:
-            assert err == ""
+        code, err = exit_and_stderr(["enumerate-fns", *argv])
+        check_exit(code, err, (0, 1, 3), (
+            "budget error: ", "config error: ", "nsgames enumerate-fns: error: ",
+        ))
 
     @settings(max_examples=60, deadline=None)
-    @given(enumerate_options())
+    @given(flag_options(ENUMERATE_ARGS))
     @example({"--inputs": ",".join(["1"] * 15000), "--outputs": ",".join(["2"] * 15000),
               "--budget": str(10**30)})
     @example({"--inputs": "3,1", "--outputs": "3,2", "--budget": str(2**64)})
@@ -1160,9 +1163,140 @@ class TestEnumerateArguments:
 
     @pytest.mark.slow
     @settings(max_examples=500, deadline=None)
-    @given(enumerate_options())
+    @given(flag_options(ENUMERATE_ARGS))
     def test_many_arguments_exit_cleanly(self, options):
         self.check(options)
+
+
+# Edge values of simulate's integer flags: below the range, past 64 bits,
+# and not integers at all.  None of them starts a run: a trial count past 64
+# bits is refused before its block is allocated.
+SIMULATE_EDGES = ["-1", "0", str(2**64), str(10**30), "nan", "1e3", ""]
+# simulate's flags: each one's in-range values, then its edge values.  In
+# range, a run has at most 8 players and 20 trials and overrides at most 4
+# bits, so that every run that starts is short.  --config and --out-dir name
+# paths under the example's own directory: a small valid config, a missing
+# file or a directory; and a fresh directory, or a regular file.
+SIMULATE_ARGS = {
+    "--strategy": (
+        ["constant:0", "local-table:0,1,1,0", "fns", "cheat",
+         '{"name": "local-random", "p": 0.5}'],
+        ["", "no-such-strategy", "constant:2", "local-table:", "local-table:0,1,1",
+         "local-random:nan", "fns:1", "{", '{"name": "fns", "x": 1}', "[]"],
+    ),
+    "--players": (["1", "2", "8"], [*SIMULATE_EDGES, str(experiment_module.MAX_PLAYERS + 1)]),
+    "--trials": (["1", "3", "20"], SIMULATE_EDGES),
+    "--seed": (["0", str(2**64 - 1)], SIMULATE_EDGES[:1] + SIMULATE_EDGES[2:]),
+    "--root-override-depth": (
+        ["0", "1", "4"], [*SIMULATE_EDGES[:1], *SIMULATE_EDGES[2:],
+                          str(experiment_module.MAX_OVERRIDE_DEPTH + 1)],
+    ),
+    "--parallelism": (["1", "2"], SIMULATE_EDGES),
+    "--azuma-n": (["1", "1,2"], ["", ",", "0", "-1", "9", "nan", "1,,x"]),
+    "--azuma-eps": (["4", "0.5,8"], ["", "0", "-1", "nan", "inf", "1e400", "x"]),
+    "--format": (["json", "csv"], ["JSON", "xml", ""]),
+    "--config": (["cfg.json"], ["missing.json", "."]),
+    "--out-dir": (["out"], ["file"]),
+}
+
+
+# simulate's switches, each present or not.
+SWITCHES = st.sets(st.sampled_from(["--allow-cheat", "--no-enforce"]))
+
+
+class TestSimulateArguments:
+    """Every simulate command line ends in a documented exit code: 0, 1
+    with a last stderr line that names the error, or 2."""
+
+    @staticmethod
+    def check(options, switches):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "cfg.json").write_text('{"players": 2, "trials": 2}', encoding="utf-8")
+            (tmp / "file").write_text("", encoding="utf-8")
+            argv = list(switches)
+            # An --out-dir always, so that nothing is written elsewhere.
+            for flag, value in {"--out-dir": "out", **options}.items():
+                if flag in ("--config", "--out-dir"):
+                    value = str(tmp / value)
+                argv += [flag, value]
+            code, err = exit_and_stderr(["simulate", *argv])
+        check_exit(code, err, (0, 1, 2), (
+            "config error: ", "output error: ", "nsgames simulate: error: ",
+        ))
+
+    @settings(max_examples=60, deadline=None)
+    @given(flag_options(SIMULATE_ARGS, always=("--strategy",)), SWITCHES)
+    @example({"--strategy": "cheat", "--players": "8", "--trials": "20"}, {"--allow-cheat"})
+    @example({"--strategy": "fns", "--players": "1", "--trials": str(10**30)}, set())
+    @example({"--strategy": "constant:0", "--out-dir": "file"}, set())
+    def test_any_arguments_exit_cleanly(self, options, switches):
+        self.check(options, sorted(switches))
+
+    @pytest.mark.slow
+    @settings(max_examples=500, deadline=None)
+    @given(flag_options(SIMULATE_ARGS, always=("--strategy",)), SWITCHES)
+    def test_many_arguments_exit_cleanly(self, options, switches):
+        self.check(options, sorted(switches))
+
+
+# The behavior files verify-behavior is pointed at: exact and float boxes,
+# no-signaling and signaling, one past the budget; then a missing file, a
+# directory, and files that are empty, malformed JSON, not UTF-8, or nested
+# past the decoder's recursion limit.
+BEHAVIOR_FILES = {
+    "pr.json": json.dumps(BEHAVIOR_BOXES[0]),
+    "signaling.json": json.dumps(BEHAVIOR_BOXES[1]),
+    "float.json": json.dumps(BEHAVIOR_BOXES[2]),
+    "budget.json": json.dumps(BEHAVIOR_BOXES[4]),
+    "empty.json": "",
+    "bad.json": "{",
+    "latin1.json": "\udcff",
+    "nested.json": RAW_LITERALS["\0nested"],
+}
+# verify-behavior's flags and its file argument ("path"): each one's
+# in-range values, then its edge values.
+VERIFY_ARGS = {
+    "path": (
+        ["pr.json", "signaling.json", "float.json", "budget.json"],
+        ["missing.json", ".", "empty.json", "bad.json", "latin1.json", "nested.json"],
+    ),
+    "--tol": (["0", "1e-9", "0.25"], ["-1", "0.5", "0.6", "1e308", "nan", "inf", "", "x"]),
+    "--format": (["text", "json"], ["JSON", "xml", ""]),
+}
+
+
+class TestVerifyArguments:
+    """Every verify-behavior command line ends in a documented exit code:
+    0, 1 with a last stderr line that names the error, or 3."""
+
+    @staticmethod
+    def check(options, strict):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, text in BEHAVIOR_FILES.items():
+                (tmp / name).write_bytes(text.encode("utf-8", "surrogateescape"))
+            argv = ["--strict"] if strict else []
+            for flag, value in options.items():
+                argv += [str(tmp / value)] if flag == "path" else [flag, value]
+            code, err = exit_and_stderr(["verify-behavior", *argv])
+        check_exit(code, err, (0, 1, 3), (
+            "input error: ", "budget error: ", "nsgames verify-behavior: error: ",
+        ))
+
+    @settings(max_examples=60, deadline=None)
+    @given(flag_options(VERIFY_ARGS, always=("path",)), st.booleans())
+    @example({"path": "nested.json", "--tol": "nan"}, True)
+    @example({"path": "float.json", "--tol": "0.5", "--format": "json"}, False)
+    @example({}, False)
+    def test_any_arguments_exit_cleanly(self, options, strict):
+        self.check(options, strict)
+
+    @pytest.mark.slow
+    @settings(max_examples=500, deadline=None)
+    @given(flag_options(VERIFY_ARGS, always=("path",)), st.booleans())
+    def test_many_arguments_exit_cleanly(self, options, strict):
+        self.check(options, strict)
 
 
 class TestParser:

@@ -21,9 +21,9 @@ import nsgames.experiment as experiment
 from nsgames.bitstream import BitStream
 from nsgames.experiment import (
     ADVERSARIAL,
-    MIN_BIN_COUNT,
+    MARTINGALE_ALPHA,
+    MARTINGALE_RHO,
     UNIFORM,
-    Z,
     ExperimentConfig,
     ExperimentResult,
     MartingaleBin,
@@ -78,7 +78,8 @@ def config_of(s: np.ndarray) -> ExperimentConfig:
 def tally_bins(s: np.ndarray) -> tuple[MartingaleBin, ...]:
     """The martingale bins of a block's steps, tallied in plain Python: each
     step but a trial's first, and whether it goes up, by the partial sum
-    before it."""
+    before it.  A bin fails when its sum of steps reaches the normal-mixture
+    boundary at the audit's level split over the 2·players − 1 places."""
     steps, ups = Counter(), Counter()
     for row in s.tolist():
         total = 0
@@ -86,13 +87,16 @@ def tally_bins(s: np.ndarray) -> tuple[MartingaleBin, ...]:
             total += step
             steps[total] += 1
             ups[total] += following == 1
+    alpha = MARTINGALE_ALPHA / (2 * s.shape[1] - 1)
+    rho = MARTINGALE_RHO
     bins = []
     for value in sorted(steps):
         count = steps[value]
-        if count >= MIN_BIN_COUNT:
-            mean = (ups[value] - (count - ups[value])) / count
-            margin = Z / math.sqrt(count)
-            bins.append(MartingaleBin(value, count, mean, margin, abs(mean) <= margin))
+        drift = ups[value] - (count - ups[value])
+        boundary = math.sqrt((count + rho) * math.log((count + rho) / (rho * alpha**2)))
+        bins.append(
+            MartingaleBin(value, count, drift / count, boundary / count, abs(drift) < boundary)
+        )
     return tuple(bins)
 
 
@@ -216,6 +220,11 @@ class TestWinRateReport:
         ]
         with pytest.raises(ValueError, match=r"^trial 2 has 3 steps, trial 0 has 2$"):
             win_rate_report(records, players=2)
+
+    def test_step_outside_int8_names_the_trial(self):
+        records = [make_record((1, -1, 1))] * 2 + [make_record((1, 300, 1))]
+        with pytest.raises(ValueError, match=r"^trial 2 has a step out of range: .*300"):
+            win_rate_report(records, players=3)
 
     def test_one_interval_per_distinct_count(self, monkeypatch):
         calls = []
@@ -418,6 +427,22 @@ class TestMartingaleAudit:
             rep = martingale_audit([good._replace(trajectory=(bad, 0, 1))] * 200)
             assert not rep.increments_ok
 
+    @pytest.mark.parametrize("step", ['"1"', "1.9", "300", "null"])
+    def test_read_back_steps_must_be_unit(self, step):
+        # A log line whose first step is not 1 or -1 as Python compares them
+        # never reaches the readers: the audit would have read "1" and 1.9
+        # as 1, and the win-rate report would have counted them as wins.
+        good = make_record((1, -1, 1))
+        line = good.to_json_line()
+        assert '"s":[1,' in line
+        lines = [line, line.replace('"s":[1,', f'"s":[{step},')]
+        with pytest.raises(ValueError, match=r"^step .* is not 1 or -1$"):
+            records = [TrialRecord.from_json_line(text) for text in lines]
+            martingale_audit(records)
+            win_rate_report(records, players=3)
+        # 1.0 equals 1, and reads back as the same record.
+        assert TrialRecord.from_json_line(lines[1].replace(f"[{step},", "[1.0,")) == good
+
     def test_single_player_log(self):
         records = [make_record((1,)) for _ in range(150)]
         rep = martingale_audit(records)
@@ -425,28 +450,48 @@ class TestMartingaleAudit:
         assert rep.bins_tested == 0
         assert rep.passed
 
-    def test_min_bin_count_gates_small_logs(self):
+    def test_every_place_with_a_step_is_a_bin(self):
         rng = random.Random(1)
         records = [
             make_record(tuple(rng.choice((-1, 1)) for _ in range(4)))
             for _ in range(20)
         ]
-        # 20 trials x 3 conditioned steps: no bin reaches 100.
+        # 20 trials x 3 conditioned steps: each value a step leaves from is
+        # a bin, and none of so few steps reaches its boundary.
         rep = martingale_audit(records)
-        assert rep.bins_tested == 0
+        places = sorted({total for r in records for total in r.trajectory[:-1]})
+        assert [b.s_value for b in rep.bins] == places
+        assert sum(b.count for b in rep.bins) == 60 and rep.passed
         # Two-step trials put their one conditioned step in the bin S = 1:
-        # 100 of them fill it, 99 do not.
-        full = [make_record((1, 1))] * 100
-        assert martingale_audit(full).bins_tested == 1
-        assert martingale_audit(full[1:]).bins_tested == 0
+        # at two players, 50 up-steps there reach its boundary, 49 do not.
+        full = [make_record((1, 1))] * 50
+        assert [(b.count, b.ok) for b in martingale_audit(full).bins] == [(50, False)]
+        assert [(b.count, b.ok) for b in martingale_audit(full[1:]).bins] == [(49, True)]
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.2])
+    def test_boundary_bounds_the_crossing_chance(self, alpha):
+        # The exact law of a fair +-1 walk over 4000 steps, with the paths
+        # that reach the boundary taken out as they reach it: together they
+        # have at most alpha of the probability, and not much less.
+        steps = 4000
+        values = np.arange(-steps, steps + 1)
+        p = np.zeros(len(values))
+        p[steps] = 1.0
+        crossed = 0.0
+        for count in range(1, steps + 1):
+            p[1:-1] = 0.5 * (p[:-2] + p[2:])
+            hit = np.abs(values) >= experiment.mixture_boundary(count, alpha)
+            crossed += p[hit].sum()
+            p[hit] = 0.0
+        assert alpha / 2 < crossed <= alpha
 
     @pytest.mark.parametrize(
         "table, players, trials, bins, passed",
         [
             (None, 1, 150, 0, True),  # no step follows another
             ([0, 1, 1, 0], 2, 300, 2, True),
-            (None, 64, 100, 63, False),  # fns: every bin at the gate, every mean 1
-            ([0, 1, 1, 0], 256, 120, 51, True),  # one bin at the gate, one of 95 below
+            (None, 64, 100, 63, False),  # fns: every bin of 100 steps, every mean 1
+            ([0, 1, 1, 0], 256, 120, 82, True),  # every place a walk left, down to one step
         ],
     )
     def test_run_matches_a_plain_tally(self, table, players, trials, bins, passed):
@@ -459,6 +504,18 @@ class TestMartingaleAudit:
         assert report.bins == tally_bins(result.s)
         assert (report.bins_tested, report.passed) == (bins, passed)
         assert report.increments_ok and report.trials == trials
+
+    @pytest.mark.parametrize("depth", [0, 2, 8])
+    def test_fns_flagged_at_a_hundred_trials(self, depth):
+        cfg = ExperimentConfig(
+            strategy=build_strategy({"name": "fns"}),
+            players=64,
+            trials=100,
+            master_seed=1,
+            override_depth=depth,
+        )
+        report = run_experiment(cfg).martingale
+        assert report.increments_ok and not report.passed
 
     def test_audit_reads_the_block_a_chunk_at_a_time(self):
         # The partial sums are counted a chunk at a time, two bytes a step:
@@ -501,11 +558,11 @@ class TestMartingaleAudit:
             before = np.cumsum(s, axis=1, dtype=np.int64)[:, :-1].ravel() + 255
             counts += np.bincount(before, minlength=len(counts))
             sums += np.bincount(before, s[:, 1:].ravel().astype(np.float64), len(sums))
-        tested = np.flatnonzero(counts >= MIN_BIN_COUNT)
+        tested = np.flatnonzero(counts)
         assert [b.s_value for b in report.bins] == (tested - 255).tolist()
         assert [b.count for b in report.bins] == counts[tested].tolist()
         assert [b.mean for b in report.bins] == (sums[tested] / counts[tested]).tolist()
-        assert (len(report.bins), sum(not b.ok for b in report.bins)) == (116, 1)
+        assert (len(report.bins), sum(not b.ok for b in report.bins)) == (141, 0)
 
 
 # Histogram widths the fast invariance path is checked at.
