@@ -42,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bitstream import GENERATOR, BitStream, generator_bits, generator_json
-from .game import GameSpec, TrialRecord, last_losing_index, run_trial
+from .game import GameSpec, TrialRecord, last_losing_index, run_trial, unit_steps
 from .seeding import (
     DOMAIN_INVARIANCE,
     DOMAIN_ROOT,
@@ -506,34 +506,33 @@ def _win_rate(
     )
 
 
-def _stacked(rows: Sequence[tuple], dtype) -> np.ndarray:
+def _stacked(rows: Sequence[tuple], dtype) -> np.ndarray | None:
     """Equal-length tuples of steps, one a trial, as the rows of one
-    [trials, width] array of ``dtype``, flattened by one ``np.fromiter``.
+    [trials, width] array of ``dtype``, or None if a step is not 1 or -1
+    (``unit_steps``), so that no step is coerced.
 
     Raises a ``ValueError`` naming the first trial whose tuple's length
-    differs from trial 0's, or that holds a step outside ``dtype``.
+    differs from trial 0's.
     """
     lengths = list(map(len, rows))
     width = lengths[0] if lengths else 0
     if lengths.count(width) != len(lengths):
         t = next(t for t, n in enumerate(lengths) if n != width)
         raise ValueError(f"trial {t} has {lengths[t]} steps, trial 0 has {width}")
-    try:
-        flat = np.fromiter(chain.from_iterable(rows), dtype, len(rows) * width)
-    except OverflowError as exc:
-        for t, row in enumerate(rows):
-            try:
-                np.fromiter(row, dtype, width)
-            except OverflowError:
-                raise ValueError(f"trial {t} has a step out of range: {exc}") from None
-        raise
-    return flat.reshape(len(rows), width)
+    flat = list(chain.from_iterable(rows))
+    if not unit_steps(flat):
+        return None
+    return np.fromiter(flat, dtype, len(flat)).reshape(len(rows), width)
 
 
 def win_rate_report(records: Sequence[TrialRecord], players: int) -> WinRateReport:
     """The win-rate report of trial records: the reference for
-    ``ExperimentResult.win``.  Their steps are read by ``_stacked``."""
+    ``ExperimentResult.win``.  Their steps are read by ``_stacked``; a step
+    that is not 1 or -1 is a ``ValueError`` naming the first such trial."""
     s = _stacked([r.s for r in records], np.int8)
+    if s is None:
+        t = next(t for t, r in enumerate(records) if not unit_steps(r.s))
+        raise ValueError(f"trial {t} has a step that is not 1 or -1: {records[t].s!r}")
     valid = np.fromiter((r.valid for r in records), bool, len(records))
     invalid = len(records) - int(np.count_nonzero(valid))
     invalid_raw = float((s[~valid] > 0).mean()) if invalid else None
@@ -789,26 +788,26 @@ class MartingaleReport:
         }
 
 
-def mixture_boundary(count: int, alpha: float, rho: float = MARTINGALE_RHO) -> float:
+def mixture_boundary(count: int, alpha: float) -> float:
     """Robbins' two-sided normal-mixture boundary at ``count`` steps.
 
     For fair, independent +-1 steps, the chance that the absolute sum of the
-    first c ever reaches sqrt((c + rho)·ln((c + rho) / (rho·alpha²))), at any
-    c, is at most ``alpha`` (Robbins, Ann. Math. Statist. 41, 1397, 1970;
-    Howard et al., Ann. Statist. 49, 1055, 2021).  The bound holds at every
+    first c ever reaches sqrt((c + ρ)·ln((c + ρ) / (ρ·alpha²))), at any c,
+    with ρ = MARTINGALE_RHO, is at most ``alpha`` (Robbins, Ann. Math.
+    Statist. 41, 1397, 1970; Howard et al., Ann. Statist. 49, 1055, 2021).  The bound holds at every
     count at once, so a count that is itself random needs no correction.
     """
+    rho = MARTINGALE_RHO
     return math.sqrt((count + rho) * math.log((count + rho) / (rho * alpha * alpha)))
 
 
 def _martingale(steps: Iterable[np.ndarray], trials: int, players: int) -> MartingaleReport:
     """The martingale report of trials' steps, given as consecutive
-    [trials, players] integer arrays (see ``martingale_audit``).
+    [trials, players] integer arrays of 1 and -1 (see ``martingale_audit``).
 
     Each step but a trial's first is counted, in integers, at the place
     S + players - 1 of the partial sum S before it, and among the up-steps
-    there if it is 1.  Only steps of 1 and -1 have a place, so a log with
-    any other has no bins.  Every place with a step is a bin, which fails
+    there if it is 1.  Every place with a step is a bin, which fails
     when its sum of steps, 2·ups − count, reaches ``mixture_boundary`` at
     MARTINGALE_ALPHA / (2·players − 1).
     """
@@ -816,8 +815,6 @@ def _martingale(steps: Iterable[np.ndarray], trials: int, players: int) -> Marti
     moves = np.zeros(4 * players, dtype=np.int64)
     code_type = np.int16 if players <= 8192 else np.int32
     for s in steps:
-        if not (np.abs(s) == 1).all():
-            return MartingaleReport(trials=trials, increments_ok=False, bins=())
         code = s[:, :-1].astype(code_type)
         np.cumsum(code, axis=1, out=code)
         code += players - 1
@@ -855,7 +852,8 @@ def martingale_audit(records: Sequence[TrialRecord]) -> MartingaleReport:
     MARTINGALE_ALPHA over all bins; a drift (the FNS signature) crosses it.
 
     The steps are read by ``_stacked``; steps of different lengths are a
-    ``ValueError`` naming the first such trial.  The partial sums are
+    ``ValueError`` naming the first such trial, and a step that is not 1 or
+    -1 makes the increments broken, with no bins.  The partial sums are
     compared, as Python tuples, with the running sums of the steps, so
     each is compared as Python compares it: 1.0 equals 1, and 1.5, "1",
     None or a tuple of another length are broken increments.
@@ -865,6 +863,8 @@ def martingale_audit(records: Sequence[TrialRecord]) -> MartingaleReport:
     if any(not r.valid for r in records):
         raise ValueError(_INVALID_AUDIT)
     s = _stacked([r.s for r in records], np.int64)
+    if s is None:
+        return MartingaleReport(trials=len(records), increments_ok=False, bins=())
     report = _martingale([s], len(s), s.shape[1])
     if [r.trajectory for r in records] == list(map(tuple, np.cumsum(s, axis=1).tolist())):
         return report

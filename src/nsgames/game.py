@@ -44,6 +44,12 @@ class GameSpec:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
+def unit_steps(steps: Sequence) -> bool:
+    """Whether every step in ``steps``, a tuple or a list, is 1 or -1 as
+    Python compares them: 1.0 is, and "1", 1.9, 300 and None are not."""
+    return steps.count(1) + steps.count(-1) == len(steps)
+
+
 class TrialRecord(NamedTuple):
     """Scored outcome of one trial.
 
@@ -82,7 +88,7 @@ class TrialRecord(NamedTuple):
         no reader of the record has to coerce one.
         """
         s = tuple(doc["s"])
-        if s.count(1) + s.count(-1) != len(s):
+        if not unit_steps(s):
             bad = next(v for v in s if v != 1 and v != -1)
             raise ValueError(f"step {bad!r} is not 1 or -1")
         # In field order, through _make: no keyword or __new__ frame to bind.

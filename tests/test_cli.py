@@ -1215,8 +1215,13 @@ class TestSimulateArguments:
             (tmp / "cfg.json").write_text('{"players": 2, "trials": 2}', encoding="utf-8")
             (tmp / "file").write_text("", encoding="utf-8")
             argv = list(switches)
-            # An --out-dir always, so that nothing is written elsewhere.
-            for flag, value in {"--out-dir": "out", **options}.items():
+            # An --out-dir always, so that nothing is written elsewhere, and
+            # without a config, a small run in place of simulate's default
+            # 64 players and 1000 trials.
+            defaults = {"--out-dir": "out"}
+            if "--config" not in options:
+                defaults.update({"--players": "2", "--trials": "2"})
+            for flag, value in {**defaults, **options}.items():
                 if flag in ("--config", "--out-dir"):
                     value = str(tmp / value)
                 argv += [flag, value]

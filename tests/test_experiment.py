@@ -221,9 +221,13 @@ class TestWinRateReport:
         with pytest.raises(ValueError, match=r"^trial 2 has 3 steps, trial 0 has 2$"):
             win_rate_report(records, players=2)
 
-    def test_step_outside_int8_names_the_trial(self):
-        records = [make_record((1, -1, 1))] * 2 + [make_record((1, 300, 1))]
-        with pytest.raises(ValueError, match=r"^trial 2 has a step out of range: .*300"):
+    @pytest.mark.parametrize("step", ["1", 1.9, 300, None])
+    def test_step_not_unit_names_the_trial(self, step):
+        # A record built in code, not read from a log: the step is refused,
+        # not coerced to 1 nor past int8 into numpy's OverflowError.
+        good = make_record((1, 1, 1))
+        records = [good] * 2 + [good._replace(s=(1, step, 1))]
+        with pytest.raises(ValueError, match=r"^trial 2 has a step that is not 1 or -1: "):
             win_rate_report(records, players=3)
 
     def test_one_interval_per_distinct_count(self, monkeypatch):
@@ -407,6 +411,12 @@ class TestMartingaleAudit:
         jump = make_record((1, 5, -1))
         rep = martingale_audit([jump] * 200)
         assert (rep.increments_ok, rep.passed, rep.bins) == (False, False, ())
+        # So are steps of records built in code, with the partial sums of
+        # (1, 1, 1): none is read as 1, nor past the audit's integer type.
+        ones = make_record((1, 1, 1))
+        for step in ("1", 1.9, 300, None):
+            rep = martingale_audit([ones, ones._replace(s=(1, step, 1))] * 100)
+            assert (rep.increments_ok, rep.passed, rep.bins) == (False, False, ())
 
     def test_ragged_steps_name_the_trial(self):
         records = [make_record((1, -1, 1))] * 3 + [make_record((1, -1))]
@@ -435,13 +445,11 @@ class TestMartingaleAudit:
         good = make_record((1, -1, 1))
         line = good.to_json_line()
         assert '"s":[1,' in line
-        lines = [line, line.replace('"s":[1,', f'"s":[{step},')]
+        bad = line.replace('"s":[1,', f'"s":[{step},')
         with pytest.raises(ValueError, match=r"^step .* is not 1 or -1$"):
-            records = [TrialRecord.from_json_line(text) for text in lines]
-            martingale_audit(records)
-            win_rate_report(records, players=3)
+            TrialRecord.from_json_line(bad)
         # 1.0 equals 1, and reads back as the same record.
-        assert TrialRecord.from_json_line(lines[1].replace(f"[{step},", "[1.0,")) == good
+        assert TrialRecord.from_json_line(bad.replace(f"[{step},", "[1.0,")) == good
 
     def test_single_player_log(self):
         records = [make_record((1,)) for _ in range(150)]
